@@ -2,10 +2,13 @@
 
 Everything the library does is reachable from the ``ordeval`` executable;
 this script drives the same entry point in-process. Artifacts land in
-demos/output/.
+demos/output/. The script runs from inside that directory and passes
+relative paths, so the configuration echoed into the JSON reports does not
+depend on where the repository is checked out.
 """
 
 import json
+import os
 from pathlib import Path
 
 from ordeval import read_predictions
@@ -13,8 +16,9 @@ from ordeval.cli import main
 
 OUT = Path(__file__).with_name("output")
 OUT.mkdir(exist_ok=True)
+os.chdir(OUT)
 
-data = OUT / "synthetic.csv"
+data = Path("synthetic.csv")
 
 # --- 1. Generate a prediction file -----------------------------------------
 #
@@ -32,12 +36,12 @@ print(f"\nparsed {len(ds)} samples over {ds.num_classes} classes")
 
 # --- 2. Worst samples under a rule ------------------------------------------
 main(["score", "--input", str(data), "--rule", "rps",
-      "--output", str(OUT / "worst_by_rps.csv")])
+      "--output", "worst_by_rps.csv"])
 
 # --- 3. Dataset-level report --------------------------------------------------
 main(["evaluate", "--input", str(data), "--cost", "quadratic",
-      "--output", str(OUT / "report.json")])
-report = json.loads((OUT / "report.json").read_text())
+      "--output", "report.json"])
+report = json.loads(Path("report.json").read_text())
 print(f"\nevaluate: qwk={report['qwk']:.3f} ec={report['expected_cost']:.3f} "
       f"ece={report['ece']:.3f} mean rps={report['mean_scores']['rps']:.4f}")
 
@@ -47,5 +51,5 @@ print(f"\nevaluate: qwk={report['qwk']:.3f} ec={report['expected_cost']:.3f} "
 # combined SVG and the summary table below. Fixed seed means byte-identical
 # outputs on every run, regardless of --threads.
 main(["rsc", "--input", str(data), "--metric", "qwk", "--bootstrap", "50",
-      "--seed", "42", "--output-prefix", str(OUT / "rsc")])
-print("\nrsc outputs:", sorted(p.name for p in OUT.glob("rsc_*")))
+      "--seed", "42", "--output-prefix", "rsc"])
+print("\nrsc outputs:", sorted(p.name for p in Path().glob("rsc_*")))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,3 +206,27 @@ class TestRscCommand:
                   "--output-prefix", tmp_path / "x"])
         assert rc == 1
         assert "InvalidConfig" in capsys.readouterr().err
+
+
+DEMO_OUTPUT = Path(__file__).resolve().parent.parent / "demos" / "output"
+
+
+class TestDemoGoldenOutputs:
+    """Replays demos/04_files_and_cli.py's CLI sequence and compares every
+    file it writes with the committed copy in demos/output/."""
+
+    def test_outputs_match_committed_files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        data = "synthetic.csv"
+        run(["synth", "--n", 500, "--k", 5, "--noise", 1.2, "--miscal", 1.5,
+             "--seed", 11, "--output", data])
+        run(["score", "--input", data, "--rule", "rps",
+             "--output", "worst_by_rps.csv"])
+        run(["evaluate", "--input", data, "--cost", "quadratic",
+             "--output", "report.json"])
+        run(["rsc", "--input", data, "--metric", "qwk", "--bootstrap", 50,
+             "--seed", 42, "--output-prefix", "rsc"])
+        rsc = sorted(p.name for p in tmp_path.glob("rsc_*"))
+        assert rsc == sorted(p.name for p in DEMO_OUTPUT.glob("rsc_*"))
+        for name in [data, "worst_by_rps.csv", "report.json", *rsc]:
+            assert (tmp_path / name).read_bytes() == (DEMO_OUTPUT / name).read_bytes(), name
