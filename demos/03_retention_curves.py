@@ -36,11 +36,12 @@ ds = generate(SynthConfig(n=2000, k=5, noise=1.2, miscal=1.5, seed=7))
 # wrong predictions regardless of where the mass went; the cumulative rules
 # surface order violations.
 for rule in RULES:
-    worst = rank_samples(ds, rule)[0]
-    probs = ", ".join(f"{p:.2f}" for p in ds.probs[ds.ids.index(worst.id)])
+    order, scores = rank_samples(ds, rule)
+    i = order[0]
+    probs = ", ".join(f"{p:.2f}" for p in ds.probs[i])
     print(
-        f"worst by {rule:<7} id={worst.id} label={worst.label} "
-        f"argmax={worst.argmax} score={worst.score:.4f} probs=[{probs}]"
+        f"worst by {rule:<7} id={ds.ids[i]} label={ds.labels[i]} "
+        f"argmax={ds.probs[i].argmax()} score={scores[i]:.4f} probs=[{probs}]"
     )
 
 # --- 2. Retention curves and bootstrapped AURSC -----------------------------

@@ -13,10 +13,8 @@ from . import errors
 from .data import (
     CostMatrix,
     EvalDataset,
-    LabeledPrediction,
     cumulative,
     validate_dataset,
-    validate_prob_vector,
 )
 from .hard import (
     MetricReport,
@@ -44,12 +42,10 @@ from .io import (
 )
 from .scoring import (
     RULES,
-    ScoredSample,
     brier,
     log_score,
     rps,
     sa_rps,
-    score_dataset,
 )
 from .synth import SynthConfig, generate
 
@@ -59,11 +55,9 @@ __all__ = [
     "BootstrapSummary",
     "CostMatrix",
     "EvalDataset",
-    "LabeledPrediction",
     "MetricReport",
     "RULES",
     "RetentionCurve",
-    "ScoredSample",
     "SynthConfig",
     "accuracy",
     "bootstrap_aursc",
@@ -85,9 +79,7 @@ __all__ = [
     "rps",
     "sa_rps",
     "sample_retention_curve",
-    "score_dataset",
     "validate_dataset",
-    "validate_prob_vector",
     "write_predictions",
     "write_report",
 ]

@@ -42,11 +42,6 @@ def stream(seed: int, count: int, start: int = 0) -> np.ndarray:
     return _mix64(base + ks * GAMMA)
 
 
-def substream_seeds(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """Seeds for ``count`` independent substreams (outputs of the parent stream)."""
-    return stream(seed, count, start)
-
-
 def substream_column(seeds: np.ndarray, column: int) -> np.ndarray:
     """Output ``column`` of many substreams at once (one per seed)."""
     inc = (np.array([column + 1], dtype=np.uint64) * GAMMA)[0]
@@ -74,7 +69,7 @@ def resample_indices(seed: int, replicate: int, n: int) -> np.ndarray:
     seeded by output ``r`` of the parent stream, so replicates can be
     evaluated in any order (or in parallel) without changing the draws.
     """
-    sub = int(substream_seeds(seed, 1, start=replicate)[0])
+    sub = int(stream(seed, 1, start=replicate)[0])
     return integers_mod(stream(sub, n), n)
 
 

@@ -13,7 +13,6 @@ Failures exit with status 1 and a one-line message naming the error.
 """
 
 import argparse
-import json
 import math
 import sys
 
@@ -29,7 +28,7 @@ from .retention import (
     rank_samples,
     sample_retention_curve,
 )
-from .scoring import RULES
+from .scoring import RULES, _rule_fn
 from .synth import SynthConfig, generate
 
 DEFAULT_FRACTION_SPEC = "1.0:0.05:0.05"
@@ -50,24 +49,18 @@ def _parse_fraction_spec(spec: str) -> tuple:
     return check_fractions(grid)
 
 
-def _resolve_cost(choice: str, num_classes: int) -> tuple[CostMatrix, str]:
+def _resolve_cost(choice: str, num_classes: int) -> CostMatrix:
     if choice == "linear":
-        return CostMatrix.linear(num_classes), "linear"
+        return CostMatrix.linear(num_classes)
     if choice == "quadratic":
-        return CostMatrix.quadratic(num_classes), "quadratic"
+        return CostMatrix.quadratic(num_classes)
     cost = io.read_cost_matrix(choice)
     if cost.num_classes != num_classes:
         raise InvalidConfig(
             f"cost matrix is {cost.num_classes}x{cost.num_classes}, "
             f"dataset has {num_classes} classes"
         )
-    return cost, choice
-
-
-def _check_label_base(value: int) -> int:
-    if value not in (0, 1):
-        raise InvalidConfig(f"--label-base must be 0 or 1, got {value}")
-    return value
+    return cost
 
 
 def _parse_rules(spec: str) -> list[str]:
@@ -75,63 +68,45 @@ def _parse_rules(spec: str) -> list[str]:
     if not rules:
         raise UnknownRule("no rules given")
     for r in rules:
-        if r not in RULES:
-            raise UnknownRule(f"unknown rule {r!r}; expected one of {', '.join(RULES)}")
+        _rule_fn(r)  # raises UnknownRule before any output is written
     return rules
 
 
 def cmd_score(args) -> int:
-    _check_label_base(args.label_base)
     ds = io.read_predictions(args.input, label_base=args.label_base)
-    ranked = rank_samples(ds, args.rule)
-    lines = ["id,label,argmax,score"]
-    lines += [
-        f"{s.id},{s.label},{s.argmax},{s.score!r}" for s in ranked
-    ]
-    io._atomic_write(args.output, "\n".join(lines) + "\n")
+    order, scores = rank_samples(ds, args.rule)
+    io.write_scores(ds, order, scores, args.output)
     print(f"worst samples by {args.rule}:")
-    for s in ranked[:5]:
-        print(f"  id={s.id}  label={s.label}  argmax={s.argmax}  score={s.score:.6f}")
+    for i in order[:5]:
+        print(
+            f"  id={ds.ids[i]}  label={ds.labels[i]}  "
+            f"argmax={ds.probs[i].argmax()}  score={scores[i]:.6f}"
+        )
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    _check_label_base(args.label_base)
     ds = io.read_predictions(args.input, label_base=args.label_base)
-    cost, cost_name = _resolve_cost(args.cost, ds.num_classes)
+    cost = _resolve_cost(args.cost, ds.num_classes)
     report = metric_report(ds, cost=cost, bins=args.bins)
-    mean_scores = {
-        rule: float(fn(ds.probs, ds.labels).mean()) for rule, fn in RULES.items()
+    config = {
+        "input": args.input,
+        "cost": args.cost,
+        "bins": args.bins,
+        "label_base": args.label_base,
     }
-    payload = {
-        "type": "metric_report",
-        "accuracy": report.accuracy,
-        "qwk": report.qwk,
-        "expected_cost": report.expected_cost,
-        "ece": report.ece,
-        "n": report.n,
-        "mean_scores": mean_scores,
-        "config": {
-            "input": args.input,
-            "cost": cost_name,
-            "bins": args.bins,
-            "label_base": args.label_base,
-        },
-    }
-    text = json.dumps(payload, indent=2)
     if args.output:
-        io._atomic_write(args.output, text + "\n")
+        io.write_report(report, args.output, config=config)
     else:
-        print(text)
+        print(io.report_json(report, config))
     return 0
 
 
 def cmd_rsc(args) -> int:
-    _check_label_base(args.label_base)
     rules = _parse_rules(args.rules)
     fractions = _parse_fraction_spec(args.fractions)
     ds = io.read_predictions(args.input, label_base=args.label_base)
-    cost, cost_name = _resolve_cost(args.cost, ds.num_classes)
+    cost = _resolve_cost(args.cost, ds.num_classes)
 
     # threads deliberately not echoed: results are a pure function of the
     # fields below, and outputs must be byte-identical across thread counts
@@ -141,12 +116,12 @@ def cmd_rsc(args) -> int:
         "fractions": list(fractions),
         "num_replicates": args.bootstrap,
         "seed": args.seed,
-        "cost": cost_name,
+        "cost": args.cost,
         "label_base": args.label_base,
     }
 
     curves = []
-    summaries = {}
+    summaries = []
     for rule in rules:
         curve = sample_retention_curve(
             ds, rule, args.metric, fractions=fractions, cost=cost
@@ -162,7 +137,7 @@ def cmd_rsc(args) -> int:
             threads=args.threads,
         )
         curves.append(curve)
-        summaries[rule] = (curve, summary)
+        summaries.append(summary)
         io.write_report(curve, f"{args.output_prefix}_{rule}_curve.csv", fmt="csv")
         io.write_report(
             summary,
@@ -174,10 +149,9 @@ def cmd_rsc(args) -> int:
 
     header = f"AURSC-{args.metric} (R={args.bootstrap}, seed={args.seed})"
     print(f"{'rule':<8}  {'aursc':>10}  {header}")
-    for rule in rules:
-        curve, summary = summaries[rule]
+    for curve, summary in zip(curves, summaries):
         print(
-            f"{rule:<8}  {curve.aursc:>10.4f}  "
+            f"{curve.rule:<8}  {curve.aursc:>10.4f}  "
             f"{summary.mean:.4f} +/- {summary.std:.4f}"
         )
     return 0

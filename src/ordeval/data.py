@@ -1,15 +1,14 @@
-"""Core records for evaluation datasets, their validation, and the
-cumulative-distribution transform shared by all scoring rules.
+"""The evaluation dataset, its validation, and the cumulative-distribution
+transform shared by all scoring rules.
 
-A probability vector is an ordinary 1-D float64 array of length K >= 2,
-nonnegative, summing to 1 within tolerance. ``EvalDataset`` keeps the whole
-test set in arrays (ids, labels, N x K probabilities); ``LabeledPrediction``
-is the per-sample record view. Everything is immutable after validation, so
-datasets can be shared freely across threads.
+``EvalDataset`` keeps a whole test set in arrays: ids, labels and an N x K
+probability matrix whose rows are nonnegative and sum to 1 within tolerance.
+Every per-sample computation in the package works on these arrays directly.
+Everything is immutable after validation, so datasets can be shared freely
+across threads.
 """
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -33,15 +32,6 @@ _RENORM_TRIGGER = 1e-12
 
 
 @dataclass(frozen=True)
-class LabeledPrediction:
-    """One probabilistic prediction with its ground-truth class index."""
-
-    id: str
-    label: int
-    probs: np.ndarray
-
-
-@dataclass(frozen=True)
 class EvalDataset:
     """An ordered set of labeled probabilistic predictions over K classes.
 
@@ -57,56 +47,10 @@ class EvalDataset:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __iter__(self) -> Iterator[LabeledPrediction]:
-        for i in range(len(self.ids)):
-            yield self.sample(i)
-
-    def sample(self, i: int) -> LabeledPrediction:
-        return LabeledPrediction(self.ids[i], int(self.labels[i]), self.probs[i])
-
-    @classmethod
-    def from_samples(cls, num_classes: int, samples: Sequence[LabeledPrediction]):
-        ids = tuple(s.id for s in samples)
-        labels = np.array([s.label for s in samples], dtype=np.int64)
-        probs = np.array([np.asarray(s.probs, dtype=np.float64) for s in samples])
-        return cls(num_classes, ids, labels, probs)
-
-    def subset(self, indices: np.ndarray) -> "EvalDataset":
-        """Row selection (used by resampling); skips re-validation."""
-        ids = tuple(self.ids[i] for i in indices)
-        return EvalDataset(
-            self.num_classes, ids, self.labels[indices], self.probs[indices]
-        )
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def validate_prob_vector(probs, num_classes: int | None = None) -> np.ndarray:
-    """Validate and canonicalize one probability vector.
-
-    Returns a read-only float64 copy whose entries sum to 1 (renormalized
-    when the input sum is within SUM_TOLERANCE of 1, rejected otherwise).
-    """
-    p = np.array(probs, dtype=np.float64)
-    if p.ndim != 1 or p.shape[0] < 2:
-        raise ShapeMismatch(
-            f"probability vector needs at least 2 entries, got shape {p.shape}"
-        )
-    if num_classes is not None and p.shape[0] != num_classes:
-        raise ShapeMismatch(f"expected {num_classes} entries, got {p.shape[0]}")
-    if not np.all(np.isfinite(p)):
-        raise NonFiniteProbability("probability vector contains NaN or infinity")
-    if np.any(p < 0.0):
-        raise NegativeProbability(f"negative probability {p.min()!r}")
-    s = p.sum()
-    if abs(s - 1.0) > SUM_TOLERANCE:
-        raise SumOutOfTolerance(f"probabilities sum to {s!r}")
-    if abs(s - 1.0) > _RENORM_TRIGGER:
-        p /= s
-    return _freeze(p)
 
 
 def validate_dataset(raw: EvalDataset) -> EvalDataset:

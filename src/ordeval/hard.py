@@ -12,19 +12,22 @@ import numpy as np
 
 from .data import CostMatrix, EvalDataset
 from .errors import EmptyDataset, ShapeMismatch, ZeroBins
+from .scoring import RULES
 
 DEFAULT_ECE_BINS = 15
 
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Headline metrics for one dataset."""
+    """Headline metrics for one dataset; ``mean_scores`` maps each rule
+    identifier to the rule's mean over the samples."""
 
     accuracy: float
     qwk: float
     expected_cost: float
     ece: float
     n: int
+    mean_scores: dict
 
 
 def hard_predictions(ds: EvalDataset) -> np.ndarray:
@@ -125,7 +128,7 @@ def ece(ds: EvalDataset, bins: int = DEFAULT_ECE_BINS) -> float:
 def metric_report(
     ds: EvalDataset, cost: CostMatrix | None = None, bins: int = DEFAULT_ECE_BINS
 ) -> MetricReport:
-    """Accuracy, QWK, expected cost, and ECE in one pass.
+    """Accuracy, QWK, expected cost, ECE and the mean of every scoring rule.
 
     ``cost`` defaults to the linear-distance matrix.
     """
@@ -138,4 +141,7 @@ def metric_report(
         expected_cost=expected_cost(cm, cost),
         ece=ece(ds, bins),
         n=len(ds),
+        mean_scores={
+            rule: float(fn(ds.probs, ds.labels).mean()) for rule, fn in RULES.items()
+        },
     )

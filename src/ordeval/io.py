@@ -7,6 +7,10 @@ produced them) or, for retention curves, as two-column CSV. All writes go to
 a temp file in the target directory and are renamed into place, so a failed
 run never leaves a truncated output.
 
+Every CSV is written through ``csv.writer``, which quotes a field only when
+it holds a comma, a quote or a newline, so such ids read back unchanged.
+Readers accept a UTF-8 byte order mark, CRLF line ends and blank lines, and
+report errors with the line number as it appears in the file.
 Reals are written with 17 significant digits, which round-trips float64
 exactly.
 """
@@ -16,6 +20,7 @@ import json
 import os
 import tempfile
 from dataclasses import asdict
+from io import StringIO
 
 import numpy as np
 
@@ -23,18 +28,21 @@ from .data import CostMatrix, EvalDataset, validate_dataset
 from .errors import (
     GridMismatch,
     InvalidConfig,
+    LabelOutOfRange,
     MalformedHeader,
     NonNumericField,
     RowArityMismatch,
 )
-from .hard import MetricReport
+from .hard import MetricReport, hard_predictions
 from .retention import BootstrapSummary, RetentionCurve
 
-_FLOAT_FMT = "{:.17g}"
+_fmt = "{:.17g}".format
 
-
-def _fmt(x: float) -> str:
-    return _FLOAT_FMT.format(float(x))
+_REPORT_TYPES = {
+    MetricReport: "metric_report",
+    RetentionCurve: "retention_curve",
+    BootstrapSummary: "bootstrap_summary",
+}
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -50,6 +58,24 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _write_csv(path: str, header: list, rows) -> None:
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_write(path, buf.getvalue())
+
+
+def _records(fh):
+    """Non-empty CSV records, each with the file line it starts on."""
+    reader = csv.reader(fh)
+    start = 1
+    for row in reader:
+        if row:
+            yield start, row
+        start = reader.line_num + 1
+
+
 def _expected_header(k: int) -> list[str]:
     return ["id", "label"] + [f"p{i}" for i in range(k)]
 
@@ -59,42 +85,50 @@ def read_predictions(path: str, label_base: int = 0) -> EvalDataset:
 
     ``label_base`` is 0 or 1 depending on how the file indexes classes;
     labels are shifted to 0-based internally. Errors carry 1-based line
-    numbers.
+    numbers and quote fields as the file spells them.
     """
     if label_base not in (0, 1):
         raise InvalidConfig(f"label_base must be 0 or 1, got {label_base}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise MalformedHeader(f"{path}: empty file")
-    header = [field.strip() for field in rows[0]]
-    k = len(header) - 2
-    if k < 2 or header != _expected_header(k):
-        raise MalformedHeader(
-            f"{path}: line 1: expected header 'id,label,p0,...', got {','.join(header)!r}"
-        )
-
     ids = []
     labels = []
     probs = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != k + 2:
-            raise RowArityMismatch(
-                f"{path}: line {lineno}: expected {k + 2} fields, got {len(row)}"
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        records = _records(fh)
+        first = next(records, None)
+        if first is None:
+            raise MalformedHeader(f"{path}: empty file")
+        lineno, header = first
+        header = [field.strip() for field in header]
+        k = len(header) - 2
+        if k < 2 or header != _expected_header(k):
+            raise MalformedHeader(
+                f"{path}: line {lineno}: expected header 'id,label,p0,...', "
+                f"got {','.join(header)!r}"
             )
-        ids.append(row[0])
-        try:
-            labels.append(int(row[1]))
-        except ValueError:
-            raise NonNumericField(
-                f"{path}: line {lineno}: label {row[1]!r} is not an integer"
-            ) from None
-        try:
-            probs.append([float(v) for v in row[2:]])
-        except ValueError:
-            raise NonNumericField(
-                f"{path}: line {lineno}: non-numeric probability"
-            ) from None
+        for lineno, row in records:
+            if len(row) != k + 2:
+                raise RowArityMismatch(
+                    f"{path}: line {lineno}: expected {k + 2} fields, got {len(row)}"
+                )
+            try:
+                label = int(row[1])
+            except ValueError:
+                raise NonNumericField(
+                    f"{path}: line {lineno}: label {row[1]!r} is not an integer"
+                ) from None
+            if not label_base <= label < k + label_base:
+                raise LabelOutOfRange(
+                    f"{path}: line {lineno}: label {row[1]!r} outside "
+                    f"{label_base}..{k - 1 + label_base}"
+                )
+            ids.append(row[0])
+            labels.append(label)
+            try:
+                probs.extend(map(float, row[2:]))
+            except ValueError:
+                raise NonNumericField(
+                    f"{path}: line {lineno}: non-numeric probability"
+                ) from None
 
     labels = np.array(labels, dtype=np.int64) - label_base
     probs = np.array(probs, dtype=np.float64).reshape(len(ids), k)
@@ -103,63 +137,58 @@ def read_predictions(path: str, label_base: int = 0) -> EvalDataset:
 
 def write_predictions(ds: EvalDataset, path: str) -> None:
     """Emit a dataset in the prediction CSV schema (0-based labels)."""
-    lines = [",".join(_expected_header(ds.num_classes))]
-    for i in range(len(ds)):
-        fields = [ds.ids[i], str(int(ds.labels[i]))]
-        fields += [_fmt(p) for p in ds.probs[i]]
-        lines.append(",".join(fields))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows = (
+        [sid, label, *map(_fmt, probs)]
+        for sid, label, probs in zip(
+            ds.ids, ds.labels.tolist(), map(np.ndarray.tolist, ds.probs)
+        )
+    )
+    _write_csv(path, _expected_header(ds.num_classes), rows)
+
+
+def write_scores(ds: EvalDataset, order: np.ndarray, scores: np.ndarray, path: str) -> None:
+    """Emit per-sample scores as an id,label,argmax,score CSV, one row per
+    sample in ``order``; scores use Python's shortest round-trip repr."""
+    rows = zip(
+        [ds.ids[i] for i in order.tolist()],
+        ds.labels[order].tolist(),
+        hard_predictions(ds)[order].tolist(),
+        scores[order].tolist(),
+    )
+    _write_csv(path, ["id", "label", "argmax", "score"], rows)
 
 
 def read_cost_matrix(path: str) -> CostMatrix:
     """Parse a K x K cost CSV (no header) with full CostMatrix validation."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    rows = [row for row in rows if row]
     parsed = []
     width = None
-    for lineno, row in enumerate(rows, start=1):
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise RowArityMismatch(
-                f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
-            )
-        try:
-            parsed.append([float(v) for v in row])
-        except ValueError:
-            raise NonNumericField(f"{path}: line {lineno}: non-numeric cost") from None
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        for lineno, row in _records(fh):
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise RowArityMismatch(
+                    f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
+                )
+            try:
+                parsed.append([float(v) for v in row])
+            except ValueError:
+                raise NonNumericField(
+                    f"{path}: line {lineno}: non-numeric cost"
+                ) from None
     return CostMatrix.from_array(parsed)
 
 
-def _report_payload(report, config):
-    if isinstance(report, MetricReport):
-        payload = {"type": "metric_report", **asdict(report)}
-    elif isinstance(report, RetentionCurve):
-        payload = {
-            "type": "retention_curve",
-            "rule": report.rule,
-            "metric": report.metric,
-            "fractions": list(report.fractions),
-            "values": list(report.values),
-            "aursc": report.aursc,
-        }
-    elif isinstance(report, BootstrapSummary):
-        payload = {
-            "type": "bootstrap_summary",
-            "mean": report.mean,
-            "std": report.std,
-            "replicates": list(report.replicates),
-            "seed": report.seed,
-            "num_replicates": report.num_replicates,
-        }
-    elif isinstance(report, dict):
-        payload = dict(report)
-    else:
+def report_json(report, config: dict | None = None) -> str:
+    """A report as indented JSON: a ``type`` tag, the report's fields and,
+    when given, ``config`` (the effective run parameters)."""
+    tag = _REPORT_TYPES.get(type(report))
+    if tag is None:
         raise InvalidConfig(f"cannot serialize report of type {type(report).__name__}")
+    payload = {"type": tag, **asdict(report)}
     if config is not None:
         payload["config"] = config
-    return payload
+    return json.dumps(payload, indent=2)
 
 
 def write_report(report, path: str, fmt: str = "json", config: dict | None = None) -> None:
@@ -169,46 +198,35 @@ def write_report(report, path: str, fmt: str = "json", config: dict | None = Non
     the file is enough to reproduce the computation.
     """
     if fmt == "json":
-        payload = _report_payload(report, config)
-        _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+        _atomic_write(path, report_json(report, config) + "\n")
     elif fmt == "csv":
         if not isinstance(report, RetentionCurve):
             raise InvalidConfig("csv format applies only to retention curves")
-        lines = ["fraction,value"]
-        lines += [
-            f"{_fmt(f)},{_fmt(v)}"
-            for f, v in zip(report.fractions, report.values)
-        ]
-        _atomic_write(path, "\n".join(lines) + "\n")
+        rows = ([_fmt(f), _fmt(v)] for f, v in zip(report.fractions, report.values))
+        _write_csv(path, ["fraction", "value"], rows)
     else:
         raise InvalidConfig(f"unknown report format {fmt!r}")
-
-
-def read_curve_csv(path: str) -> tuple[tuple, tuple]:
-    """Read back a fraction,value curve CSV (round-trip convenience)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [f.strip() for f in rows[0]] != ["fraction", "value"]:
-        raise MalformedHeader(f"{path}: expected 'fraction,value' header")
-    fractions = []
-    values = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise RowArityMismatch(
-                f"{path}: line {lineno}: expected 2 fields, got {len(row)}"
-            )
-        try:
-            fractions.append(float(row[0]))
-            values.append(float(row[1]))
-        except ValueError:
-            raise NonNumericField(f"{path}: line {lineno}: non-numeric field") from None
-    return tuple(fractions), tuple(values)
 
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
 _SVG_W, _SVG_H = 720, 460
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 150, 40, 60
+
+
+def _svg_line(x1, y1, x2, y2, stroke: str, width) -> str:
+    return (
+        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+        f'stroke="{stroke}" stroke-width="{width}"/>'
+    )
+
+
+def _svg_text(x, y, body: str, anchor: str | None, size: int = 12, extra: str = "") -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (
+        f'<text x="{x}" y="{y}"{anchor} font-size="{size}" '
+        f'font-family="sans-serif"{extra}>{body}</text>'
+    )
 
 
 def render_curve_svg(curves: list[RetentionCurve], path: str) -> None:
@@ -260,42 +278,21 @@ def render_curve_svg(curves: list[RetentionCurve], path: str) -> None:
     for i in range(6):
         v = y_lo + (y_hi - y_lo) * i / 5
         y = y_px(v)
-        parts.append(
-            f'<line x1="{x0}" y1="{y:.2f}" x2="{x1}" y2="{y:.2f}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x0 - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-size="12" font-family="sans-serif">{v:.3g}</text>'
-        )
+        parts.append(_svg_line(x0, f"{y:.2f}", x1, f"{y:.2f}", "#dddddd", 1))
+        parts.append(_svg_text(x0 - 8, f"{y + 4:.2f}", f"{v:.3g}", "end"))
     # axes
-    parts.append(
-        f'<line x1="{x0}" y1="{y1}" x2="{x1}" y2="{y1}" stroke="#000" stroke-width="1.5"/>'
-    )
-    parts.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="#000" stroke-width="1.5"/>'
-    )
+    parts.append(_svg_line(x0, y1, x1, y1, "#000", 1.5))
+    parts.append(_svg_line(x0, y0, x0, y1, "#000", 1.5))
     # x ticks: at most ~10 labels
     step = max(1, len(fractions) // 10)
     for f in fractions[::step]:
-        x = x_px(f)
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{y1}" x2="{x:.2f}" y2="{y1 + 5}" '
-            f'stroke="#000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x:.2f}" y="{y1 + 20}" text-anchor="middle" '
-            f'font-size="12" font-family="sans-serif">{f:.2f}</text>'
-        )
-    parts.append(
-        f'<text x="{(x0 + x1) / 2:.2f}" y="{_SVG_H - 15}" text-anchor="middle" '
-        f'font-size="13" font-family="sans-serif">fraction retained</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{(y0 + y1) / 2:.2f}" text-anchor="middle" '
-        f'font-size="13" font-family="sans-serif" '
-        f'transform="rotate(-90 18 {(y0 + y1) / 2:.2f})">{metric}</text>'
-    )
+        x = f"{x_px(f):.2f}"
+        parts.append(_svg_line(x, y1, x, y1 + 5, "#000", 1))
+        parts.append(_svg_text(x, y1 + 20, f"{f:.2f}", "middle"))
+    x_mid, y_mid = f"{(x0 + x1) / 2:.2f}", f"{(y0 + y1) / 2:.2f}"
+    parts.append(_svg_text(x_mid, _SVG_H - 15, "fraction retained", "middle", 13))
+    rotate = f' transform="rotate(-90 18 {y_mid})"'
+    parts.append(_svg_text(18, y_mid, metric, "middle", 13, rotate))
 
     for i, c in enumerate(curves):
         color = _COLORS[i % len(_COLORS)]
@@ -307,14 +304,8 @@ def render_curve_svg(curves: list[RetentionCurve], path: str) -> None:
         )
         ly = y0 + 14 + i * 20
         lx = x1 + 14
-        parts.append(
-            f'<line x1="{lx}" y1="{ly}" x2="{lx + 22}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 28}" y="{ly + 4}" font-size="12" '
-            f'font-family="sans-serif">{c.rule}</text>'
-        )
+        parts.append(_svg_line(lx, ly, lx + 22, ly, color, 2))
+        parts.append(_svg_text(lx + 28, ly + 4, c.rule, None))
 
     parts.append("</svg>")
     _atomic_write(path, "\n".join(parts) + "\n")

@@ -24,8 +24,8 @@ from .errors import (
     InvalidConfig,
     UnknownMetric,
 )
-from .hard import confusion_from_arrays, expected_cost, qwk
-from .scoring import ScoredSample, _rule_fn
+from .hard import confusion_from_arrays, expected_cost, hard_predictions, qwk
+from .scoring import _rule_fn
 
 # 1.00, 0.95, ..., 0.05
 DEFAULT_FRACTIONS = tuple((100 - 5 * i) / 100 for i in range(20))
@@ -82,28 +82,38 @@ def check_fractions(fractions) -> tuple:
     return tuple(fs)
 
 
-def _check_metric(metric: str) -> None:
-    if metric not in METRICS:
-        raise UnknownMetric(
-            f"unknown metric {metric!r}; expected one of {', '.join(METRICS)}"
-        )
+def rank_samples(ds: EvalDataset, rule: str) -> tuple[np.ndarray, np.ndarray]:
+    """Sample indices worst first under ``rule``, and every sample's score.
 
-
-def rank_samples(ds: EvalDataset, rule: str) -> list[ScoredSample]:
-    """All samples sorted worst first under ``rule``.
-
-    Scores are negatively oriented, so descending score = ascending quality.
-    Ties keep their dataset order.
+    Returns ``(order, scores)``: ``scores[i]`` is sample i's score and
+    ``order`` lists the sample indices by descending score. Scores are
+    negatively oriented, so descending score = ascending quality. Ties keep
+    their dataset order.
     """
     if len(ds) == 0:
         raise EmptyDataset("cannot rank an empty dataset")
     scores = _rule_fn(rule)(ds.probs, ds.labels)
-    argmax = np.argmax(ds.probs, axis=1)
-    order = np.argsort(-scores, kind="stable")
-    return [
-        ScoredSample(ds.ids[i], int(ds.labels[i]), int(argmax[i]), float(scores[i]))
-        for i in order
-    ]
+    return np.argsort(-scores, kind="stable"), scores
+
+
+def _prepare(ds: EvalDataset, rule: str, metric: str, fractions, cost):
+    """Checks shared by the curve and the bootstrap.
+
+    Returns the canonical grid, the cost matrix (linear by default), every
+    sample's score under ``rule`` and every sample's hard prediction.
+    """
+    if len(ds) == 0:
+        raise EmptyDataset("cannot run retention analysis on no samples")
+    rule_fn = _rule_fn(rule)
+    if metric not in METRICS:
+        raise UnknownMetric(
+            f"unknown metric {metric!r}; expected one of {', '.join(METRICS)}"
+        )
+    fractions = check_fractions(fractions)
+    if cost is None:
+        cost = CostMatrix.linear(ds.num_classes)
+    scores = rule_fn(ds.probs, ds.labels)
+    return fractions, cost, scores, hard_predictions(ds)
 
 
 def _curve_values(
@@ -138,15 +148,7 @@ def sample_retention_curve(
     ``metric`` is "qwk" or "ec"; ``cost`` (for "ec") defaults to the linear
     matrix. The AURSC field is the plain sum of the curve values.
     """
-    if len(ds) == 0:
-        raise EmptyDataset("cannot compute a retention curve on no samples")
-    rule_fn = _rule_fn(rule)
-    _check_metric(metric)
-    fractions = check_fractions(fractions)
-    if cost is None:
-        cost = CostMatrix.linear(ds.num_classes)
-    scores = rule_fn(ds.probs, ds.labels)
-    preds = np.argmax(ds.probs, axis=1)
+    fractions, cost, scores, preds = _prepare(ds, rule, metric, fractions, cost)
     values = _curve_values(
         scores, ds.labels, preds, fractions, metric, ds.num_classes, cost
     )
@@ -178,31 +180,20 @@ def bootstrap_aursc(
     replicate is the unresampled dataset (useful to recover the plain AURSC
     with std 0).
     """
-    if len(ds) == 0:
-        raise EmptyDataset("cannot bootstrap on no samples")
     if num_replicates < 1:
         raise InvalidConfig(f"need at least 1 replicate, got {num_replicates}")
-    rule_fn = _rule_fn(rule)
-    _check_metric(metric)
-    fractions = check_fractions(fractions)
-    if cost is None:
-        cost = CostMatrix.linear(ds.num_classes)
-
-    n = len(ds)
-    k = ds.num_classes
     # Scores are a pure per-sample function, so scoring the full dataset once
     # and gathering by replicate indices is exactly resample-then-score.
-    scores = rule_fn(ds.probs, ds.labels)
-    preds = np.argmax(ds.probs, axis=1)
+    fractions, cost, scores, preds = _prepare(ds, rule, metric, fractions, cost)
     labels = ds.labels
 
     def one_replicate(r: int) -> float:
         if seed == 0:
-            idx = np.arange(n)
+            idx = np.arange(len(ds))
         else:
-            idx = _rng.resample_indices(seed, r, n)
+            idx = _rng.resample_indices(seed, r, len(ds))
         values = _curve_values(
-            scores[idx], labels[idx], preds[idx], fractions, metric, k, cost
+            scores[idx], labels[idx], preds[idx], fractions, metric, ds.num_classes, cost
         )
         return float(values.sum())
 

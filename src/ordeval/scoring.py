@@ -1,7 +1,10 @@
 """Per-sample scoring rules for probabilistic predictions.
 
-All four rules are negatively oriented (0 = perfect, larger = worse) and act
-on a single (probability vector, true class) pair:
+All four rules are negatively oriented (0 = perfect, larger = worse). The
+public functions score a single (probability vector, true class) pair; the
+``RULES`` registry maps each rule identifier to its array form, which scores
+a whole N x K probability matrix against N labels in one call and is what
+ranking, retention curves and the CLI use:
 
 - ``brier``: squared l2 distance between probabilities and the one-hot label.
 - ``log_score``: negative log of the probability on the true class.
@@ -15,26 +18,14 @@ Rule identifiers used everywhere (library, CLI, file outputs) are the
 lowercase strings "brier", "log", "rps", "sa_rps".
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data import EvalDataset, _cumulative_matrix, _label_cumulative_matrix
+from .data import _cumulative_matrix, _label_cumulative_matrix
 from .errors import UnknownRule
 
 # Probability floor for the logarithmic score. File-ingested predictions can
 # carry exact zeros; an infinite score would poison sorting and averaging.
 LOG_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class ScoredSample:
-    """A sample's score under one rule, with its label and hard prediction."""
-
-    id: str
-    label: int
-    argmax: int
-    score: float
 
 
 def _brier_matrix(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -84,9 +75,9 @@ def _rule_fn(rule: str):
         ) from None
 
 
-def _as_pair(probs, label):
+def _score_one(rule_matrix, probs, label) -> float:
     p = np.asarray(probs, dtype=np.float64)[None, :]
-    return p, np.array([label], dtype=np.int64)
+    return float(rule_matrix(p, np.array([label], dtype=np.int64))[0])
 
 
 def brier(probs, label: int) -> float:
@@ -94,8 +85,7 @@ def brier(probs, label: int) -> float:
 
     Range [0, 2]; insensitive to class order.
     """
-    p, y = _as_pair(probs, label)
-    return float(_brier_matrix(p, y)[0])
+    return _score_one(_brier_matrix, probs, label)
 
 
 def log_score(probs, label: int) -> float:
@@ -103,8 +93,7 @@ def log_score(probs, label: int) -> float:
 
     Depends only on ``probs[label]`` (a local rule).
     """
-    p, y = _as_pair(probs, label)
-    return float(_log_matrix(p, y)[0])
+    return _score_one(_log_matrix, probs, label)
 
 
 def rps(probs, label: int) -> float:
@@ -115,11 +104,10 @@ def rps(probs, label: int) -> float:
     mass far from the true class costs more than mass nearby. Equals half
     the Brier score when K = 2.
     """
-    p, y = _as_pair(probs, label)
-    return float(_rps_matrix(p, y)[0])
+    return _score_one(_rps_matrix, probs, label)
 
 
-def sa_rps(probs, label: int, bounded: bool = True) -> float:
+def sa_rps(probs, label: int) -> float:
     """Squared-absolute ranked probability score.
 
     The mean absolute cumulative difference, squared:
@@ -129,22 +117,6 @@ def sa_rps(probs, label: int, bounded: bool = True) -> float:
     which stays in [0, 1] and penalizes a one-hot prediction at distance d
     by exactly (d / (K-1))^2 -- quadratic in distance, with no preference
     for symmetric probability placement.
-
-    ``bounded=False`` moves the 1/(K-1) normalization outside the square,
-    giving range [0, K-1] instead; kept for comparison.
     """
-    p, y = _as_pair(probs, label)
-    if bounded:
-        return float(_sa_rps_matrix(p, y)[0])
-    d = _cumulative_diffs(p, y)
-    return float(np.abs(d).sum() ** 2 / (p.shape[1] - 1))
+    return _score_one(_sa_rps_matrix, probs, label)
 
-
-def score_dataset(ds: EvalDataset, rule: str) -> list[ScoredSample]:
-    """Score every sample under ``rule``, preserving dataset order."""
-    scores = _rule_fn(rule)(ds.probs, ds.labels)
-    argmax = np.argmax(ds.probs, axis=1)
-    return [
-        ScoredSample(ds.ids[i], int(ds.labels[i]), int(argmax[i]), float(scores[i]))
-        for i in range(len(ds))
-    ]

@@ -91,7 +91,7 @@ def _class_permutation(seed: int, n: int, k: int) -> np.ndarray:
     """
     attempt = 0
     while True:
-        perm_seed = int(_rng.substream_seeds(seed, 1, start=n + attempt)[0])
+        perm_seed = int(_rng.stream(seed, 1, start=n + attempt)[0])
         perm = _rng.permutation(perm_seed, k)
         if k == 2:
             return perm
@@ -107,7 +107,7 @@ def generate(cfg: SynthConfig) -> EvalDataset:
     _check_config(cfg)
     n, k = cfg.n, cfg.k
 
-    subs = _rng.substream_seeds(cfg.seed, n)
+    subs = _rng.stream(cfg.seed, n)
     labels = _rng.integers_mod(_rng.substream_column(subs, 0), k)
     u_jitter = _rng.uniform01(_rng.substream_column(subs, 1))
     u_lobe = _rng.uniform01(_rng.substream_column(subs, 2))

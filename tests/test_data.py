@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ordeval import CostMatrix, EvalDataset, cumulative, validate_dataset, validate_prob_vector
+from ordeval import CostMatrix, EvalDataset, cumulative, validate_dataset
 from ordeval.errors import (
     DuplicateId,
     EmptyDataset,
@@ -87,19 +87,13 @@ class TestValidation:
             ds.probs[0, 0] = 0.9
 
     def test_single_vector_validation(self):
-        p = validate_prob_vector([0.5, 0.5000004, 0.0])
-        assert abs(p.sum() - 1.0) < 1e-12
+        # one-row datasets exercise the per-row checks
+        ds = make_dataset([[0.5, 0.5000004, 0.0]], [0])
+        assert abs(ds.probs[0].sum() - 1.0) < 1e-12
         with pytest.raises(SumOutOfTolerance):
-            validate_prob_vector([0.5, 0.6])
+            make_dataset([[0.5, 0.6]], [0])
         with pytest.raises(ShapeMismatch):
-            validate_prob_vector([1.0])
-
-    def test_iteration_and_sample_view(self):
-        ds = make_dataset([[0.25, 0.75, 0.0], [1.0, 0.0, 0.0]], [0, 0], ids=("a", "b"))
-        samples = list(ds)
-        assert [s.id for s in samples] == ["a", "b"]
-        assert samples[0].label == 0
-        assert np.array_equal(samples[0].probs, [0.25, 0.75, 0.0])
+            make_dataset([[1.0]], [0])
 
 
 class TestCumulative:

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from ordeval import (
     BootstrapSummary,
+    EvalDataset,
     MetricReport,
     RetentionCurve,
     SynthConfig,
@@ -20,12 +22,16 @@ from ordeval import (
 from ordeval.errors import (
     GridMismatch,
     InvalidConfig,
+    LabelOutOfRange,
     MalformedHeader,
     NonNumericField,
     RowArityMismatch,
     ShapeMismatch,
 )
-from ordeval.io import read_curve_csv
+from ordeval.cli import main
+
+# ids that need quoting, or that a careless reader would trim
+ADVERSARIAL_IDS = ("a,b", 'say "hi"', " padded", "two\nlines")
 
 
 class TestReadPredictions:
@@ -80,16 +86,65 @@ class TestReadPredictions:
         with pytest.raises(FileNotFoundError):
             read_predictions(str(tmp_path / "nope.csv"))
 
+    @pytest.mark.parametrize(
+        "bom, eol, blank",
+        [("\ufeff", "\n", ""), ("", "\r\n", ""), ("", "\n", "\n"), ("\ufeff", "\r\n", "\r\n")],
+        ids=["bom", "crlf", "trailing-blank", "all"],
+    )
+    def test_common_writer_variants(self, tmp_path, bom, eol, blank):
+        def write(name, lines):
+            path = tmp_path / name
+            path.write_bytes((bom + eol.join(lines) + eol + blank).encode("utf-8"))
+            return str(path)
+
+        ds = read_predictions(write("p.csv", ["id,label,p0,p1", "a,0,1.0,0.0", "b,1,0.0,1.0"]))
+        assert ds.ids == ("a", "b") and ds.labels.tolist() == [0, 1]
+        cost = read_cost_matrix(write("c.csv", ["0,1", "1,0"]))
+        assert cost.costs.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("\ufeffid,label,p0,p1\n\na,0,1.0,0.0\n\nb,1,0.5\n", 5),
+            ('id,label,p0,p1\r\n"two\r\nlines",0,1.0,0.0\r\nb,0,1.0\r\n', 4),
+        ],
+        ids=["blank-lines", "quoted-line-break"],
+    )
+    def test_errors_name_the_file_line(self, tmp_path, text, line):
+        f = tmp_path / "p.csv"
+        f.write_bytes(text.encode("utf-8"))
+        with pytest.raises(RowArityMismatch, match=f"line {line}:"):
+            read_predictions(str(f))
+
+    def test_label_out_of_range_quotes_the_file(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_text("id,label,p0,p1\na,1,1.0,0.0\nb,0,0.0,1.0\n")
+        with pytest.raises(LabelOutOfRange, match=r"p\.csv: line 3: label '0' outside 1\.\.2"):
+            read_predictions(str(f), label_base=1)
+        f.write_text("id,label,p0,p1\na,0,1.0,0.0\nb, 2,0.0,1.0\n")
+        with pytest.raises(LabelOutOfRange, match="line 3: label ' 2'"):
+            read_predictions(str(f))
+
 
 class TestRoundTrip:
     def test_synth_write_read_identity(self, tmp_path):
         ds = generate(SynthConfig(n=150, k=5, noise=1.3, miscal=1.6, seed=23))
+        ids = ADVERSARIAL_IDS + ds.ids[len(ADVERSARIAL_IDS):]
+        ds = EvalDataset(ds.num_classes, ids, ds.labels, ds.probs)
         path = tmp_path / "ds.csv"
         write_predictions(ds, str(path))
         back = read_predictions(str(path))
         assert back.ids == ds.ids
         assert np.array_equal(back.labels, ds.labels)
         assert np.array_equal(back.probs, ds.probs)
+
+        scores = tmp_path / "scores.csv"
+        assert main(["score", "--input", str(path), "--rule", "rps",
+                     "--output", str(scores)]) == 0
+        with open(scores, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["id", "label", "argmax", "score"]
+        assert sorted(row[0] for row in rows[1:]) == sorted(ids)
 
     def test_writes_are_byte_stable(self, tmp_path):
         ds = generate(SynthConfig(n=40, k=3, seed=24))
@@ -143,9 +198,11 @@ class TestWriteReport:
         curve = self._curve()
         path = tmp_path / "curve.csv"
         write_report(curve, str(path), fmt="csv")
-        fractions, values = read_curve_csv(str(path))
-        assert fractions == curve.fractions
-        assert values == curve.values
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["fraction", "value"]
+        assert tuple(float(f) for f, _ in rows[1:]) == curve.fractions
+        assert tuple(float(v) for _, v in rows[1:]) == curve.values
 
     def test_bootstrap_json(self, tmp_path):
         ds = generate(SynthConfig(n=120, k=4, seed=25))
@@ -160,11 +217,14 @@ class TestWriteReport:
         assert payload["mean"] == summary.mean
 
     def test_metric_report_json(self, tmp_path):
-        report = MetricReport(accuracy=0.9, qwk=0.8, expected_cost=0.05, ece=0.02, n=10)
+        report = MetricReport(accuracy=0.9, qwk=0.8, expected_cost=0.05, ece=0.02,
+                              n=10, mean_scores={"rps": 0.1})
         path = tmp_path / "m.json"
         write_report(report, str(path), fmt="json", config={"bins": 15})
         payload = json.loads(path.read_text())
+        assert payload["type"] == "metric_report"
         assert payload["qwk"] == 0.8 and payload["config"]["bins"] == 15
+        assert payload["mean_scores"] == {"rps": 0.1}
 
     def test_curve_json_reparses_with_config(self, tmp_path):
         curve = self._curve(5)

@@ -20,6 +20,7 @@ from ordeval.errors import (
     UnknownMetric,
     UnknownRule,
 )
+from ordeval.hard import hard_predictions
 from ordeval.retention import DEFAULT_FRACTIONS, check_fractions
 
 from helpers import make_dataset
@@ -40,23 +41,28 @@ def one_hot_dataset(labels, preds, k):
 
 class TestRankSamples:
     def test_rps_orders_far_prediction_worst(self):
-        ranked = rank_samples(eq3_dataset(), "rps")
-        assert [s.id for s in ranked] == ["p2", "p1"]
-        assert ranked[0].score == pytest.approx(0.5625, abs=1e-15)
+        ds = eq3_dataset()
+        order, scores = rank_samples(ds, "rps")
+        assert [ds.ids[i] for i in order] == ["p2", "p1"]
+        # scores stay in dataset order
+        assert scores[0] == pytest.approx(0.28125, abs=1e-15)
+        assert scores[1] == pytest.approx(0.5625, abs=1e-15)
+        assert hard_predictions(ds).tolist() == [1, 2]
 
     def test_brier_tie_keeps_input_order(self):
-        ranked = rank_samples(eq3_dataset(), "brier")
-        assert [s.id for s in ranked] == ["p1", "p2"]
-        assert ranked[0].score == ranked[1].score
+        order, scores = rank_samples(eq3_dataset(), "brier")
+        assert order.tolist() == [0, 1]
+        assert scores[0] == scores[1]
 
     def test_single_sample(self):
         ds = make_dataset([[1.0, 0.0]], [0], ids=("only",))
-        ranked = rank_samples(ds, "log")
-        assert [s.id for s in ranked] == ["only"]
+        order, scores = rank_samples(ds, "log")
+        assert order.tolist() == [0] and scores.tolist() == [0.0]
 
     def test_errors(self):
-        with pytest.raises(UnknownRule):
-            rank_samples(eq3_dataset(), "nope")
+        for rule in ("nope", ""):
+            with pytest.raises(UnknownRule):
+                rank_samples(eq3_dataset(), rule)
         empty = EvalDataset(2, (), np.array([], dtype=np.int64), np.zeros((0, 2)))
         with pytest.raises(EmptyDataset):
             rank_samples(empty, "rps")
@@ -187,7 +193,10 @@ class TestBootstrap:
         summary = bootstrap_aursc(ds, "brier", "qwk", num_replicates=4, seed=11)
         for r in (0, 3):
             idx = _rng.resample_indices(11, r, len(ds))
-            manual = sample_retention_curve(ds.subset(idx), "brier", "qwk").aursc
+            resampled = EvalDataset(
+                ds.num_classes, tuple(ds.ids[i] for i in idx), ds.labels[idx], ds.probs[idx]
+            )
+            manual = sample_retention_curve(resampled, "brier", "qwk").aursc
             assert summary.replicates[r] == manual
 
     def test_summary_recomputable(self):

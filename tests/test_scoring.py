@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from ordeval import brier, log_score, rps, sa_rps, score_dataset
-from ordeval.errors import UnknownRule
+from ordeval import brier, log_score, rank_samples, rps, sa_rps
 from ordeval.scoring import RULES
 
 from helpers import make_dataset, random_prob_matrix
@@ -92,12 +91,6 @@ class TestSaRps:
         assert asym == pytest.approx(0.0625, abs=1e-12)
         assert asym < sym  # reversed relative to rps
 
-    def test_unbounded_variant(self):
-        # normalization outside the square: range [0, K-1]
-        assert sa_rps([0.0, 1.0, 0.0], 0, bounded=False) == 0.5
-        assert sa_rps([0.0, 0.0, 1.0], 0, bounded=False) == 2.0
-        assert sa_rps([1.0, 0.0, 0.0], 0, bounded=False) == 0.0
-
 
 class TestProperties:
     def test_matches_loop_oracles(self):
@@ -140,36 +133,18 @@ class TestProperties:
 
 
 class TestScoreDataset:
-    def _eq3_dataset(self):
-        return make_dataset(
-            [[0.25, 0.75, 0.0], [0.25, 0.0, 0.75]], [0, 0], ids=("p1", "p2")
-        )
-
-    def test_map_semantics_and_order(self):
-        ds = self._eq3_dataset()
-        scored = score_dataset(ds, "rps")
-        assert [s.id for s in scored] == ["p1", "p2"]
-        assert scored[0].score == pytest.approx(0.28125, abs=1e-15)
-        assert scored[1].score == pytest.approx(0.5625, abs=1e-15)
-        assert scored[0].argmax == 1 and scored[1].argmax == 2
+    """Whole-dataset scoring: the array form of every rule, as returned by
+    rank_samples; ordering and errors are covered in test_retention."""
 
     def test_matches_per_sample_calls(self):
         rng = np.random.default_rng(35)
-        probs = random_prob_matrix(rng, 50, 4)
-        labels = rng.integers(0, 4, 50)
-        ds = make_dataset(probs, labels)
+        ds = make_dataset(random_prob_matrix(rng, 50, 4), rng.integers(0, 4, 50))
         for rule, scalar in (("brier", brier), ("log", log_score),
                              ("rps", rps), ("sa_rps", sa_rps)):
-            scored = score_dataset(ds, rule)
-            for s, p, c in zip(scored, ds.probs, ds.labels):
-                assert s.score == pytest.approx(scalar(p, int(c)), abs=1e-15)
-
-    def test_unknown_rule(self):
-        ds = self._eq3_dataset()
-        with pytest.raises(UnknownRule):
-            score_dataset(ds, "")
-        with pytest.raises(UnknownRule):
-            score_dataset(ds, "bogus")
+            order, scores = rank_samples(ds, rule)
+            for s, p, c in zip(scores, ds.probs, ds.labels):
+                assert s == pytest.approx(scalar(p, int(c)), abs=1e-15)
+            assert np.all(np.diff(scores[order]) <= 0)
 
     def test_rule_registry(self):
         assert set(RULES) == {"brier", "log", "rps", "sa_rps"}

@@ -5,6 +5,10 @@ from ordeval import SynthConfig, brier, ece, generate, log_score, metric_report,
 from ordeval.errors import InvalidConfig
 
 
+def mean_score(rule, ds):
+    return np.mean([rule(p, int(y)) for p, y in zip(ds.probs, ds.labels)])
+
+
 class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -63,14 +67,14 @@ class TestModes:
         cfg = dict(n=1500, k=5, noise=1.2, miscal=1.5, seed=6)
         ordinal = generate(SynthConfig(mode="ordinal", **cfg))
         shuffled = generate(SynthConfig(mode="shuffled", **cfg))
-        mb_o = np.mean([brier(s.probs, s.label) for s in ordinal])
-        mb_s = np.mean([brier(s.probs, s.label) for s in shuffled])
+        mb_o = mean_score(brier, ordinal)
+        mb_s = mean_score(brier, shuffled)
         assert mb_o == pytest.approx(mb_s, abs=1e-12)
-        ml_o = np.mean([log_score(s.probs, s.label) for s in ordinal])
-        ml_s = np.mean([log_score(s.probs, s.label) for s in shuffled])
+        ml_o = mean_score(log_score, ordinal)
+        ml_s = mean_score(log_score, shuffled)
         assert ml_o == ml_s  # true-class probabilities are bitwise identical
-        mr_o = np.mean([rps(s.probs, s.label) for s in ordinal])
-        mr_s = np.mean([rps(s.probs, s.label) for s in shuffled])
+        mr_o = mean_score(rps, ordinal)
+        mr_s = mean_score(rps, shuffled)
         assert mr_o < mr_s
 
     def test_shuffling_preserves_accuracy(self):
@@ -84,8 +88,7 @@ class TestModes:
         cfg = dict(n=1000, k=4, noise=1.0, seed=seed)
         ordinal = generate(SynthConfig(mode="ordinal", **cfg))
         shuffled = generate(SynthConfig(mode="shuffled", **cfg))
-        mr = lambda ds: np.mean([rps(s.probs, s.label) for s in ds])
-        assert mr(ordinal) < mr(shuffled)
+        assert mean_score(rps, ordinal) < mean_score(rps, shuffled)
 
 
 class TestMiscalibration:
