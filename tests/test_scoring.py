@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from ordeval import brier, log_score, rank_samples, rps, sa_rps
+from ordeval.errors import UnknownRule
+from ordeval.hard import hard_predictions
 from ordeval.scoring import RULES
 
 from helpers import make_dataset, random_prob_matrix
@@ -134,7 +136,21 @@ class TestProperties:
 
 class TestScoreDataset:
     """Whole-dataset scoring: the array form of every rule, as returned by
-    rank_samples; ordering and errors are covered in test_retention."""
+    rank_samples."""
+
+    def _eq3_dataset(self):
+        return make_dataset(
+            [[0.25, 0.75, 0.0], [0.25, 0.0, 0.75]], [0, 0], ids=("p1", "p2")
+        )
+
+    def test_map_semantics_and_order(self):
+        ds = self._eq3_dataset()
+        _, scores = rank_samples(ds, "rps")
+        # one score per sample, in dataset order
+        assert ds.ids == ("p1", "p2") and scores.shape == (2,)
+        assert scores[0] == pytest.approx(0.28125, abs=1e-15)
+        assert scores[1] == pytest.approx(0.5625, abs=1e-15)
+        assert hard_predictions(ds).tolist() == [1, 2]
 
     def test_matches_per_sample_calls(self):
         rng = np.random.default_rng(35)
@@ -148,3 +164,10 @@ class TestScoreDataset:
 
     def test_rule_registry(self):
         assert set(RULES) == {"brier", "log", "rps", "sa_rps"}
+
+    def test_unknown_rule(self):
+        ds = self._eq3_dataset()
+        with pytest.raises(UnknownRule):
+            rank_samples(ds, "")
+        with pytest.raises(UnknownRule):
+            rank_samples(ds, "bogus")
