@@ -19,7 +19,7 @@ import sys
 from . import io
 from .data import CostMatrix
 from .errors import EvalError, InvalidConfig, UnknownRule
-from .hard import DEFAULT_ECE_BINS, metric_report
+from .hard import DEFAULT_ECE_BINS, MAX_ECE_BINS, metric_report
 from .retention import (
     DEFAULT_REPLICATES,
     DEFAULT_SEED,
@@ -190,7 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cost", default="linear", help="linear | quadratic | path to cost CSV"
     )
-    p.add_argument("--bins", type=int, default=DEFAULT_ECE_BINS, help="ECE bins")
+    p.add_argument(
+        "--bins", type=int, default=DEFAULT_ECE_BINS, help=f"ECE bins, 1 to {MAX_ECE_BINS}"
+    )
     p.add_argument("--output", default=None, help="report JSON (default: stdout)")
     p.add_argument("--label-base", type=int, default=0)
     p.set_defaults(func=cmd_evaluate)

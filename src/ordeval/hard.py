@@ -11,10 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CostMatrix, EvalDataset
-from .errors import EmptyDataset, ShapeMismatch, ZeroBins
+from .errors import EmptyDataset, InvalidConfig, ShapeMismatch, ZeroBins
 from .scoring import RULES
 
 DEFAULT_ECE_BINS = 15
+MAX_ECE_BINS = 10**6  # bin edges are allocated up front, so more is rejected
 
 
 @dataclass(frozen=True)
@@ -39,33 +40,34 @@ def confusion(ds: EvalDataset) -> np.ndarray:
     """K x K confusion counts, counts[t][p], summing to len(ds)."""
     if len(ds) == 0:
         raise EmptyDataset("cannot build a confusion matrix from no samples")
-    return confusion_from_arrays(ds.labels, hard_predictions(ds), ds.num_classes)
+    k = ds.num_classes
+    cells = ds.labels * k + hard_predictions(ds)
+    return np.bincount(cells, minlength=k * k).reshape(k, k)
 
 
-def confusion_from_arrays(
-    labels: np.ndarray, preds: np.ndarray, num_classes: int
-) -> np.ndarray:
-    flat = np.bincount(labels * num_classes + preds, minlength=num_classes**2)
-    return flat.reshape(num_classes, num_classes)
-
-
-def _check_counts(cm: np.ndarray) -> int:
+def _check_counts(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A K x K count matrix, or a (..., K, K) stack, and each one's total."""
     cm = np.asarray(cm)
-    if cm.ndim != 2 or cm.shape[0] != cm.shape[1]:
+    if cm.ndim < 2 or cm.shape[-1] != cm.shape[-2]:
         raise ShapeMismatch(f"confusion matrix must be square, got {cm.shape}")
-    n = int(cm.sum())
-    if n < 1:
+    n = np.asarray(cm.sum(axis=(-2, -1)))
+    if np.any(n < 1):
         raise EmptyDataset("confusion matrix has no counts")
-    return n
+    return cm, n
+
+
+def _per_matrix(values: np.ndarray):
+    """A float for one matrix, an array for a stack."""
+    return float(values) if values.ndim == 0 else values
 
 
 def accuracy(cm: np.ndarray) -> float:
-    n = _check_counts(cm)
-    return float(np.trace(cm) / n)
+    cm, n = _check_counts(cm)
+    return _per_matrix(np.trace(cm, axis1=-2, axis2=-1) / n)
 
 
 def qwk(cm: np.ndarray) -> float:
-    """Quadratic-weighted kappa from a confusion matrix.
+    """Quadratic-weighted kappa from a confusion matrix (or a stack of them).
 
     1 - sum(w * O) / sum(w * E) with weights w_ij = (i-j)^2 / (K-1)^2, O the
     confusion matrix normalized to sum 1, and E the outer product of O's
@@ -73,28 +75,27 @@ def qwk(cm: np.ndarray) -> float:
     score is 1 when the observed disagreement is also zero (nothing to
     disagree about), else 0.
     """
-    n = _check_counts(cm)
-    k = cm.shape[0]
-    obs = np.asarray(cm, dtype=np.float64) / n
-    idx = np.arange(k)
-    w = (idx[:, None] - idx[None, :]) ** 2 / (k - 1) ** 2
-    expected = np.outer(obs.sum(axis=1), obs.sum(axis=0))
-    num = (w * obs).sum()
-    den = (w * expected).sum()
-    if den == 0.0:
-        return 1.0 if num == 0.0 else 0.0
-    return float(1.0 - num / den)
+    cm, n = _check_counts(cm)
+    k = cm.shape[-1]
+    obs = cm.astype(np.float64) / n[..., None, None]
+    w = np.subtract.outer(np.arange(k), np.arange(k)) ** 2 / (k - 1) ** 2
+    expected = obs.sum(axis=-1)[..., :, None] * obs.sum(axis=-2)[..., None, :]
+    num = (w * obs).sum(axis=(-2, -1))
+    den = (w * expected).sum(axis=(-2, -1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.where(den == 0.0, np.where(num == 0.0, 1.0, 0.0), 1.0 - num / den)
+    return _per_matrix(kappa)
 
 
 def expected_cost(cm: np.ndarray, cost: CostMatrix) -> float:
-    """Average cost of the confusion matrix under ``cost``."""
-    n = _check_counts(cm)
-    if cost.costs.shape != np.asarray(cm).shape:
+    """Average cost of the confusion matrix (or of each in a stack)."""
+    cm, n = _check_counts(cm)
+    if cost.costs.shape != cm.shape[-2:]:
         raise ShapeMismatch(
             f"cost matrix shape {cost.costs.shape} does not match "
-            f"confusion matrix shape {np.asarray(cm).shape}"
+            f"confusion matrix shape {cm.shape[-2:]}"
         )
-    return float((np.asarray(cm) * cost.costs).sum() / n)
+    return _per_matrix((cm * cost.costs).sum(axis=(-2, -1)) / n)
 
 
 def ece(ds: EvalDataset, bins: int = DEFAULT_ECE_BINS) -> float:
@@ -103,11 +104,14 @@ def ece(ds: EvalDataset, bins: int = DEFAULT_ECE_BINS) -> float:
     Samples are bucketed by confidence (max probability) into ``bins``
     equal-width right-closed bins over (0, 1]; the result is the count-
     weighted mean absolute gap between per-bin accuracy and confidence.
+    ``bins`` runs from 1 to MAX_ECE_BINS.
     """
     if len(ds) == 0:
         raise EmptyDataset("cannot compute ECE on no samples")
     if bins < 1:
         raise ZeroBins(f"need at least 1 bin, got {bins}")
+    if bins > MAX_ECE_BINS:
+        raise InvalidConfig(f"at most {MAX_ECE_BINS} bins, got {bins}")
     conf = ds.probs.max(axis=1)
     correct = hard_predictions(ds) == ds.labels
     edges = np.linspace(0.0, 1.0, bins + 1)

@@ -24,7 +24,7 @@ from .errors import (
     InvalidConfig,
     UnknownMetric,
 )
-from .hard import confusion_from_arrays, expected_cost, hard_predictions, qwk
+from .hard import expected_cost, hard_predictions, qwk
 from .scoring import _rule_fn
 
 # 1.00, 0.95, ..., 0.05
@@ -97,14 +97,14 @@ def rank_samples(ds: EvalDataset, rule: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _prepare(ds: EvalDataset, rule: str, metric: str, fractions, cost):
-    """Checks shared by the curve and the bootstrap.
+    """Checks and ranking shared by the curve and the bootstrap.
 
-    Returns the canonical grid, the cost matrix (linear by default), every
-    sample's score under ``rule`` and every sample's hard prediction.
+    Returns the canonical grid, the sample indices best first under ``rule``
+    (ties latest first, so a cut keeps what dropping the worst in dataset
+    order keeps) and ``curve(copies)``: the metric at each fraction when
+    the i-th best sample occurs ``copies[i]`` times (1: the dataset itself).
     """
-    if len(ds) == 0:
-        raise EmptyDataset("cannot run retention analysis on no samples")
-    rule_fn = _rule_fn(rule)
+    order, _ = rank_samples(ds, rule)
     if metric not in METRICS:
         raise UnknownMetric(
             f"unknown metric {metric!r}; expected one of {', '.join(METRICS)}"
@@ -112,28 +112,20 @@ def _prepare(ds: EvalDataset, rule: str, metric: str, fractions, cost):
     fractions = check_fractions(fractions)
     if cost is None:
         cost = CostMatrix.linear(ds.num_classes)
-    scores = rule_fn(ds.probs, ds.labels)
-    return fractions, cost, scores, hard_predictions(ds)
+    best, k = order[::-1], ds.num_classes
+    cells = (ds.labels * k + hard_predictions(ds))[best]
+    kept = [retained_count(f, len(ds)) for f in reversed(fractions)]
+    # a copy kept at the s-th smallest cut but not at the one below it lands
+    # in segment s; a cumsum over the segments gives every cut's counts
+    segment = np.repeat(np.arange(len(kept)) * k * k, np.diff(kept, prepend=0))
 
+    def curve(copies) -> np.ndarray:
+        flat = segment + np.repeat(cells, copies)
+        counts = np.bincount(flat, minlength=len(kept) * k * k).reshape(-1, k, k)
+        stack = np.ascontiguousarray(counts.cumsum(axis=0)[::-1])  # fraction order
+        return qwk(stack) if metric == "qwk" else expected_cost(stack, cost)
 
-def _curve_values(
-    scores: np.ndarray,
-    labels: np.ndarray,
-    preds: np.ndarray,
-    fractions: tuple,
-    metric: str,
-    num_classes: int,
-    cost: CostMatrix,
-) -> np.ndarray:
-    n = scores.shape[0]
-    order = np.argsort(-scores, kind="stable")  # worst first, ties by position
-    values = np.empty(len(fractions))
-    for i, f in enumerate(fractions):
-        m = retained_count(f, n)
-        keep = order[n - m :]
-        cm = confusion_from_arrays(labels[keep], preds[keep], num_classes)
-        values[i] = qwk(cm) if metric == "qwk" else expected_cost(cm, cost)
-    return values
+    return fractions, best, curve
 
 
 def sample_retention_curve(
@@ -148,10 +140,8 @@ def sample_retention_curve(
     ``metric`` is "qwk" or "ec"; ``cost`` (for "ec") defaults to the linear
     matrix. The AURSC field is the plain sum of the curve values.
     """
-    fractions, cost, scores, preds = _prepare(ds, rule, metric, fractions, cost)
-    values = _curve_values(
-        scores, ds.labels, preds, fractions, metric, ds.num_classes, cost
-    )
+    fractions, _, curve = _prepare(ds, rule, metric, fractions, cost)
+    values = curve(1)
     return RetentionCurve(
         rule=rule,
         metric=metric,
@@ -173,29 +163,24 @@ def bootstrap_aursc(
 ) -> BootstrapSummary:
     """AURSC distribution over with-replacement resamples of the dataset.
 
-    Each replicate draws N samples with replacement and re-runs the whole
-    score/sort/retain pipeline. Draws for replicate r come from a SplitMix64
-    substream keyed by (seed, r), so results are identical no matter how many
-    threads evaluate the replicates. seed=0 is the identity convention: every
-    replicate is the unresampled dataset (useful to recover the plain AURSC
-    with std 0).
+    Each replicate draws N samples with replacement; as the scores are per
+    sample, the replicate is the dataset's one ranking with each sample
+    counted as often as it was drawn, and tied samples are broken by
+    dataset position, as in the plain curve. Draws for replicate r come
+    from a SplitMix64 substream keyed by (seed, r), so results are identical
+    no matter how many threads evaluate the replicates. seed=0 is the
+    identity convention: every replicate is the unresampled dataset (useful
+    to recover the plain AURSC with std 0).
     """
     if num_replicates < 1:
         raise InvalidConfig(f"need at least 1 replicate, got {num_replicates}")
-    # Scores are a pure per-sample function, so scoring the full dataset once
-    # and gathering by replicate indices is exactly resample-then-score.
-    fractions, cost, scores, preds = _prepare(ds, rule, metric, fractions, cost)
-    labels = ds.labels
+    fractions, best, curve = _prepare(ds, rule, metric, fractions, cost)
 
     def one_replicate(r: int) -> float:
         if seed == 0:
-            idx = np.arange(len(ds))
-        else:
-            idx = _rng.resample_indices(seed, r, len(ds))
-        values = _curve_values(
-            scores[idx], labels[idx], preds[idx], fractions, metric, ds.num_classes, cost
-        )
-        return float(values.sum())
+            return float(curve(1).sum())
+        draws = _rng.resample_indices(seed, r, len(ds))
+        return float(curve(np.bincount(draws, minlength=len(ds))[best]).sum())
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -120,6 +120,13 @@ class TestEvaluateCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n"] == 6
 
+    def test_bins_above_ceiling(self, perfect_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        rc = run(["evaluate", "--input", perfect_file, "--bins", 10**6 + 1,
+                  "--output", out])
+        assert rc == 1 and not out.exists()
+        assert "InvalidConfig" in capsys.readouterr().err
+
     def test_non_square_cost_csv(self, perfect_file, tmp_path, capsys):
         cost = tmp_path / "cost.csv"
         cost.write_text("0,1,2\n1,0,1\n")

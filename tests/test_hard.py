@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ordeval import CostMatrix, accuracy, confusion, ece, expected_cost, metric_report, qwk
-from ordeval.errors import EmptyDataset, ShapeMismatch, ZeroBins
+from ordeval.errors import EmptyDataset, InvalidConfig, ShapeMismatch, ZeroBins
+from ordeval.hard import MAX_ECE_BINS
 
 from helpers import make_dataset, random_prob_matrix
 from reference import ref_ece, ref_expected_cost, ref_qwk
@@ -66,14 +67,25 @@ class TestQwk:
         rng = np.random.default_rng(43)
         for _ in range(100):
             k = int(rng.integers(2, 8))
-            cm = rng.integers(0, 50, (k, k))
-            if cm.sum() == 0:
-                cm[k - 1, 0] = 3
-            assert qwk(cm) == pytest.approx(ref_qwk(cm.tolist()), abs=1e-12)
+            stack = rng.integers(0, 50, (3, k, k))
+            stack[:, k - 1, 0] += 1
+            for cm in stack:
+                assert qwk(cm) == pytest.approx(ref_qwk(cm.tolist()), abs=1e-12)
+            # the stacked call is bit for bit the per-matrix calls
+            assert qwk(stack).tolist() == [qwk(cm) for cm in stack]
+            assert qwk(stack[None]).shape == (1, 3)
+
+    def test_stack_with_zero_denominator(self):
+        stack = np.array([[[4, 0], [0, 0]], [[3, 1], [1, 3]]])
+        values = qwk(stack)
+        assert values[0] == 1.0
+        assert values.tolist() == [qwk(cm) for cm in stack]
 
     def test_empty(self):
         with pytest.raises(EmptyDataset):
             qwk(np.zeros((2, 2), dtype=int))
+        with pytest.raises(EmptyDataset):
+            qwk(np.array([np.eye(2, dtype=int), np.zeros((2, 2), dtype=int)]))
 
 
 class TestExpectedCost:
@@ -106,17 +118,28 @@ class TestExpectedCost:
         rng = np.random.default_rng(45)
         for _ in range(100):
             k = int(rng.integers(2, 7))
-            cm = rng.integers(0, 40, (k, k))
-            if cm.sum() == 0:
-                cm[1, 0] = 2
+            stack = rng.integers(0, 40, (3, k, k))
+            stack[:, 1, 0] += 1
             cost = CostMatrix.linear(k)
-            assert expected_cost(cm, cost) == pytest.approx(
-                ref_expected_cost(cm.tolist(), cost.costs.tolist()), abs=1e-12
-            )
+            for cm in stack:
+                assert expected_cost(cm, cost) == pytest.approx(
+                    ref_expected_cost(cm.tolist(), cost.costs.tolist()), abs=1e-12
+                )
+            # the stacked call is bit for bit the per-matrix calls
+            assert expected_cost(stack, cost).tolist() == [
+                expected_cost(cm, cost) for cm in stack
+            ]
+
+    def test_stack_holding_an_empty_matrix(self):
+        stack = np.array([np.eye(3, dtype=int), np.zeros((3, 3), dtype=int)])
+        with pytest.raises(EmptyDataset):
+            expected_cost(stack, CostMatrix.linear(3))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             expected_cost(np.diag([1, 2]), CostMatrix.linear(3))
+        with pytest.raises(ShapeMismatch):
+            expected_cost(np.array([np.diag([1, 2])]), CostMatrix.linear(3))
 
 
 class TestEce:
@@ -170,6 +193,12 @@ class TestEce:
         ds = one_hot_dataset([0], [0], 2)
         with pytest.raises(ZeroBins):
             ece(ds, bins=0)
+
+    def test_bins_ceiling(self):
+        ds = one_hot_dataset([0, 1], [0, 0], 2)
+        assert ece(ds, bins=1) == pytest.approx(0.5, abs=1e-12)
+        with pytest.raises(InvalidConfig, match="1000000 bins"):
+            ece(ds, bins=MAX_ECE_BINS + 1)
 
 
 class TestMetricReport:

@@ -31,7 +31,7 @@ from ordeval.errors import (
 from ordeval.cli import main
 
 # ids that need quoting, or that a careless reader would trim
-ADVERSARIAL_IDS = ("a,b", 'say "hi"', " padded", "two\nlines")
+ADVERSARIAL_IDS = ("a,b", 'say "hi"', " padded", "two\nlines", "a\rb")
 
 
 class TestReadPredictions:

@@ -32,6 +32,15 @@ def eq3_dataset():
     )
 
 
+def tenths(probs):
+    """Rows rounded to multiples of 0.1 that still sum to 1 (largest
+    remainder), so many samples share a score."""
+    scaled = probs * 10
+    units = np.floor(scaled)
+    rank = np.argsort(np.argsort(units - scaled, axis=1, kind="stable"), axis=1)
+    return (units + (rank < (10 - units.sum(axis=1))[:, None])) / 10
+
+
 def one_hot_dataset(labels, preds, k):
     n = len(labels)
     probs = np.zeros((n, k))
@@ -188,11 +197,17 @@ class TestBootstrap:
         par = bootstrap_aursc(ds, "rps", "qwk", num_replicates=16, seed=5, threads=4)
         assert seq == par
 
-    def test_replicates_match_manual_resample(self):
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_replicates_match_manual_resample(self, tied):
+        # a replicate is the resampled dataset with its draws in dataset
+        # order, so tied scores are broken by dataset position
         ds = generate(SynthConfig(n=200, k=4, noise=1.0, seed=19))
+        if tied:
+            ds = EvalDataset(ds.num_classes, ds.ids, ds.labels, tenths(ds.probs))
+            assert len(np.unique(rank_samples(ds, "brier")[1])) < len(ds) // 2
         summary = bootstrap_aursc(ds, "brier", "qwk", num_replicates=4, seed=11)
-        for r in (0, 3):
-            idx = _rng.resample_indices(11, r, len(ds))
+        for r in range(4):
+            idx = np.sort(_rng.resample_indices(11, r, len(ds)))
             resampled = EvalDataset(
                 ds.num_classes, tuple(ds.ids[i] for i in idx), ds.labels[idx], ds.probs[idx]
             )
