@@ -78,8 +78,11 @@ def cmd_score(args) -> int:
     io.write_scores(ds, order, scores, args.output)
     print(f"worst samples by {args.rule}:")
     for i in order[:5]:
+        sid = ds.ids[i]
+        # an id with a line break or other control character would split
+        # or garble its line; such ids print as Python literals
         print(
-            f"  id={ds.ids[i]}  label={ds.labels[i]}  "
+            f"  id={sid if sid.isprintable() else repr(sid)}  label={ds.labels[i]}  "
             f"argmax={ds.probs[i].argmax()}  score={scores[i]:.6f}"
         )
     return 0

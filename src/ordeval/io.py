@@ -7,23 +7,26 @@ produced them) or, for retention curves, as two-column CSV. All writes go to
 a temp file in the target directory and are renamed into place, so a failed
 run never leaves a truncated output.
 
-Every CSV is written through ``csv.writer``, which quotes a field only when
-it holds a comma, a quote or a newline (every field, when an id holds a
-carriage return), so such ids read back unchanged.
-Readers accept a UTF-8 byte order mark, CRLF line ends and blank lines, and
-report errors with the line number as it appears in the file.
+Every CSV is written in chunks of rows, each formatted with one ``%``
+template per file. An id holding a comma, a quote, a line feed or a
+carriage return is written in double quotes with its quotes doubled, so it
+reads back unchanged; every other field is written bare.
+A prediction file is parsed with one ``np.loadtxt`` pass. Any file that pass
+does not accept is parsed again row by row with ``csv.reader``, which either
+reads it or names the error. Readers accept a UTF-8 byte order mark, CRLF
+line ends and blank lines, and report errors with the line number as it
+appears in the file.
 Reals are written with 17 significant digits, which round-trips float64
 exactly.
 """
 
 import csv
 import json
-import operator
 import os
+import re
 import tempfile
+import warnings
 from dataclasses import asdict
-from io import StringIO
-from itertools import repeat
 
 import numpy as np
 
@@ -39,21 +42,26 @@ from .errors import (
 from .hard import MetricReport, hard_predictions
 from .retention import BootstrapSummary, RetentionCurve
 
-_fmt = "{:.17g}".format
-
 _REPORT_TYPES = {
     MetricReport: "metric_report",
     RetentionCurve: "retention_curve",
     BootstrapSummary: "bootstrap_summary",
 }
 
+# rows formatted per chunk: large enough that the per-chunk work vanishes,
+# small enough that a chunk's text stays within a few megabytes
+_CHUNK_ROWS = 16384
 
-def _atomic_write(path: str, text: str) -> None:
+_needs_quotes = re.compile(r'[,"\r\n]').search
+
+
+def _atomic_write(path: str, chunks) -> None:
+    """Write the str ``chunks`` to ``path`` through a renamed temp file."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -61,17 +69,26 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _write_csv(path: str, header: list, rows, ids=()) -> None:
-    # csv.writer before Python 3.12 leaves a bare "\r" unquoted, so a file with
-    # such an id quotes every field; this scan allocates nothing (a "".join of
-    # 200k ids raised the peak RSS of ``ordeval synth`` by 22 MB)
-    has_cr = any(map(operator.contains, ids, repeat("\r")))
-    quoting = csv.QUOTE_ALL if has_cr else csv.QUOTE_MINIMAL
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n", quoting=quoting)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+def _quote(field: str) -> str:
+    """``field`` as a CSV field: in double quotes, with its quotes doubled,
+    when it holds a comma, a quote or a line break; bare otherwise."""
+    if _needs_quotes(field):
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
+def _write_table(path: str, header: list, template: str, columns: list) -> None:
+    """Write ``header`` and one ``template`` row per entry of the equal-length
+    array ``columns`` (ids already quoted).
+
+    Rows are formatted a chunk at a time and each chunk is encoded on its
+    own, so the file's text is never joined into one string.
+    """
+    chunks = [",".join(header) + "\n"]
+    for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+        rows = zip(*(c[lo:lo + _CHUNK_ROWS].tolist() for c in columns))
+        chunks.append("".join(map(template.__mod__, rows)))
+    _atomic_write(path, chunks)
 
 
 def _records(fh):
@@ -97,6 +114,47 @@ def read_predictions(path: str, label_base: int = 0) -> EvalDataset:
     """
     if label_base not in (0, 1):
         raise InvalidConfig(f"label_base must be 0 or 1, got {label_base}")
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        raw = _parse_bulk(fh, label_base)
+    if raw is None:
+        return _read_rows(path, label_base)
+    return validate_dataset(raw)
+
+
+def _parse_bulk(fh, label_base: int) -> EvalDataset | None:
+    """The unvalidated dataset in ``fh`` from one ``np.loadtxt`` pass, or
+    None when ``_read_rows`` must decide.
+
+    The pass accepts a subset of what ``_read_rows`` accepts and reads it to
+    the same values. It gives up on a header that is not bare
+    ``id,label,p0,...``, on any field ``np.loadtxt`` rejects (``3_0`` and
+    ``1_0`` among them, which ``int``/``float`` accept), on an empty body and
+    on a label out of range, so every error message comes from the row
+    parser.
+    """
+    header = [field.strip() for field in fh.readline().rstrip("\r\n").split(",")]
+    k = len(header) - 2
+    if k < 2 or header != _expected_header(k):
+        return None
+    dtype = np.dtype([("id", object), ("label", np.int64), ("p", np.float64, (k,))])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            rows = np.loadtxt(
+                fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
+            )
+    except ValueError:
+        return None
+    labels = rows["label"] - label_base
+    if len(rows) == 0 or labels.min() < 0 or labels.max() >= k:
+        return None
+    return EvalDataset(k, tuple(rows["id"]), labels, rows["p"])
+
+
+def _read_rows(path: str, label_base: int) -> EvalDataset:
+    """``read_predictions`` one ``csv.reader`` record at a time: slower than
+    ``_parse_bulk``, but it reads every file the format allows and names the
+    file line of the first fault in any other."""
     ids = []
     labels = []
     probs = []
@@ -145,25 +203,20 @@ def read_predictions(path: str, label_base: int = 0) -> EvalDataset:
 
 def write_predictions(ds: EvalDataset, path: str) -> None:
     """Emit a dataset in the prediction CSV schema (0-based labels)."""
-    rows = (
-        [sid, label, *map(_fmt, probs)]
-        for sid, label, probs in zip(
-            ds.ids, ds.labels.tolist(), map(np.ndarray.tolist, ds.probs)
-        )
-    )
-    _write_csv(path, _expected_header(ds.num_classes), rows, ds.ids)
+    k = ds.num_classes
+    ids = np.fromiter(map(_quote, ds.ids), dtype=object, count=len(ds))
+    template = "%s,%d" + ",%.17g" * k + "\n"
+    _write_table(path, _expected_header(k), template, [ids, ds.labels, *ds.probs.T])
 
 
 def write_scores(ds: EvalDataset, order: np.ndarray, scores: np.ndarray, path: str) -> None:
     """Emit per-sample scores as an id,label,argmax,score CSV, one row per
     sample in ``order``; scores use Python's shortest round-trip repr."""
-    rows = zip(
-        [ds.ids[i] for i in order.tolist()],
-        ds.labels[order].tolist(),
-        hard_predictions(ds)[order].tolist(),
-        scores[order].tolist(),
+    ids = np.fromiter(map(_quote, ds.ids), dtype=object, count=len(ds))
+    columns = [ids, ds.labels, hard_predictions(ds), scores]
+    _write_table(
+        path, ["id", "label", "argmax", "score"], "%s,%d,%d,%r\n", [c[order] for c in columns]
     )
-    _write_csv(path, ["id", "label", "argmax", "score"], rows, ds.ids)
 
 
 def read_cost_matrix(path: str) -> CostMatrix:
@@ -206,12 +259,12 @@ def write_report(report, path: str, fmt: str = "json", config: dict | None = Non
     the file is enough to reproduce the computation.
     """
     if fmt == "json":
-        _atomic_write(path, report_json(report, config) + "\n")
+        _atomic_write(path, [report_json(report, config) + "\n"])
     elif fmt == "csv":
         if not isinstance(report, RetentionCurve):
             raise InvalidConfig("csv format applies only to retention curves")
-        rows = ([_fmt(f), _fmt(v)] for f, v in zip(report.fractions, report.values))
-        _write_csv(path, ["fraction", "value"], rows)
+        columns = [np.array(report.fractions), np.array(report.values)]
+        _write_table(path, ["fraction", "value"], "%.17g,%.17g\n", columns)
     else:
         raise InvalidConfig(f"unknown report format {fmt!r}")
 
@@ -316,4 +369,4 @@ def render_curve_svg(curves: list[RetentionCurve], path: str) -> None:
         parts.append(_svg_text(lx + 28, ly + 4, c.rule, None))
 
     parts.append("</svg>")
-    _atomic_write(path, "\n".join(parts) + "\n")
+    _atomic_write(path, ["\n".join(parts) + "\n"])

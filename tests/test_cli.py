@@ -83,6 +83,22 @@ class TestScoreCommand:
                   for line in out.read_text().strip().split("\n")[1:]]
         assert scores == [0.0] * 6
 
+    def test_unprintable_ids_keep_one_line_each(self, tmp_path, capsys):
+        data = tmp_path / "ids.csv"
+        data.write_bytes(
+            b'id,label,p0,p1,p2\n"two\nlines",0,0.0,0.0,1.0\n"x\r\ny",0,0.0,1.0,0.0\n'
+            b"tab\tid,0,0.5,0.5,0.0\n padded,0,0.75,0.25,0.0\nok,0,0.9,0.1,0.0\n"
+            b"best,0,1.0,0.0,0.0\n"
+        )
+        assert run(["score", "--input", data, "--rule", "rps",
+                    "--output", tmp_path / "sc.csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6
+        assert [line.split()[0] for line in lines[1:]] == [
+            r"id='two\nlines'", r"id='x\r\ny'", r"id='tab\tid'", "id=", "id=ok",
+        ]
+        assert lines[4].startswith("  id= padded  label=0")
+
     def test_missing_input(self, tmp_path, capsys):
         rc = run(["score", "--input", tmp_path / "missing.csv", "--rule", "rps",
                   "--output", tmp_path / "x.csv"])

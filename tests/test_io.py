@@ -1,8 +1,12 @@
 import csv
 import json
+import random
+from io import StringIO
 
 import numpy as np
 import pytest
+
+import ordeval.io
 
 from ordeval import (
     BootstrapSummary,
@@ -20,6 +24,7 @@ from ordeval import (
     write_report,
 )
 from ordeval.errors import (
+    EvalError,
     GridMismatch,
     InvalidConfig,
     LabelOutOfRange,
@@ -29,9 +34,75 @@ from ordeval.errors import (
     ShapeMismatch,
 )
 from ordeval.cli import main
+from ordeval.io import _parse_bulk, _read_rows, write_scores
+from ordeval.retention import rank_samples
 
 # ids that need quoting, or that a careless reader would trim
 ADVERSARIAL_IDS = ("a,b", 'say "hi"', " padded", "two\nlines", "a\rb")
+
+K2 = "id,label,p0,p1\n"
+K4 = "id,label,p0,p1,p2,p3\n"
+ROW4 = ",0.25,0.25,0.25,0.25\n"
+# name: (file text, label_base, whether the np.loadtxt pass reads the file)
+PARSER_CORPUS = {
+    "bom": ("\ufeff" + K2 + "a,0,1.0,0.0\n", 0, True),
+    "crlf": ("id,label,p0,p1\r\na,0,1.0,0.0\r\nb,1,0.0,1.0\r\n", 0, True),
+    "blank-lines": (K2 + "\na,0,1.0,0.0\n\r\nb,1,0.0,1.0\n\n\n", 0, True),
+    "blank-before-header": ("\n" + K2 + "a,0,1.0,0.0\n", 0, False),
+    "quoted-comma": (K2 + '"a,b",0,1.0,0.0\n', 0, True),
+    "doubled-quote": (K2 + '"say ""hi""",0,1.0,0.0\n', 0, True),
+    "quoted-crlf": (K2 + '"two\r\nlines",0,1.0,0.0\nb,1,0.0,1.0\n', 0, True),
+    "leading-space": (K2 + " padded,0,1.0,0.0\n", 0, True),
+    "hash": (K2 + "#x,0,1.0,0.0\n#y,1,0.0,1.0\n", 0, True),
+    "long-non-ascii": (K2 + "ünïcødé-ïd-" * 4 + ",0,1.0,0.0\n", 0, True),
+    "quoted-cr": (K2 + '"a\rb",0,1.0,0.0\n', 0, True),
+    "bare-cr": (K2 + "a\rb,0,1.0,0.0\n", 0, False),
+    "label-underscore": (K4 + "a,3_0" + ROW4, 0, False),
+    "label-underscore-in-range": (K4 + "a,0_3" + ROW4, 0, False),
+    "label-space": (K4 + "a, 3" + ROW4, 0, True),
+    "label-plus": (K4 + "a,+3" + ROW4, 0, True),
+    "label-real": (K4 + "a,3.0" + ROW4, 0, False),
+    "prob-underscore": (K2 + "a,0,1_0,0.0\n", 0, False),
+    "prob-underscore-valid": (K2 + "a,0,0.2_5,0.75\n", 0, False),
+    "prob-spaces": (K2 + "a,0, 0.5 ,0.5\n", 0, True),
+    "prob-nan": (K2 + "a,0,nan,0.0\n", 0, True),
+    "prob-inf": (K2 + "a,0,inf,0.0\n", 0, True),
+    "header-only": (K2, 0, False),
+    "header-spaces": ("id, label ,p0,p1\na,0,1.0,0.0\n", 0, True),
+    "quoted-header": ('"id",label,p0,p1\na,0,1.0,0.0\n', 0, False),
+    "one-row": (K2 + "a,1,0.0,1.0", 0, True),
+    "wrong-arity": (K2 + "a,0,1.0,0.0\nb,1,0.0\n", 0, False),
+    "label-zero-base-one": (K2 + "a,1,1.0,0.0\nb,0,0.0,1.0\n", 1, False),
+    "label-base-one": (K2 + "a,1,1.0,0.0\nb,2,0.0,1.0\n", 1, True),
+}
+
+
+def _outcome(read, path, label_base):
+    """What a reader makes of a file: the dataset's values, or the error."""
+    try:
+        ds = read(path, label_base)
+    except EvalError as exc:
+        return type(exc), str(exc)
+    return ds.ids, ds.labels.tolist(), ds.probs.tobytes()
+
+
+def _random_file(rng):
+    """A small prediction file built from fields that quote, pad, break lines
+    or spell numbers in ways the two parsers might treat differently."""
+    k = rng.choice([2, 3])
+    eol = rng.choice(["\n", "\r\n", "\r"])
+    chars = ["a", "b", ",", '"', " ", "\n", "\r", "#", "é", "\t"]
+    spellings = ["0", "1", " 1", "+1", "1.0", " 0.5 ", "1_0", "nan", "", '"1"', ".5"]
+    lines = ["id,label," + ",".join(f"p{i}" for i in range(k))]
+    for _ in range(rng.randint(0, 5)):
+        sid = "".join(rng.choice(chars) for _ in range(rng.randint(0, 4)))
+        if rng.random() < 0.5:
+            sid = '"' + sid.replace('"', '""') + '"'
+        label = rng.choice(spellings) if rng.random() < 0.2 else str(rng.randrange(k))
+        probs = [rng.choice(spellings) for _ in range(k)] if rng.random() < 0.2 else [
+            repr(1.0 / k)] * k
+        lines.append(",".join([sid, label, *probs]) if rng.random() < 0.9 else "")
+    return eol.join(lines) + eol * rng.randint(0, 2)
 
 
 class TestReadPredictions:
@@ -116,6 +187,27 @@ class TestReadPredictions:
         with pytest.raises(RowArityMismatch, match=f"line {line}:"):
             read_predictions(str(f))
 
+    @pytest.mark.parametrize("name", list(PARSER_CORPUS))
+    def test_bulk_pass_matches_row_parser(self, tmp_path, name):
+        text, label_base, bulk = PARSER_CORPUS[name]
+        path = tmp_path / "p.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(read_predictions, str(path), label_base) == _outcome(
+            _read_rows, str(path), label_base
+        )
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            assert (_parse_bulk(fh, label_base) is not None) == bulk
+
+    def test_bulk_pass_matches_row_parser_on_random_files(self, tmp_path):
+        rng = random.Random(7)
+        path = tmp_path / "p.csv"
+        for _ in range(300):
+            path.write_bytes(_random_file(rng).encode("utf-8"))
+            label_base = rng.randrange(2)
+            assert _outcome(read_predictions, str(path), label_base) == _outcome(
+                _read_rows, str(path), label_base
+            ), path.read_bytes()
+
     def test_label_out_of_range_quotes_the_file(self, tmp_path):
         f = tmp_path / "p.csv"
         f.write_text("id,label,p0,p1\na,1,1.0,0.0\nb,0,0.0,1.0\n")
@@ -133,6 +225,9 @@ class TestRoundTrip:
         ds = EvalDataset(ds.num_classes, ids, ds.labels, ds.probs)
         path = tmp_path / "ds.csv"
         write_predictions(ds, str(path))
+        # only the ids that need it are quoted, "a\rb" among them
+        assert b'\n"a\rb",' in path.read_bytes()
+        assert b'\n"a,b",' in path.read_bytes()
         back = read_predictions(str(path))
         assert back.ids == ds.ids
         assert np.array_equal(back.labels, ds.labels)
@@ -145,6 +240,39 @@ class TestRoundTrip:
             rows = list(csv.reader(fh))
         assert rows[0] == ["id", "label", "argmax", "score"]
         assert sorted(row[0] for row in rows[1:]) == sorted(ids)
+
+    def test_writers_match_csv_writer(self, tmp_path, monkeypatch):
+        # several chunks, the last one short
+        monkeypatch.setattr(ordeval.io, "_CHUNK_ROWS", 7)
+        ds = generate(SynthConfig(n=40, k=4, noise=1.2, seed=27))
+        quoted = tuple(sid for sid in ADVERSARIAL_IDS if "\r" not in sid)
+        ids = quoted + ds.ids[len(quoted):]
+        ds = EvalDataset(ds.num_classes, ids, ds.labels, ds.probs)
+
+        def oracle(header, rows):
+            buf = StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+            return buf.getvalue().encode("utf-8")
+
+        path = tmp_path / "p.csv"
+        write_predictions(ds, str(path))
+        assert path.read_bytes() == oracle(
+            ["id", "label", "p0", "p1", "p2", "p3"],
+            ([sid, label, *map("{:.17g}".format, p)]
+             for sid, label, p in zip(ds.ids, ds.labels.tolist(), ds.probs.tolist())),
+        )
+
+        order, scores = rank_samples(ds, "rps")
+        path = tmp_path / "s.csv"
+        write_scores(ds, order, scores, str(path))
+        labels, argmax = ds.labels.tolist(), ds.probs.argmax(axis=1).tolist()
+        scores = scores.tolist()
+        assert path.read_bytes() == oracle(
+            ["id", "label", "argmax", "score"],
+            ([ds.ids[i], labels[i], argmax[i], str(scores[i])] for i in order.tolist()),
+        )
 
     def test_writes_are_byte_stable(self, tmp_path):
         ds = generate(SynthConfig(n=40, k=3, seed=24))
