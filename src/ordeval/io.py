@@ -55,13 +55,13 @@ _CHUNK_ROWS = 16384
 _needs_quotes = re.compile(r'[,"\r\n]').search
 
 
-def _atomic_write(path: str, chunks) -> None:
-    """Write the str ``chunks`` to ``path`` through a renamed temp file."""
+def _atomic_write(path: str, data: bytes) -> None:
+    """Write the bytes ``data`` to ``path`` through a renamed temp file."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -77,18 +77,21 @@ def _quote(field: str) -> str:
     return field
 
 
-def _write_table(path: str, header: list, template: str, columns: list) -> None:
+def _write_table(path: str, header: list, template: str, columns: list,
+                 ids=None) -> None:
     """Write ``header`` and one ``template`` row per entry of the equal-length
-    array ``columns`` (ids already quoted).
+    arrays ``columns``, led by the CSV-quoted ``ids`` when given.
 
-    Rows are formatted a chunk at a time and each chunk is encoded on its
-    own, so the file's text is never joined into one string.
+    Rows are formatted and encoded a chunk at a time into one growing byte
+    buffer, so the file is held once, as bytes, and never also as text.
     """
-    chunks = [",".join(header) + "\n"]
+    if ids is not None:
+        columns = [np.fromiter(map(_quote, ids), dtype=object, count=len(ids)), *columns]
+    data = bytearray((",".join(header) + "\n").encode("utf-8"))
     for lo in range(0, len(columns[0]), _CHUNK_ROWS):
         rows = zip(*(c[lo:lo + _CHUNK_ROWS].tolist() for c in columns))
-        chunks.append("".join(map(template.__mod__, rows)))
-    _atomic_write(path, chunks)
+        data += "".join(map(template.__mod__, rows)).encode("utf-8")
+    _atomic_write(path, data)
 
 
 def _records(fh):
@@ -103,6 +106,15 @@ def _records(fh):
 
 def _expected_header(k: int) -> list[str]:
     return ["id", "label"] + [f"p{i}" for i in range(k)]
+
+
+def _header_classes(fields: list[str]) -> int | None:
+    """K for a prediction header ``id,label,p0,...,p{K-1}`` (fields may be
+    padded with blanks), or None when ``fields`` is not one."""
+    k = len(fields) - 2
+    if k < 2 or [field.strip() for field in fields] != _expected_header(k):
+        return None
+    return k
 
 
 def read_predictions(path: str, label_base: int = 0) -> EvalDataset:
@@ -132,18 +144,20 @@ def _parse_bulk(fh, label_base: int) -> EvalDataset | None:
     on a label out of range, so every error message comes from the row
     parser.
     """
-    header = [field.strip() for field in fh.readline().rstrip("\r\n").split(",")]
-    k = len(header) - 2
-    if k < 2 or header != _expected_header(k):
+    k = _header_classes(fh.readline().rstrip("\r\n").split(","))
+    if k is None:
         return None
     dtype = np.dtype([("id", object), ("label", np.int64), ("p", np.float64, (k,))])
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            # numpy releases that still read an int field such as "2.7" as a
+            # truncated float do so under a DeprecationWarning: refuse them
+            warnings.simplefilter("error", DeprecationWarning)
             rows = np.loadtxt(
                 fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
             )
-    except ValueError:
+    except (ValueError, DeprecationWarning):
         return None
     labels = rows["label"] - label_base
     if len(rows) == 0 or labels.min() < 0 or labels.max() >= k:
@@ -164,12 +178,11 @@ def _read_rows(path: str, label_base: int) -> EvalDataset:
         if first is None:
             raise MalformedHeader(f"{path}: empty file")
         lineno, header = first
-        header = [field.strip() for field in header]
-        k = len(header) - 2
-        if k < 2 or header != _expected_header(k):
+        k = _header_classes(header)
+        if k is None:
             raise MalformedHeader(
                 f"{path}: line {lineno}: expected header 'id,label,p0,...', "
-                f"got {','.join(header)!r}"
+                f"got {','.join(field.strip() for field in header)!r}"
             )
         for lineno, row in records:
             if len(row) != k + 2:
@@ -204,19 +217,16 @@ def _read_rows(path: str, label_base: int) -> EvalDataset:
 def write_predictions(ds: EvalDataset, path: str) -> None:
     """Emit a dataset in the prediction CSV schema (0-based labels)."""
     k = ds.num_classes
-    ids = np.fromiter(map(_quote, ds.ids), dtype=object, count=len(ds))
     template = "%s,%d" + ",%.17g" * k + "\n"
-    _write_table(path, _expected_header(k), template, [ids, ds.labels, *ds.probs.T])
+    _write_table(path, _expected_header(k), template, [ds.labels, *ds.probs.T], ds.ids)
 
 
 def write_scores(ds: EvalDataset, order: np.ndarray, scores: np.ndarray, path: str) -> None:
     """Emit per-sample scores as an id,label,argmax,score CSV, one row per
     sample in ``order``; scores use Python's shortest round-trip repr."""
-    ids = np.fromiter(map(_quote, ds.ids), dtype=object, count=len(ds))
-    columns = [ids, ds.labels, hard_predictions(ds), scores]
-    _write_table(
-        path, ["id", "label", "argmax", "score"], "%s,%d,%d,%r\n", [c[order] for c in columns]
-    )
+    columns = [ds.labels[order], hard_predictions(ds)[order], scores[order]]
+    ids = [ds.ids[i] for i in order.tolist()]
+    _write_table(path, ["id", "label", "argmax", "score"], "%s,%d,%d,%r\n", columns, ids)
 
 
 def read_cost_matrix(path: str) -> CostMatrix:
@@ -259,7 +269,7 @@ def write_report(report, path: str, fmt: str = "json", config: dict | None = Non
     the file is enough to reproduce the computation.
     """
     if fmt == "json":
-        _atomic_write(path, [report_json(report, config) + "\n"])
+        _atomic_write(path, (report_json(report, config) + "\n").encode("utf-8"))
     elif fmt == "csv":
         if not isinstance(report, RetentionCurve):
             raise InvalidConfig("csv format applies only to retention curves")
@@ -369,4 +379,4 @@ def render_curve_svg(curves: list[RetentionCurve], path: str) -> None:
         parts.append(_svg_text(lx + 28, ly + 4, c.rule, None))
 
     parts.append("</svg>")
-    _atomic_write(path, ["\n".join(parts) + "\n"])
+    _atomic_write(path, ("\n".join(parts) + "\n").encode("utf-8"))

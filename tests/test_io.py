@@ -1,6 +1,7 @@
 import csv
 import json
 import random
+import warnings
 from io import StringIO
 
 import numpy as np
@@ -207,6 +208,32 @@ class TestReadPredictions:
             assert _outcome(read_predictions, str(path), label_base) == _outcome(
                 _read_rows, str(path), label_base
             ), path.read_bytes()
+
+    @pytest.mark.filterwarnings("default")
+    @pytest.mark.parametrize("label", ["2.7", "3.0", ".5", "1e0"])
+    def test_real_label_is_rejected_without_the_error_filter(self, tmp_path, label):
+        # the bulk pass must not read a real label as a truncated int under
+        # the warning filters a plain ``python`` process runs with
+        f = tmp_path / "p.csv"
+        f.write_text(K4 + "a,0" + ROW4 + f"b,{label}" + ROW4)
+        with pytest.raises(NonNumericField, match=f"line 3: label '{label}' is not an integer"):
+            read_predictions(str(f))
+
+    @pytest.mark.filterwarnings("default")
+    def test_bulk_pass_refuses_a_float_read_as_int(self, tmp_path, monkeypatch):
+        # numpy releases before that deprecation expired read a label "2.7"
+        # as 2 and only warn; such a parse must go to the row parser
+        loadtxt = np.loadtxt
+
+        def lenient(*args, **kwargs):
+            warnings.warn("Parsing an integer via a float is deprecated", DeprecationWarning)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", lenient)
+        f = tmp_path / "p.csv"
+        f.write_text(K4 + "a,0" + ROW4)
+        with open(f, newline="", encoding="utf-8-sig") as fh:
+            assert _parse_bulk(fh, 0) is None
 
     def test_label_out_of_range_quotes_the_file(self, tmp_path):
         f = tmp_path / "p.csv"
