@@ -62,15 +62,22 @@ def integers_mod(values: np.ndarray, bound: int) -> np.ndarray:
     return (values % np.uint64(bound)).astype(np.int64)
 
 
-def resample_indices(seed: int, replicate: int, n: int) -> np.ndarray:
-    """Index draws for one bootstrap replicate.
+def resample_block(seed: int, start: int, count: int, n: int) -> np.ndarray:
+    """Index draws for bootstrap replicates start .. start+count-1.
 
-    Replicate ``r`` draws its n with-replacement indices from the substream
-    seeded by output ``r`` of the parent stream, so replicates can be
-    evaluated in any order (or in parallel) without changing the draws.
+    Row ``i`` holds replicate ``start + i``'s n with-replacement indices,
+    drawn from the substream seeded by output ``start + i`` of the parent
+    stream, so replicates can be evaluated in any order, in any grouping
+    (or in parallel) without changing the draws.
     """
-    sub = int(stream(seed, 1, start=replicate)[0])
-    return integers_mod(stream(sub, n), n)
+    subs = stream(seed, count, start=start)
+    steps = np.arange(1, n + 1, dtype=np.uint64) * GAMMA
+    return integers_mod(_mix64(subs[:, None] + steps), n)
+
+
+def resample_indices(seed: int, replicate: int, n: int) -> np.ndarray:
+    """Index draws for one bootstrap replicate: one row of ``resample_block``."""
+    return resample_block(seed, replicate, 1, n)[0]
 
 
 def permutation(seed: int, n: int) -> np.ndarray:

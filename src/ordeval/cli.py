@@ -23,10 +23,12 @@ from .hard import DEFAULT_ECE_BINS, MAX_ECE_BINS, metric_report
 from .retention import (
     DEFAULT_REPLICATES,
     DEFAULT_SEED,
-    bootstrap_aursc,
+    MAX_REPLICATES,
+    MAX_THREADS,
+    check_bootstrap,
     check_fractions,
     rank_samples,
-    sample_retention_curve,
+    retention_analysis,
 )
 from .scoring import RULES, _rule_fn
 from .synth import SynthConfig, generate
@@ -108,6 +110,7 @@ def cmd_evaluate(args) -> int:
 def cmd_rsc(args) -> int:
     rules = _parse_rules(args.rules)
     fractions = _parse_fraction_spec(args.fractions)
+    check_bootstrap(args.bootstrap, args.threads)
     ds = io.read_predictions(args.input, label_base=args.label_base)
     cost = _resolve_cost(args.cost, ds.num_classes)
 
@@ -123,36 +126,29 @@ def cmd_rsc(args) -> int:
         "label_base": args.label_base,
     }
 
-    curves = []
-    summaries = []
-    for rule in rules:
-        curve = sample_retention_curve(
-            ds, rule, args.metric, fractions=fractions, cost=cost
-        )
-        summary = bootstrap_aursc(
-            ds,
-            rule,
-            args.metric,
-            fractions=fractions,
-            num_replicates=args.bootstrap,
-            seed=args.seed,
-            cost=cost,
-            threads=args.threads,
-        )
-        curves.append(curve)
-        summaries.append(summary)
-        io.write_report(curve, f"{args.output_prefix}_{rule}_curve.csv", fmt="csv")
+    results = retention_analysis(
+        ds,
+        rules,
+        args.metric,
+        fractions=fractions,
+        num_replicates=args.bootstrap,
+        seed=args.seed,
+        cost=cost,
+        threads=args.threads,
+    )
+    for curve, summary in results:
+        io.write_report(curve, f"{args.output_prefix}_{curve.rule}_curve.csv", fmt="csv")
         io.write_report(
             summary,
-            f"{args.output_prefix}_{rule}_bootstrap.json",
+            f"{args.output_prefix}_{curve.rule}_bootstrap.json",
             fmt="json",
-            config={**config, "rule": rule},
+            config={**config, "rule": curve.rule},
         )
-    io.render_curve_svg(curves, f"{args.output_prefix}_curves.svg")
+    io.render_curve_svg([curve for curve, _ in results], f"{args.output_prefix}_curves.svg")
 
     header = f"AURSC-{args.metric} (R={args.bootstrap}, seed={args.seed})"
     print(f"{'rule':<8}  {'aursc':>10}  {header}")
-    for curve, summary in zip(curves, summaries):
+    for curve, summary in results:
         print(
             f"{curve.rule:<8}  {curve.aursc:>10.4f}  "
             f"{summary.mean:.4f} +/- {summary.std:.4f}"
@@ -212,13 +208,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="retention grid as start:stop:step",
     )
     p.add_argument(
-        "--bootstrap", type=int, default=DEFAULT_REPLICATES, help="replicate count"
+        "--bootstrap",
+        type=int,
+        default=DEFAULT_REPLICATES,
+        help=f"replicate count, 1 to {MAX_REPLICATES}",
     )
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="0 = no resampling")
     p.add_argument("--output-prefix", required=True, help="prefix for output files")
     p.add_argument("--cost", default="linear")
     p.add_argument("--label-base", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1, help="bootstrap worker threads")
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help=f"bootstrap worker threads, 1 to {MAX_THREADS}",
+    )
     p.set_defaults(func=cmd_rsc)
 
     p = sub.add_parser("synth", help="generate a synthetic prediction CSV")

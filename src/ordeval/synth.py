@@ -75,10 +75,16 @@ def _check_config(cfg: SynthConfig) -> None:
 
 
 def _bump(grid: np.ndarray, centers: np.ndarray, width: float) -> np.ndarray:
-    logits = -((grid[None, :] - centers[:, None]) ** 2) / (2.0 * width**2)
-    logits -= logits.max(axis=1, keepdims=True)
-    p = np.exp(logits)
-    return p / p.sum(axis=1, keepdims=True)
+    # one (n, K) array, updated in place: the result is bitwise that of
+    # -((grid - centers) ** 2) / (2 width^2), shifted, exponentiated, normed
+    p = grid[None, :] - centers[:, None]
+    p **= 2
+    np.negative(p, out=p)
+    p /= 2.0 * width**2
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
 
 
 def _class_permutation(seed: int, n: int, k: int) -> np.ndarray:
@@ -120,7 +126,7 @@ def generate(cfg: SynthConfig) -> EvalDataset:
     else:
         grid = np.arange(k, dtype=np.float64)
         centers = labels + (2.0 * u_jitter - 1.0) * _JITTER_SPAN * cfg.noise
-        main = _bump(grid, centers, _BUMP_WIDTH * cfg.noise)
+        probs = _bump(grid, centers, _BUMP_WIDTH * cfg.noise)
         lobe = _bump(grid, lobe_class.astype(np.float64), _LOBE_WIDTH * cfg.noise)
         cap = min(0.85, _LOBE_MASS_CAP * cfg.noise)
         mass = np.where(
@@ -128,10 +134,16 @@ def generate(cfg: SynthConfig) -> EvalDataset:
             cap * (_LOBE_MASS_LO + (1.0 - _LOBE_MASS_LO) * u_mass),
             0.0,
         )
-        probs = (1.0 - mass[:, None]) * main + mass[:, None] * lobe
+        # (1 - mass) * main + mass * lobe, in place
+        probs *= (1.0 - mass)[:, None]
+        lobe *= mass[:, None]
+        probs += lobe
+        del lobe, centers, mass
         if cfg.miscal != 1.0:
             probs **= cfg.miscal
             probs /= probs.sum(axis=1, keepdims=True)
+
+    del subs, u_jitter, u_lobe, lobe_class, u_mass  # before the ids are built
 
     if cfg.mode == "shuffled":
         perm = _class_permutation(cfg.seed, n, k)

@@ -1,10 +1,13 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ordeval import _rng, retention, scoring
 from ordeval.cli import main
+from ordeval.retention import MAX_REPLICATES, MAX_THREADS
 
 
 def run(argv):
@@ -229,6 +232,46 @@ class TestRscCommand:
                   "--output-prefix", tmp_path / "x"])
         assert rc == 1
         assert "InvalidConfig" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--threads", 0), ("--threads", MAX_THREADS + 1),
+         ("--bootstrap", 0), ("--bootstrap", MAX_REPLICATES + 1)],
+    )
+    def test_counts_out_of_range_fail_before_reading(
+        self, tmp_path, capsys, monkeypatch, flag, value
+    ):
+        # the input does not exist: a check made after reading would say OSError
+        monkeypatch.setattr(retention, "ThreadPoolExecutor", None)  # never reached
+        rc = run(["rsc", "--input", tmp_path / "missing.csv", flag, value,
+                  "--output-prefix", tmp_path / "x"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidConfig:") and str(value) in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_call_counts(self, tmp_path, monkeypatch):
+        # each rule is scored once, a block of replicates is drawn once for
+        # all rules, and each rule's curve and each block is one qwk call
+        data = self._synth(tmp_path, n=2000)
+        counts = {"rule": 0, "draw": 0, "qwk": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for rule, fn in list(scoring.RULES.items()):
+            monkeypatch.setitem(scoring.RULES, rule, counted("rule", fn))
+        monkeypatch.setattr(_rng, "resample_block", counted("draw", _rng.resample_block))
+        monkeypatch.setattr(retention, "qwk", counted("qwk", retention.qwk))
+        replicates = 20
+        assert run(["rsc", "--input", data, "--bootstrap", replicates,
+                    "--output-prefix", tmp_path / "c"]) == 0
+        blocks = math.ceil(replicates / max(1, retention._BLOCK_DRAWS // 2000))
+        assert blocks > 1
+        assert counts == {"rule": 4, "draw": blocks, "qwk": 4 * (1 + blocks)}
 
 
 DEMO_OUTPUT = Path(__file__).resolve().parent.parent / "demos" / "output"

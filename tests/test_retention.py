@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -12,16 +14,24 @@ from ordeval import (
     retained_count,
     sample_retention_curve,
 )
-from ordeval import _rng
+from ordeval import _rng, retention
 from ordeval.errors import (
     EmptyDataset,
     EmptyFractionList,
     FractionOutOfRange,
+    InvalidConfig,
     UnknownMetric,
     UnknownRule,
 )
 from ordeval.hard import hard_predictions
-from ordeval.retention import DEFAULT_FRACTIONS, check_fractions
+from ordeval.retention import (
+    DEFAULT_FRACTIONS,
+    MAX_REPLICATES,
+    MAX_THREADS,
+    METRICS,
+    check_fractions,
+    retention_analysis,
+)
 
 from helpers import make_dataset
 
@@ -191,11 +201,23 @@ class TestBootstrap:
         b = bootstrap_aursc(ds, "sa_rps", "ec", num_replicates=20, seed=7)
         assert a == b
 
-    def test_thread_count_does_not_change_results(self):
+    def test_thread_count_does_not_change_results(self, monkeypatch):
         ds = generate(SynthConfig(n=300, k=5, noise=1.2, seed=18))
+        monkeypatch.setattr(retention, "_BLOCK_DRAWS", 3 * len(ds))  # 6 blocks
+        sizes = []
+        monkeypatch.setattr(
+            retention,
+            "ThreadPoolExecutor",
+            lambda max_workers: sizes.append(max_workers) or ThreadPoolExecutor(max_workers),
+        )
         seq = bootstrap_aursc(ds, "rps", "qwk", num_replicates=16, seed=5, threads=1)
         par = bootstrap_aursc(ds, "rps", "qwk", num_replicates=16, seed=5, threads=4)
+        assert sizes == [4]
         assert seq == par
+        # the pool never has more workers than there are blocks
+        bootstrap_aursc(ds, "rps", "qwk", num_replicates=4, seed=5, threads=4)
+        bootstrap_aursc(ds, "rps", "qwk", num_replicates=9, seed=0, threads=4)
+        assert sizes == [4, 2]
 
     @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
     def test_replicates_match_manual_resample(self, tied):
@@ -233,3 +255,58 @@ class TestBootstrap:
             r: bootstrap_aursc(ds, r, "ec").mean for r in ("brier", "rps", "sa_rps")
         }
         assert ec_means["sa_rps"] <= ec_means["rps"] < ec_means["brier"]
+
+
+RULES = ("brier", "log", "rps", "sa_rps")
+
+
+def tied_or_untied(tied, n=120, seed=21):
+    ds = generate(SynthConfig(n=n, k=4, noise=1.1, miscal=1.3, seed=seed))
+    if tied:
+        ds = EvalDataset(ds.num_classes, ds.ids, ds.labels, tenths(ds.probs))
+    return ds
+
+
+class TestRetentionKernel:
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    @pytest.mark.parametrize(
+        "draws",
+        [lambda n: 1, lambda n: n - 1, lambda n: n, lambda n: n + 1, lambda n: 5 * n + 3],
+        ids=["1", "n-1", "n", "n+1", "5n+3"],
+    )
+    def test_block_size_does_not_change_replicates(self, monkeypatch, tied, draws):
+        # the default block holds all 12 replicates; the patched ones hold
+        # 1 or 5, the last block of 5 only partly filled
+        ds = tied_or_untied(tied)
+        want = {m: retention_analysis(ds, RULES, m, num_replicates=12, seed=9) for m in METRICS}
+        monkeypatch.setattr(retention, "_BLOCK_DRAWS", draws(len(ds)))
+        for metric in METRICS:
+            got = retention_analysis(ds, RULES, metric, num_replicates=12, seed=9)
+            assert got == want[metric]
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("metric", ["qwk", "ec"])
+    def test_matches_one_rule_wrappers(self, seed, metric):
+        ds = tied_or_untied(True, n=150)
+        cost = CostMatrix.quadratic(ds.num_classes)
+        fractions = (1.0, 0.8, 0.5, 0.2)
+        pairs = retention_analysis(
+            ds, RULES, metric, fractions, num_replicates=7, seed=seed, cost=cost
+        )
+        assert [curve.rule for curve, _ in pairs] == list(RULES)
+        for rule, (curve, summary) in zip(RULES, pairs):
+            assert curve == sample_retention_curve(ds, rule, metric, fractions, cost)
+            assert summary == bootstrap_aursc(
+                ds, rule, metric, fractions, num_replicates=7, seed=seed, cost=cost
+            )
+
+    @pytest.mark.parametrize(
+        "replicates, threads",
+        [(0, 1), (MAX_REPLICATES + 1, 1), (5, 0), (5, MAX_THREADS + 1), (5, -1)],
+    )
+    def test_rejects_counts_out_of_range(self, monkeypatch, replicates, threads):
+        monkeypatch.setattr(retention, "ThreadPoolExecutor", None)  # never reached
+        with pytest.raises(InvalidConfig):
+            bootstrap_aursc(
+                eq3_dataset(), "rps", "qwk", num_replicates=replicates, threads=threads
+            )

@@ -52,3 +52,20 @@ def test_permutation_is_permutation():
         p = _rng.permutation(seed, 8)
         assert sorted(p.tolist()) == list(range(8))
     assert np.array_equal(_rng.permutation(5, 6), _rng.permutation(5, 6))
+
+
+def test_resample_indices_matches_reference():
+    # replicate r draws from the substream seeded by output r of the stream
+    for seed, r, n in ((42, 0, 9), (42, 5, 17), (1, 3, 1)):
+        sub = ref_stream(seed, 1, start=r)[0]
+        want = [v % n for v in ref_stream(sub, n)]
+        assert _rng.resample_indices(seed, r, n).tolist() == want
+
+
+def test_resample_block_rows_are_replicates():
+    for seed in (42, 0xFFFF_FFFF_FFFF_FFFF, -1):
+        for n in (1, 7, 300):
+            block = _rng.resample_block(seed, 4, 6, n)
+            assert block.shape == (6, n) and block.dtype == np.int64
+            for i, row in enumerate(block):
+                assert np.array_equal(row, _rng.resample_indices(seed, 4 + i, n))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,28 @@ class TestDeterminism:
     def test_id_format(self):
         ds = generate(SynthConfig(n=3, k=3, seed=1))
         assert ds.ids == ("s000001", "s000002", "s000003")
+
+    @pytest.mark.parametrize(
+        "cfg, digest",
+        [
+            (SynthConfig(n=500, k=5, noise=1.2, miscal=1.5, seed=7),
+             "ab5dc3faf13ed23a0e32aab9a141409884335b7c0bc8060961496f4c1b850ec4"),
+            (SynthConfig(n=300, k=7, noise=0.8, miscal=0.7, mode="shuffled", seed=3),
+             "e5a3f4c593e9a7848458765377ac18ade7ea9c2412554c9674f07c65d68d4e6a"),
+            (SynthConfig(n=200, k=3, noise=2.0, seed=11),
+             "d3335974f984b0693ca85c851e1bcdbd35447dc401f6e0822ace25c4cb6d6a1c"),
+        ],
+        ids=["ordinal-miscal", "shuffled", "ordinal-wide"],
+    )
+    def test_frozen_bytes(self, cfg, digest):
+        # generation is part of the benchmark's fixed inputs: its bytes must
+        # not move when the code is restructured
+        ds = generate(cfg)
+        h = hashlib.sha256()
+        h.update(ds.labels.astype("<i8").tobytes())
+        h.update(ds.probs.astype("<f8").tobytes())
+        h.update("\n".join(ds.ids).encode())
+        assert h.hexdigest() == digest
 
 
 class TestLimits:
