@@ -30,9 +30,15 @@ _DOUBLE_SCALE = float(2.0**-53)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
+    """mix64 of every element of the uint64 array ``z``, in place; returns z."""
+    t = np.empty_like(z)
+    for shift, mult in ((30, _M1), (27, _M2)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= mult
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 def stream(seed: int, count: int, start: int = 0) -> np.ndarray:
@@ -71,8 +77,10 @@ def resample_block(seed: int, start: int, count: int, n: int) -> np.ndarray:
     (or in parallel) without changing the draws.
     """
     subs = stream(seed, count, start=start)
-    steps = np.arange(1, n + 1, dtype=np.uint64) * GAMMA
-    return integers_mod(_mix64(subs[:, None] + steps), n)
+    ks = np.arange(1, n + 1, dtype=np.uint64)
+    z = _mix64(subs[:, None] + ks * GAMMA)
+    np.remainder(z, np.uint64(n), out=z)
+    return z.view(np.int64)
 
 
 def resample_indices(seed: int, replicate: int, n: int) -> np.ndarray:

@@ -114,8 +114,8 @@ def cmd_rsc(args) -> int:
     ds = io.read_predictions(args.input, label_base=args.label_base)
     cost = _resolve_cost(args.cost, ds.num_classes)
 
-    # threads deliberately not echoed: results are a pure function of the
-    # fields below, and outputs must be byte-identical across thread counts
+    # threads deliberately not echoed: it is accepted for compatibility and
+    # changes nothing, and results are a pure function of the fields below
     config = {
         "input": args.input,
         "metric": args.metric,
@@ -134,7 +134,6 @@ def cmd_rsc(args) -> int:
         num_replicates=args.bootstrap,
         seed=args.seed,
         cost=cost,
-        threads=args.threads,
     )
     for curve, summary in results:
         io.write_report(curve, f"{args.output_prefix}_{curve.rule}_curve.csv", fmt="csv")
@@ -221,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help=f"bootstrap worker threads, 1 to {MAX_THREADS}",
+        help=f"accepted for compatibility, 1 to {MAX_THREADS}; changes nothing",
     )
     p.set_defaults(func=cmd_rsc)
 

@@ -17,6 +17,10 @@ from .scoring import RULES
 DEFAULT_ECE_BINS = 15
 MAX_ECE_BINS = 10**6  # bin edges are allocated up front, so more is rejected
 
+# argmax copies a read-only input, so hard_predictions takes it this many
+# rows at a time and only one block is ever copied
+_ARGMAX_ROWS = 1 << 14
+
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -33,7 +37,10 @@ class MetricReport:
 
 def hard_predictions(ds: EvalDataset) -> np.ndarray:
     """Argmax class per sample; ties go to the lowest index."""
-    return np.argmax(ds.probs, axis=1)
+    out = np.empty(len(ds.probs), dtype=np.intp)
+    for i in range(0, len(out), _ARGMAX_ROWS):
+        np.argmax(ds.probs[i : i + _ARGMAX_ROWS], axis=1, out=out[i : i + _ARGMAX_ROWS])
+    return out
 
 
 def confusion(ds: EvalDataset) -> np.ndarray:

@@ -14,20 +14,23 @@ any number of rules on one dataset:
 
 - each rule's scores are computed and sorted once; a cut keeps a prefix of
   that best-first order, so every cut's confusion matrix comes from one
-  ``bincount`` over (segment between cuts, confusion cell) and a ``cumsum``;
+  ``bincount`` over (first cut that wholly keeps a sample, confusion cell)
+  and a ``cumsum`` over the cuts;
 - a replicate is the same ranking with each sample counted as often as it
   was drawn, and a cut counts positions in that resampled list, so copies of
-  one sample may fall on both sides of it;
+  one sample may fall on both sides of it. The ``bincount`` weights each
+  sample by its copy count (the plain curve weights every sample 1), and a
+  cut that falls inside a sample's copies adds, as an exact correction after
+  the ``cumsum``, only the copies before it;
 - replicates run in blocks of about ``_BLOCK_DRAWS`` draws: one call to
   ``_rng.resample_block`` and one ``bincount`` count a block's draws for all
-  rules, then each rule scores the whole block with one ``bincount`` and one
-  ``qwk`` or ``expected_cost`` call on the (replicates, fractions, K, K)
-  stack.
+  rules, then each rule scores the whole block with one weighted
+  ``bincount`` and one ``qwk`` or ``expected_cost`` call on the
+  (replicates, fractions, K, K) stack of integer counts.
 
 ``sample_retention_curve`` and ``bootstrap_aursc`` are its one-rule views.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,7 +148,8 @@ def retention_analysis(
     equals ``(sample_retention_curve(...), bootstrap_aursc(...))`` for that
     rule. Every rule is ranked once; the replicates run in blocks of
     ``max(1, _BLOCK_DRAWS // n)``, whose draws are made and counted once and
-    shared by all rules. ``threads`` workers evaluate the blocks.
+    shared by all rules. ``threads`` is range-checked but changes nothing:
+    the blocks run in order in the calling thread.
     """
     check_bootstrap(num_replicates, threads)
     if metric not in METRICS:
@@ -160,53 +164,54 @@ def retention_analysis(
     bests = [rank_samples(ds, rule)[0][::-1] for rule in rules]
     n, k = len(ds), ds.num_classes
     cell = ds.labels * k + hard_predictions(ds)
-    cells = [cell[best] for best in bests]
     kept = [retained_count(f, n) for f in reversed(fractions)]
     cuts = len(kept) * k * k
-    # a copy kept at the s-th smallest cut but not at the one below it lands
-    # in segment s; a cumsum over the segments gives every cut's counts.
-    # Replicate r of a block is row r of its draws, offset by r curves, so
-    # one bincount serves the whole block; the plain curve is row 0.
+    # Replicate r of a block is row r of its draws, offset by r curves: cut s
+    # of curve r keeps positions r*n .. r*n + kept[s] - 1, and a sample first
+    # wholly kept at cut s lands in bin r*cuts + s*K*K + its cell. One
+    # bincount serves the whole block; the plain curve is row 0.
     b = max(1, _BLOCK_DRAWS // n)
-    segments = (
-        np.arange(b)[:, None] * cuts
-        + np.repeat(np.arange(len(kept)) * k * k, np.diff(kept, prepend=0))
-    ).ravel()
+    cut_at = (np.arange(b)[:, None] * n + kept).ravel()
+    bin_base = (np.arange(b)[:, None] * cuts + np.arange(len(kept)) * k * k).ravel()
+    tiled = [np.tile(cell[best], b) for best in bests]
 
-    def curves(flat: np.ndarray, rows: int) -> np.ndarray:
-        """The metric at every fraction, one row per curve, from the
-        (curve, segment, cell) codes of every retained copy."""
-        counts = np.bincount(flat, minlength=rows * cuts).reshape(rows, -1, k, k)
-        stack = np.ascontiguousarray(counts.cumsum(axis=1)[:, ::-1])  # fraction order
+    def curves(w: np.ndarray, cells: np.ndarray, rows: int) -> np.ndarray:
+        """The metric at every fraction, one row per curve, from each
+        sample's copy count ``w`` in best-first order."""
+        m = rows * len(kept)
+        ends = np.zeros(rows * n + 1, dtype=np.int64)
+        np.cumsum(w, out=ends[1:])
+        full = np.searchsorted(ends[1:], cut_at[:m], side="right")
+        bins = np.repeat(bin_base[:m], np.diff(full, prepend=0))
+        bins += cells[: rows * n]
+        counts = np.bincount(bins, weights=w, minlength=rows * cuts)
+        counts = counts.reshape(rows, len(kept), k * k).cumsum(axis=1).reshape(-1)
+        # the first sample not wholly kept, which starts at ends[full], adds
+        # its copies before the cut (none when full is past the last sample)
+        counts[bin_base[:m] + cells.take(full, mode="clip")] += cut_at[:m] - ends[full]
+        stack = np.ascontiguousarray(  # fraction order; exact integer counts
+            counts.reshape(rows, len(kept), k, k)[:, ::-1], dtype=np.int64
+        )
         return qwk(stack) if metric == "qwk" else expected_cost(stack, cost)
 
-    plain = [curves(segments[:n] + c, 1)[0] for c in cells]
+    ones = np.ones(n, dtype=np.int64)
+    plain = [curves(ones, cells, 1)[0] for cells in tiled]
 
-    def block(r0: int) -> list[list[float]]:
-        """Every rule's AURSC for replicates r0 .. r0+rows-1."""
+    # every rule's AURSC per replicate, a block of replicates at a time;
+    # seed 0: every replicate is the unresampled dataset
+    aurscs = [[] for _ in rules]
+    for r0 in range(0, num_replicates, b) if seed != 0 else ():
         rows = min(b, num_replicates - r0)
         draws = _rng.resample_block(seed, r0, rows, n)
         draws += np.arange(0, rows * n, n)[:, None]
         copies = np.bincount(draws.ravel(), minlength=rows * n).reshape(rows, n)
         del draws
-        per_rule = []
-        for best, c in zip(bests, cells):
-            flat = np.repeat(np.tile(c, rows), copies.take(best, axis=1).ravel())
-            flat += segments[: rows * n]
-            per_rule.append([float(row.sum()) for row in curves(flat, rows)])
-        return per_rule
-
-    # seed 0: every replicate is the unresampled dataset
-    starts = range(0, num_replicates, b) if seed != 0 else range(0)
-    workers = min(threads, len(starts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(block, starts))
-    else:
-        blocks = [block(r0) for r0 in starts]
+        for best, cells, out in zip(bests, tiled, aurscs):
+            w = copies.take(best, axis=1).ravel()
+            out.extend(float(row.sum()) for row in curves(w, cells, rows))
 
     results = []
-    for i, (rule, values) in enumerate(zip(rules, plain)):
+    for rule, values, reps in zip(rules, plain, aurscs):
         curve = RetentionCurve(
             rule=rule,
             metric=metric,
@@ -216,8 +221,6 @@ def retention_analysis(
         )
         if seed == 0:
             reps = [curve.aursc] * num_replicates
-        else:
-            reps = [v for per_rule in blocks for v in per_rule[i]]
         arr = np.array(reps)
         summary = BootstrapSummary(
             mean=float(arr.mean()),
@@ -261,11 +264,12 @@ def bootstrap_aursc(
     sample, the replicate is the dataset's one ranking with each sample
     counted as often as it was drawn, and tied samples are broken by
     dataset position, as in the plain curve. Draws for replicate r come
-    from a SplitMix64 substream keyed by (seed, r), so results are identical
-    no matter how many threads evaluate the replicates. seed=0 is the
-    identity convention: every replicate is the unresampled dataset (useful
-    to recover the plain AURSC with std 0). ``num_replicates`` runs from 1
-    to MAX_REPLICATES and ``threads`` from 1 to MAX_THREADS.
+    from a SplitMix64 substream keyed by (seed, r), so results do not depend
+    on how the replicates are grouped. seed=0 is the identity convention:
+    every replicate is the unresampled dataset (useful to recover the plain
+    AURSC with std 0). ``num_replicates`` runs from 1 to MAX_REPLICATES.
+    ``threads`` (1 to MAX_THREADS) is accepted for compatibility and
+    changes nothing.
     """
     return retention_analysis(
         ds, [rule], metric, fractions, num_replicates, seed, cost, threads

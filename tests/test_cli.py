@@ -238,11 +238,8 @@ class TestRscCommand:
         [("--threads", 0), ("--threads", MAX_THREADS + 1),
          ("--bootstrap", 0), ("--bootstrap", MAX_REPLICATES + 1)],
     )
-    def test_counts_out_of_range_fail_before_reading(
-        self, tmp_path, capsys, monkeypatch, flag, value
-    ):
+    def test_counts_out_of_range_fail_before_reading(self, tmp_path, capsys, flag, value):
         # the input does not exist: a check made after reading would say OSError
-        monkeypatch.setattr(retention, "ThreadPoolExecutor", None)  # never reached
         rc = run(["rsc", "--input", tmp_path / "missing.csv", flag, value,
                   "--output-prefix", tmp_path / "x"])
         assert rc == 1

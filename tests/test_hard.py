@@ -1,9 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ordeval import CostMatrix, accuracy, confusion, ece, expected_cost, metric_report, qwk
+from ordeval import (
+    CostMatrix,
+    SynthConfig,
+    accuracy,
+    confusion,
+    ece,
+    expected_cost,
+    generate,
+    metric_report,
+    qwk,
+)
+from ordeval import hard
 from ordeval.errors import EmptyDataset, InvalidConfig, ShapeMismatch, ZeroBins
-from ordeval.hard import MAX_ECE_BINS
+from ordeval.hard import MAX_ECE_BINS, hard_predictions
 
 from helpers import make_dataset, random_prob_matrix
 from reference import ref_ece, ref_expected_cost, ref_qwk
@@ -34,6 +47,29 @@ class TestConfusion:
         rng = np.random.default_rng(41)
         ds = make_dataset(random_prob_matrix(rng, 123, 4), rng.integers(0, 4, 123))
         assert confusion(ds).sum() == 123
+
+
+class TestHardPredictions:
+    @pytest.mark.parametrize("block", [1, 7, 1 << 14])
+    def test_matches_one_argmax(self, monkeypatch, block):
+        ds = generate(SynthConfig(n=1000, k=5, noise=1.5, seed=42))
+        monkeypatch.setattr(hard, "_ARGMAX_ROWS", block)
+        got = hard_predictions(ds)
+        want = np.argmax(ds.probs.copy(), axis=1)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_copies_at_most_one_block(self):
+        # argmax copies a read-only matrix; a validated dataset is read-only
+        ds = generate(SynthConfig(n=100_000, k=5, seed=1))
+        assert not ds.probs.flags.writeable
+        block = hard._ARGMAX_ROWS * ds.probs.itemsize * ds.num_classes
+        tracemalloc.start()
+        try:
+            result = hard_predictions(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < result.nbytes + block + 4096  # + slice and array headers
 
 
 class TestQwk:
