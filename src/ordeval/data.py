@@ -1,5 +1,5 @@
-"""The evaluation dataset, its validation, and the cumulative-distribution
-transform shared by all scoring rules.
+"""The evaluation dataset, its validation, the cumulative distribution of a
+probability vector, and misclassification cost matrices.
 
 ``EvalDataset`` keeps a whole test set in arrays: ids, labels and an N x K
 probability matrix whose rows are nonnegative and sum to 1 within tolerance.
@@ -115,19 +115,9 @@ def cumulative(probs) -> np.ndarray:
 
     Partial sums clipped to [0, 1], with the last entry pinned to exactly 1.
     """
-    p = np.asarray(probs, dtype=np.float64)
-    return _cumulative_matrix(p[None, :])[0]
-
-
-def _cumulative_matrix(probs: np.ndarray) -> np.ndarray:
-    c = np.minimum(np.cumsum(probs, axis=1), 1.0)
-    c[:, -1] = 1.0
+    c = np.minimum(np.cumsum(np.asarray(probs, dtype=np.float64)), 1.0)
+    c[-1] = 1.0
     return c
-
-
-def _label_cumulative_matrix(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Cumulative distribution of one-hot labels: 1 from the label onward."""
-    return (np.arange(num_classes)[None, :] >= labels[:, None]).astype(np.float64)
 
 
 @dataclass(frozen=True)

@@ -83,14 +83,17 @@ def _write_table(path: str, header: list, template: str, columns: list,
     arrays ``columns``, led by the CSV-quoted ``ids`` when given.
 
     Rows are formatted and encoded a chunk at a time into one growing byte
-    buffer, so the file is held once, as bytes, and never also as text.
+    buffer, so the file is held once, as bytes, and never also as text. A
+    chunk's ids are scanned for quoting as one string, and quoted one by one
+    only when that finds a character that needs it.
     """
-    if ids is not None:
-        columns = [np.fromiter(map(_quote, ids), dtype=object, count=len(ids)), *columns]
     data = bytearray((",".join(header) + "\n").encode("utf-8"))
     for lo in range(0, len(columns[0]), _CHUNK_ROWS):
-        rows = zip(*(c[lo:lo + _CHUNK_ROWS].tolist() for c in columns))
-        data += "".join(map(template.__mod__, rows)).encode("utf-8")
+        fields = [c[lo:lo + _CHUNK_ROWS].tolist() for c in columns]
+        if ids is not None:
+            names = ids[lo:lo + _CHUNK_ROWS]
+            fields.insert(0, map(_quote, names) if _needs_quotes("".join(names)) else names)
+        data += "".join(map(template.__mod__, zip(*fields))).encode("utf-8")
     _atomic_write(path, data)
 
 
@@ -225,7 +228,7 @@ def write_scores(ds: EvalDataset, order: np.ndarray, scores: np.ndarray, path: s
     """Emit per-sample scores as an id,label,argmax,score CSV, one row per
     sample in ``order``; scores use Python's shortest round-trip repr."""
     columns = [ds.labels[order], hard_predictions(ds)[order], scores[order]]
-    ids = [ds.ids[i] for i in order.tolist()]
+    ids = np.fromiter(ds.ids, dtype=object, count=len(ds.ids))[order].tolist()
     _write_table(path, ["id", "label", "argmax", "score"], "%s,%d,%d,%r\n", columns, ids)
 
 

@@ -12,10 +12,10 @@ pipeline gives the dispersion of that number.
 One kernel, ``retention_analysis``, computes the curve and the bootstrap of
 any number of rules on one dataset:
 
-- each rule's scores are computed and sorted once; a cut keeps a prefix of
-  that best-first order, so every cut's confusion matrix comes from one
-  ``bincount`` over (first cut that wholly keeps a sample, confusion cell)
-  and a ``cumsum`` over the cuts;
+- each rule's scores are computed and sorted once (``rank_samples``); a cut
+  keeps a prefix of that best-first order, so every cut's confusion matrix
+  comes from one ``bincount`` over (first cut that wholly keeps a sample,
+  confusion cell) and a ``cumsum`` over the cuts;
 - a replicate is the same ranking with each sample counted as often as it
   was drawn, and a cut counts positions in that resampled list, so copies of
   one sample may fall on both sides of it. The ``bincount`` weights each
@@ -24,9 +24,11 @@ any number of rules on one dataset:
   the ``cumsum``, only the copies before it;
 - replicates run in blocks of about ``_BLOCK_DRAWS`` draws: one call to
   ``_rng.resample_block`` and one ``bincount`` count a block's draws for all
-  rules, then each rule scores the whole block with one weighted
-  ``bincount`` and one ``qwk`` or ``expected_cost`` call on the
-  (replicates, fractions, K, K) stack of integer counts.
+  rules, and each rule counts the whole block with one weighted
+  ``bincount``;
+- one ``qwk`` or ``expected_cost`` call scores a block for all rules, on
+  the (rules, replicates, fractions, K, K) stack of integer counts, and one
+  more scores the plain curves of all rules.
 
 ``sample_retention_curve`` and ``bootstrap_aursc`` are its one-rule views.
 """
@@ -115,11 +117,21 @@ def rank_samples(ds: EvalDataset, rule: str) -> tuple[np.ndarray, np.ndarray]:
     ``order`` lists the sample indices by descending score. Scores are
     negatively oriented, so descending score = ascending quality. Ties keep
     their dataset order.
+
+    The keys are sorted with numpy's default (unstable, faster) sort. Only
+    one order sorts keys that are all distinct, so that result stands unless
+    two adjacent sorted keys compare equal (``-0.0 == 0.0`` among them);
+    then the keys are sorted again with the stable sort.
     """
     if len(ds) == 0:
         raise EmptyDataset("cannot rank an empty dataset")
     scores = _rule_fn(rule)(ds.probs, ds.labels)
-    return np.argsort(-scores, kind="stable"), scores
+    keys = -scores
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        order = np.argsort(keys, kind="stable")
+    return order, scores
 
 
 def check_bootstrap(num_replicates: int, threads: int) -> None:
@@ -175,9 +187,10 @@ def retention_analysis(
     bin_base = (np.arange(b)[:, None] * cuts + np.arange(len(kept)) * k * k).ravel()
     tiled = [np.tile(cell[best], b) for best in bests]
 
-    def curves(w: np.ndarray, cells: np.ndarray, rows: int) -> np.ndarray:
-        """The metric at every fraction, one row per curve, from each
-        sample's copy count ``w`` in best-first order."""
+    def curves(w: np.ndarray, cells: np.ndarray, rows: int, out: np.ndarray) -> None:
+        """Write the (rows, fractions, K, K) confusion counts of ``rows``
+        curves into ``out``, from each sample's copy count ``w`` in
+        best-first order."""
         m = rows * len(kept)
         ends = np.zeros(rows * n + 1, dtype=np.int64)
         np.cumsum(w, out=ends[1:])
@@ -189,13 +202,23 @@ def retention_analysis(
         # the first sample not wholly kept, which starts at ends[full], adds
         # its copies before the cut (none when full is past the last sample)
         counts[bin_base[:m] + cells.take(full, mode="clip")] += cut_at[:m] - ends[full]
-        stack = np.ascontiguousarray(  # fraction order; exact integer counts
-            counts.reshape(rows, len(kept), k, k)[:, ::-1], dtype=np.int64
-        )
+        # fraction order; the float64 counts are exact integers
+        out[...] = counts.reshape(rows, len(kept), k, k)[:, ::-1]
+
+    # one count buffer for every call: a fresh one per block page-faults ~13x more
+    max_rows = min(b, num_replicates) if seed != 0 else 1
+    buf = np.empty((len(tiled), max_rows, len(kept), k, k), dtype=np.int64)
+
+    def score(weights, rows: int) -> np.ndarray:
+        """The metric of every rule's ``rows`` curves, (rules, rows,
+        fractions), from one weight array per rule, in one call."""
+        stack = buf[:, :rows]
+        for w, cells, out in zip(weights, tiled, stack):
+            curves(w, cells, rows, out)
         return qwk(stack) if metric == "qwk" else expected_cost(stack, cost)
 
     ones = np.ones(n, dtype=np.int64)
-    plain = [curves(ones, cells, 1)[0] for cells in tiled]
+    plain = score([ones] * len(tiled), 1)[:, 0]
 
     # every rule's AURSC per replicate, a block of replicates at a time;
     # seed 0: every replicate is the unresampled dataset
@@ -206,9 +229,9 @@ def retention_analysis(
         draws += np.arange(0, rows * n, n)[:, None]
         copies = np.bincount(draws.ravel(), minlength=rows * n).reshape(rows, n)
         del draws
-        for best, cells, out in zip(bests, tiled, aurscs):
-            w = copies.take(best, axis=1).ravel()
-            out.extend(float(row.sum()) for row in curves(w, cells, rows))
+        weights = (copies.take(best, axis=1).ravel() for best in bests)
+        for values, out in zip(score(weights, rows), aurscs):
+            out.extend(float(row.sum()) for row in values)
 
     results = []
     for rule, values, reps in zip(rules, plain, aurscs):

@@ -20,7 +20,6 @@ lowercase strings "brier", "log", "rps", "sa_rps".
 
 import numpy as np
 
-from .data import _cumulative_matrix, _label_cumulative_matrix
 from .errors import UnknownRule
 
 # Probability floor for the logarithmic score. File-ingested predictions can
@@ -29,10 +28,9 @@ LOG_EPS = 1e-12
 
 
 def _brier_matrix(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    n, k = probs.shape
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), labels] = 1.0
-    return ((probs - onehot) ** 2).sum(axis=1)
+    d = probs.copy()
+    d[np.arange(len(d)), labels] -= 1.0
+    return np.square(d, out=d).sum(axis=1)
 
 
 def _log_matrix(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -41,21 +39,26 @@ def _log_matrix(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def _cumulative_diffs(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    k = probs.shape[1]
-    cp = _cumulative_matrix(probs)
-    cy = _label_cumulative_matrix(labels, k)
-    # the K-th cumulative entries are both 1; only the first K-1 matter
-    return cp[:, :-1] - cy[:, :-1]
+    """Prediction minus label cumulative distribution over the first K-1
+    classes (the K-th entries are both 1), as one fresh (N, K-1) array."""
+    d = np.cumsum(probs[:, :-1], axis=1)
+    np.minimum(d, 1.0, out=d)
+    d -= labels[:, None] <= np.arange(probs.shape[1] - 1)
+    return d
 
 
 def _rps_matrix(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     d = _cumulative_diffs(probs, labels)
-    return (d**2).sum(axis=1) / (probs.shape[1] - 1)
+    s = np.square(d, out=d).sum(axis=1)
+    s /= probs.shape[1] - 1
+    return s
 
 
 def _sa_rps_matrix(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     d = _cumulative_diffs(probs, labels)
-    return (np.abs(d).sum(axis=1) / (probs.shape[1] - 1)) ** 2
+    s = np.abs(d, out=d).sum(axis=1)
+    s /= probs.shape[1] - 1
+    return np.square(s, out=s)
 
 
 RULES = {

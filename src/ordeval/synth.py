@@ -151,5 +151,5 @@ def generate(cfg: SynthConfig) -> EvalDataset:
         probs = probs[:, inverse]  # new column perm[j] holds old column j
         labels = perm[labels]
 
-    ids = tuple(f"s{i + 1:06d}" for i in range(n))
+    ids = tuple(map("s%06d".__mod__, range(1, n + 1)))
     return validate_dataset(EvalDataset(k, ids, labels, probs))

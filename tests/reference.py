@@ -106,6 +106,12 @@ def ref_retained_count(fraction, n):
     return max(1, math.floor(fraction * n + 0.5))
 
 
+def ref_rank(scores):
+    """Sample indices by descending score, ties in dataset order (Python's
+    sort is stable, and -0.0 == 0.0 is a tie)."""
+    return sorted(range(len(scores)), key=lambda i: -scores[i])
+
+
 MASK64 = 0xFFFFFFFFFFFFFFFF
 GAMMA = 0x9E3779B97F4A7C15
 

@@ -12,7 +12,7 @@ from ordeval import (
     retained_count,
     sample_retention_curve,
 )
-from ordeval import _rng, retention
+from ordeval import _rng, retention, scoring
 from ordeval.errors import (
     EmptyDataset,
     EmptyFractionList,
@@ -32,6 +32,7 @@ from ordeval.retention import (
 )
 
 from helpers import make_dataset
+from reference import ref_rank
 
 
 def eq3_dataset():
@@ -56,6 +57,14 @@ def one_hot_dataset(labels, preds, k):
     return make_dataset(probs, labels, k=k)
 
 
+def signed_zeros():
+    """Distinct scores but for 0.0 at sample 100 and -0.0 at sample 400, a
+    tie that numpy's default sort may break either way."""
+    scores = np.random.default_rng(1).random(500) - 0.5
+    scores[100], scores[400] = 0.0, -0.0
+    return scores
+
+
 class TestRankSamples:
     def test_rps_orders_far_prediction_worst(self):
         ds = eq3_dataset()
@@ -75,6 +84,26 @@ class TestRankSamples:
         ds = make_dataset([[1.0, 0.0]], [0], ids=("only",))
         order, scores = rank_samples(ds, "log")
         assert order.tolist() == [0] and scores.tolist() == [0.0]
+
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            np.random.default_rng(1).random(500),
+            np.round(np.random.default_rng(2).random(500), 1),
+            np.full(300, 0.25),
+            signed_zeros(),
+            np.array([0.5]),
+            np.array([0.2, 0.7]),
+            np.array([0.4, 0.4]),
+        ],
+        ids=["untied", "tenths-tied", "all-equal", "signed-zeros", "n=1", "n=2", "n=2-tied"],
+    )
+    def test_matches_plain_sort(self, monkeypatch, scores):
+        monkeypatch.setitem(scoring.RULES, "rps", lambda probs, labels: scores.copy())
+        ds = one_hot_dataset([0] * len(scores), [0] * len(scores), 2)
+        order, got = rank_samples(ds, "rps")
+        assert order.tolist() == ref_rank(scores.tolist())
+        assert np.array_equal(got, scores)
 
     def test_errors(self):
         for rule in ("nope", ""):

@@ -1,7 +1,10 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ordeval import brier, log_score, rank_samples, rps, sa_rps
+from ordeval import SynthConfig, brier, generate, log_score, rank_samples, rps, sa_rps
 from ordeval.errors import UnknownRule
 from ordeval.hard import hard_predictions
 from ordeval.scoring import RULES
@@ -171,3 +174,63 @@ class TestScoreDataset:
             rank_samples(ds, "")
         with pytest.raises(UnknownRule):
             rank_samples(ds, "bogus")
+
+
+class TestRuleKernels:
+    """The array form of each rule, pinned bit for bit and in memory."""
+
+    # sha256 of each rule's float64 scores on three synthetic sets, recorded
+    # before the kernels were rewritten to work in place
+    DIGESTS = [
+        (
+            SynthConfig(n=2000, k=5, noise=1.2, miscal=1.5, seed=1),
+            {
+                "brier": "af36b6d85f605a486ac8b2c759e2a3058cb39b420b3bcab9862ec26f99831084",
+                "log": "f66b023ebf15dc69a21cc489cafda563a9a1b62cd46d6c0fa44587ea1d5a8dee",
+                "rps": "a56c314b9f1f69af775faef3ebb2d2983d8ffa0af2d7be2dca1a3a3ea916c3d9",
+                "sa_rps": "8445227c80f7b4d27cd9ac9bbc6ebb914bed57a1a71c13373bb0013ad3420751",
+            },
+        ),
+        (
+            SynthConfig(n=1000, k=8, noise=2.0, mode="shuffled", seed=5),
+            {
+                "brier": "a8fda5d2445b9050854fc836e19e0ac04d873b7043896719025dcf9955d46f22",
+                "log": "c3b4d6dedac7da260744989dbc4d1bfbe44ed052df3eb881e47e4acd2cd05af1",
+                "rps": "af3baf185c371b48062778d913871df0b5a9b0ff9ad6ae1a3744f663f0e25b99",
+                "sa_rps": "8417f623332fa191cae92e2a2b45ee9b22d9cf4ea4e398582e12bb458129c101",
+            },
+        ),
+        (
+            SynthConfig(n=700, k=2, noise=0.3, miscal=3.0, seed=9),
+            {
+                "brier": "ada380436dd1668017ba1c0e39795a7a021e2beaf89f94e776d697cc1d00c65a",
+                "log": "cc68086214ea71857555c1fd9e76e667ab9dfb5c03e3740eab4508b793566ee8",
+                "rps": "5bff54ac5de055a0f578f7d8944baf17c17e3e0078f9d372e7904f18571caf40",
+                "sa_rps": "5bff54ac5de055a0f578f7d8944baf17c17e3e0078f9d372e7904f18571caf40",
+            },
+        ),
+    ]
+
+    @pytest.mark.parametrize("cfg, digests", DIGESTS, ids=["k5", "k8-shuffled", "k2"])
+    def test_frozen_digests(self, cfg, digests):
+        ds = generate(cfg)
+        got = {
+            rule: hashlib.sha256(fn(ds.probs, ds.labels).tobytes()).hexdigest()
+            for rule, fn in RULES.items()
+        }
+        assert got == digests
+
+    @pytest.mark.parametrize("rule", ["rps", "sa_rps"])
+    def test_cumulative_rules_peak_memory(self, rule):
+        # the result plus two (N, K-1) float64 arrays, and 64 KiB for array
+        # headers and ufunc buffers
+        n, k = 50_000, 5
+        ds = generate(SynthConfig(n=n, k=k, seed=3))
+        limit = 8 * n + 2 * 8 * n * (k - 1) + 65536
+        tracemalloc.start()
+        try:
+            RULES[rule](ds.probs, ds.labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
