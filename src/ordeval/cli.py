@@ -23,6 +23,7 @@ from .hard import DEFAULT_ECE_BINS, MAX_ECE_BINS, metric_report
 from .retention import (
     DEFAULT_REPLICATES,
     DEFAULT_SEED,
+    MAX_FRACTIONS,
     MAX_REPLICATES,
     MAX_THREADS,
     check_bootstrap,
@@ -37,16 +38,25 @@ DEFAULT_FRACTION_SPEC = "1.0:0.05:0.05"
 
 
 def _parse_fraction_spec(spec: str) -> tuple:
-    """Expand "start:stop:step" into a decreasing fraction grid."""
+    """Expand "start:stop:step" into a decreasing fraction grid.
+
+    The grid's size is checked before it is built, so a tiny step fails at
+    once instead of exhausting memory.
+    """
     try:
         start, stop, step = (float(v) for v in spec.split(":"))
     except ValueError:
         raise InvalidConfig(
             f"fraction spec must be start:stop:step, got {spec!r}"
         ) from None
-    if step <= 0 or start < stop:
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or start < stop:
         raise InvalidConfig(f"fraction spec must decrease from start to stop: {spec!r}")
-    count = math.floor((start - stop) / step + 0.5) + 1
+    steps = (start - stop) / step + 0.5  # inf when step is tiny
+    if steps >= MAX_FRACTIONS:
+        raise InvalidConfig(
+            f"fraction spec {spec!r} gives more than {MAX_FRACTIONS} fractions"
+        )
+    count = math.floor(steps) + 1
     grid = [round(start - i * step, 10) for i in range(count)]
     return check_fractions(grid)
 
@@ -204,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--fractions",
         default=DEFAULT_FRACTION_SPEC,
-        help="retention grid as start:stop:step",
+        help=f"retention grid as start:stop:step, 2 to {MAX_FRACTIONS} fractions",
     )
     p.add_argument(
         "--bootstrap",

@@ -21,8 +21,15 @@ any number of rules on one dataset:
   one sample may fall on both sides of it. The ``bincount`` weights each
   sample by its copy count (the plain curve weights every sample 1), and a
   cut that falls inside a sample's copies adds, as an exact correction after
-  the ``cumsum``, only the copies before it;
-- replicates run in blocks of about ``_BLOCK_DRAWS`` draws: one call to
+  the ``cumsum`` over the cuts, only the copies before it;
+- each cut is located among the copy counts in two levels: the totals of
+  fixed chunks of about sqrt(n / fractions) samples (one ``reduceat`` and a
+  ``cumsum`` of the totals) give the chunk that holds it, and one short
+  ``cumsum`` inside that chunk gives how many samples it wholly keeps and
+  their copies, exactly, without a prefix sum over all n samples. Below a
+  chunk width of ``_MIN_CHUNK`` one such prefix sum is cheaper and is used;
+- replicates run in blocks of about ``_BLOCK_DRAWS`` draws, fewer when one
+  curve stack (fractions x K x K counts) exceeds n: one call to
   ``_rng.resample_block`` and one ``bincount`` count a block's draws for all
   rules, and each rule counts the whole block with one weighted
   ``bincount``;
@@ -33,6 +40,7 @@ any number of rules on one dataset:
 ``sample_retention_curve`` and ``bootstrap_aursc`` are its one-rule views.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +66,16 @@ DEFAULT_REPLICATES = 50
 DEFAULT_SEED = 42
 MAX_REPLICATES = 10**6  # every replicate's AURSC is kept, so more is rejected
 MAX_THREADS = 64
+MAX_FRACTIONS = 10**4  # the count stacks and cut arrays grow with the grid
 
 # draws per replicate block: enough to amortize per-call overhead at small n,
 # few enough that its arrays stay small (65 536 draws: +10% peak RSS at n = 2k)
 _BLOCK_DRAWS = 1 << 14
+
+# narrowest chunk for which the chunked cut locator beats one cumsum over all
+# copies: below it (n < ~11k on the default grid) its extra numpy calls cost
+# more than the cumsum they save
+_MIN_CHUNK = 24
 
 
 @dataclass(frozen=True)
@@ -95,10 +109,15 @@ def retained_count(fraction: float, n: int) -> int:
 
 
 def check_fractions(fractions) -> tuple:
-    """Canonicalize a retention grid: strictly decreasing from exactly 1.0."""
+    """Canonicalize a retention grid: strictly decreasing from exactly 1.0,
+    with at most MAX_FRACTIONS values."""
     fs = [float(f) for f in fractions]
     if not fs:
         raise EmptyFractionList("no retention fractions given")
+    if len(fs) > MAX_FRACTIONS:
+        raise InvalidConfig(
+            f"retention grid has {len(fs)} fractions, at most {MAX_FRACTIONS} allowed"
+        )
     for f in fs:
         if not np.isfinite(f) or f <= 0.0 or f > 1.0:
             raise FractionOutOfRange(f"fraction {f!r} outside (0, 1]")
@@ -159,9 +178,10 @@ def retention_analysis(
     Returns one ``(curve, summary)`` pair per rule, in the order given; each
     equals ``(sample_retention_curve(...), bootstrap_aursc(...))`` for that
     rule. Every rule is ranked once; the replicates run in blocks of
-    ``max(1, _BLOCK_DRAWS // n)``, whose draws are made and counted once and
-    shared by all rules. ``threads`` is range-checked but changes nothing:
-    the blocks run in order in the calling thread.
+    ``max(1, _BLOCK_DRAWS // max(n, fractions * K * K))``, whose draws are
+    made and counted once and shared by all rules. ``threads`` is
+    range-checked but changes nothing: the blocks run in order in the
+    calling thread.
     """
     check_bootstrap(num_replicates, threads)
     if metric not in METRICS:
@@ -172,8 +192,9 @@ def retention_analysis(
     if cost is None:
         cost = CostMatrix.linear(ds.num_classes)
     # best first, ties latest first, so a cut keeps what dropping the worst
-    # in dataset order keeps
-    bests = [rank_samples(ds, rule)[0][::-1] for rule in rules]
+    # in dataset order keeps; contiguous, as a reversed view makes every
+    # gather through it several times slower
+    bests = [rank_samples(ds, rule)[0][::-1].copy() for rule in rules]
     n, k = len(ds), ds.num_classes
     cell = ds.labels * k + hard_predictions(ds)
     kept = [retained_count(f, n) for f in reversed(fractions)]
@@ -181,27 +202,69 @@ def retention_analysis(
     # Replicate r of a block is row r of its draws, offset by r curves: cut s
     # of curve r keeps positions r*n .. r*n + kept[s] - 1, and a sample first
     # wholly kept at cut s lands in bin r*cuts + s*K*K + its cell. One
-    # bincount serves the whole block; the plain curve is row 0.
-    b = max(1, _BLOCK_DRAWS // n)
+    # bincount serves the whole block; the plain curve is row 0. A block
+    # holds at most one curve stack's worth of draws, so its arrays stay
+    # small at tiny n too.
+    b = max(1, _BLOCK_DRAWS // max(n, cuts))
+    m_max = b * len(kept)
     cut_at = (np.arange(b)[:, None] * n + kept).ravel()
     bin_base = (np.arange(b)[:, None] * cuts + np.arange(len(kept)) * k * k).ravel()
     tiled = [np.tile(cell[best], b) for best in bests]
+    # cut locator: chunks of about sqrt(n / fractions) samples, so that the
+    # chunk totals and the prefix sums inside one chunk per cut cost alike
+    width = max(8, math.isqrt(n // len(kept)))
+    chunked = width >= _MIN_CHUNK
+    chunk_starts = np.arange(0, b * n, width)
+    offsets = np.arange(width)
+    row_starts = np.arange(0, m_max * width, width)
+    totals = np.zeros(len(chunk_starts) + 1, dtype=np.int64)
+    prefix = np.zeros(m_max * width + 1, dtype=np.int64)
+
+    def locate(w: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """For each of the first ``m`` cuts, how many samples of ``w`` it
+        wholly keeps and how many copies those hold: ``full =
+        searchsorted(ends[1:], cut, "right")`` and ``ends[full]`` with
+        ``ends = [0, cumsum(w)]``."""
+        if not chunked:
+            ends = np.zeros(len(w) + 1, dtype=np.int64)
+            np.cumsum(w, out=ends[1:])
+            full = np.searchsorted(ends[1:], cut_at[:m], side="right")
+            return full, ends[full]
+        chunks = chunk_starts[: -(-len(w) // width)]
+        ends = totals[: len(chunks) + 1]
+        np.add.reduceat(w, chunks, out=ends[1:])
+        np.cumsum(ends, out=ends)
+        # the chunk holding each cut (the last one for a cut at the total),
+        # and the copies of the chunks before it
+        chunk = np.searchsorted(ends[1:-1], cut_at[:m], side="right")
+        first = chunk * width
+        base = ends[chunk]
+        # the prefix sums of every cut's chunk, laid end to end: cut i's
+        # chunk starts after inner[row_starts[i]] copies. Positions past the
+        # last sample repeat it; they only add to a total past the cut, or,
+        # at a cut at the total, to full, which is capped at len(w).
+        inner = prefix[: m * width + 1]
+        w.take(first[:, None] + offsets, out=inner[1:].reshape(m, width), mode="clip")
+        np.cumsum(inner, out=inner)
+        start = inner[row_starts[:m]]
+        stop = np.searchsorted(inner[1:], start + cut_at[:m] - base, side="right")
+        full = np.minimum(first + stop - row_starts[:m], len(w))
+        return full, base + inner[stop] - start
 
     def curves(w: np.ndarray, cells: np.ndarray, rows: int, out: np.ndarray) -> None:
         """Write the (rows, fractions, K, K) confusion counts of ``rows``
         curves into ``out``, from each sample's copy count ``w`` in
         best-first order."""
         m = rows * len(kept)
-        ends = np.zeros(rows * n + 1, dtype=np.int64)
-        np.cumsum(w, out=ends[1:])
-        full = np.searchsorted(ends[1:], cut_at[:m], side="right")
+        full, before = locate(w, m)
         bins = np.repeat(bin_base[:m], np.diff(full, prepend=0))
         bins += cells[: rows * n]
         counts = np.bincount(bins, weights=w, minlength=rows * cuts)
         counts = counts.reshape(rows, len(kept), k * k).cumsum(axis=1).reshape(-1)
-        # the first sample not wholly kept, which starts at ends[full], adds
-        # its copies before the cut (none when full is past the last sample)
-        counts[bin_base[:m] + cells.take(full, mode="clip")] += cut_at[:m] - ends[full]
+        # the first sample not wholly kept, which starts after ``before``
+        # copies, adds its copies before the cut (none when full is past the
+        # last sample)
+        counts[bin_base[:m] + cells.take(full, mode="clip")] += cut_at[:m] - before
         # fraction order; the float64 counts are exact integers
         out[...] = counts.reshape(rows, len(kept), k, k)[:, ::-1]
 

@@ -1,13 +1,14 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ordeval import _rng, retention, scoring
+from ordeval import _rng, cli, retention, scoring
 from ordeval.cli import main
-from ordeval.retention import MAX_REPLICATES, MAX_THREADS
+from ordeval.retention import MAX_FRACTIONS, MAX_REPLICATES, MAX_THREADS
 
 
 def run(argv):
@@ -246,6 +247,38 @@ class TestRscCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: InvalidConfig:") and str(value) in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "spec", ["1.0:0.00001:0.00001", "1.0:1e-9:1e-12", "1.0:0.5:1e-320", "nan:0.5:0.1"]
+    )
+    def test_oversized_fraction_grid_fails_before_it_is_built(
+        self, tmp_path, capsys, monkeypatch, spec
+    ):
+        # 10**5 fractions would take ~3 MB, 10**12 would exhaust memory, and
+        # a subnormal step gives an infinite count: each must fail on the
+        # count alone, before the grid's list exists (a broken check fails
+        # on the first element rather than trying to build it)
+        def built(*args):
+            raise AssertionError("grid built before its size was checked")
+
+        monkeypatch.setattr(cli, "round", built, raising=False)
+        tracemalloc.start()
+        try:
+            rc = run(["rsc", "--input", tmp_path / "missing.csv", "--fractions", spec,
+                      "--output-prefix", tmp_path / "x"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1 and peak < 256 * 1024
+        assert capsys.readouterr().err.startswith("error: InvalidConfig:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_fraction_grid_is_accepted_and_documented(self, capsys):
+        grid = cli._parse_fraction_spec(f"1.0:{1 / MAX_FRACTIONS}:{1 / MAX_FRACTIONS}")
+        assert len(grid) == MAX_FRACTIONS and grid[0] == 1.0
+        with pytest.raises(SystemExit):
+            run(["rsc", "--help"])
+        assert f"2 to {MAX_FRACTIONS} fractions" in " ".join(capsys.readouterr().out.split())
 
     def test_call_counts(self, tmp_path, monkeypatch):
         # each rule is scored once, a block of replicates is drawn once for

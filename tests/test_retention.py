@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,7 @@ from ordeval.errors import (
 from ordeval.hard import hard_predictions
 from ordeval.retention import (
     DEFAULT_FRACTIONS,
+    MAX_FRACTIONS,
     MAX_REPLICATES,
     MAX_THREADS,
     METRICS,
@@ -153,6 +157,12 @@ class TestFractionValidation:
     def test_canonicalizes_order(self):
         assert check_fractions([0.5, 1.0, 0.75, 0.5]) == (1.0, 0.75, 0.5)
 
+    def test_grid_size_limit(self):
+        grid = np.linspace(1.0, 0.5, MAX_FRACTIONS)
+        assert len(check_fractions(grid)) == MAX_FRACTIONS
+        with pytest.raises(InvalidConfig):
+            check_fractions(np.linspace(1.0, 0.5, MAX_FRACTIONS + 1))
+
 
 class TestRetentionCurve:
     def test_perfect_predictions_qwk(self):
@@ -238,10 +248,11 @@ class TestBootstrap:
     @pytest.mark.parametrize(
         "n, replicates, tied",
         [(200, 4, False), (200, 4, True), (2, 20, False), (3, 20, False),
-         (5, 20, False), (8, 20, False)],
-        ids=["untied", "tied", "n2", "n3", "n5", "n8"],
+         (5, 20, False), (8, 20, False), (7, 20, False), (9, 20, False),
+         (64, 20, False), (65, 20, True), (257, 8, True)],
+        ids=["untied", "tied", "n2", "n3", "n5", "n8", "n7", "n9", "n64", "n65", "n257"],
     )
-    def test_replicates_match_manual_resample(self, n, replicates, tied):
+    def test_replicates_match_manual_resample(self, monkeypatch, n, replicates, tied):
         # a replicate is the resampled dataset with its draws in dataset
         # order, so tied scores are broken by dataset position; at small n
         # many cuts fall inside the copies of the best-scored sample
@@ -250,6 +261,11 @@ class TestBootstrap:
             ds = EvalDataset(ds.num_classes, ds.ids, ds.labels, tenths(ds.probs))
             assert len(np.unique(rank_samples(ds, "brier")[1])) < len(ds) // 2
         summary = bootstrap_aursc(ds, "brier", "qwk", num_replicates=replicates, seed=11)
+        # the chunked cut locator, in chunks of 8 at these n: cuts fall on
+        # chunk ends, and runs of undrawn samples cross chunk edges
+        monkeypatch.setattr(retention, "_MIN_CHUNK", 8)
+        assert bootstrap_aursc(ds, "brier", "qwk", num_replicates=replicates, seed=11) == summary
+        monkeypatch.undo()
         for r in range(replicates):
             idx = np.sort(_rng.resample_indices(11, r, len(ds)))
             resampled = EvalDataset(
@@ -298,13 +314,59 @@ class TestRetentionKernel:
     )
     def test_block_size_does_not_change_replicates(self, monkeypatch, tied, draws):
         # the default block holds all 12 replicates; the patched ones hold
-        # 1 or 5, the last block of 5 only partly filled
+        # 1 or 5, the last block of 5 only partly filled. Blocks hold
+        # _BLOCK_DRAWS // max(n, fractions * K * K) replicates, and "n" in
+        # the ids stands for that divisor: 20 * 4 * 4 = 320 here.
         ds = tied_or_untied(tied)
         want = {m: retention_analysis(ds, RULES, m, num_replicates=12, seed=9) for m in METRICS}
-        monkeypatch.setattr(retention, "_BLOCK_DRAWS", draws(len(ds)))
+        divisor = max(len(ds), len(DEFAULT_FRACTIONS) * ds.num_classes**2)
+        monkeypatch.setattr(retention, "_BLOCK_DRAWS", draws(divisor))
         for metric in METRICS:
             got = retention_analysis(ds, RULES, metric, num_replicates=12, seed=9)
             assert got == want[metric]
+
+    @pytest.mark.parametrize(
+        "ds, digest",
+        [
+            pytest.param(
+                lambda: tied_or_untied(True, n=500, seed=31),
+                "2e3bc77f0c1da6d7884f75bc54c9a5cffe367d4c2acc60ea312288bd52434320",
+                id="tied",
+            ),
+            pytest.param(
+                lambda: generate(SynthConfig(n=997, k=5, noise=1.2, miscal=1.5, seed=32)),
+                "1faa26e0bf3074d3c923d95c5ce3ffdc97702dec6fbf58edb89920895b1e36fd",
+                id="n997",
+            ),
+            pytest.param(
+                lambda: generate(SynthConfig(n=1, k=3, seed=33)),
+                "7585c7a97d6cf9e47b1173091ddd0d258814fe112e1d61c06fcc86bd06d4f730",
+                id="n1",
+            ),
+        ],
+    )
+    def test_frozen_digest(self, monkeypatch, ds, digest):
+        # digests recorded before the chunked cut locator; n = 997 is not a
+        # multiple of its chunk width (8 at this n), nor are the 14-replicate
+        # last block and the plain curve; both locators must give them
+        ds = ds()
+        for min_chunk in (retention._MIN_CHUNK, 8):
+            monkeypatch.setattr(retention, "_MIN_CHUNK", min_chunk)
+            out = repr([retention_analysis(ds, RULES, m, num_replicates=30, seed=42) for m in METRICS])
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_tiny_n_block_memory(self):
+        # at n = 20, K = 7 a block of 16384 // n replicates would hold a
+        # 4 x 819 x 20 x 7 x 7 count stack (26 MB) and peak near 100 MB in
+        # qwk; blocks capped at 16384 // (fractions * K * K) stay small
+        ds = generate(SynthConfig(n=20, k=7, seed=1))
+        tracemalloc.start()
+        try:
+            retention_analysis(ds, RULES, "qwk", num_replicates=2000, seed=42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("seed", [0, 5])
     @pytest.mark.parametrize("metric", ["qwk", "ec"])

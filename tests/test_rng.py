@@ -38,6 +38,17 @@ def test_integers_mod_range():
     assert len(np.unique(v)) == 7
 
 
+def test_integers_mod_matches_python_modulo():
+    top = 2**64 - 1
+    for b in (1, 2, 7, 2**32 - 1, 2**32 + 1, 2**62 + 3):
+        values = [0, 1, b - 1, b, 2 * b, (top // b) * b, top - 1, top]
+        draws = np.array(values, dtype=np.uint64)
+        got = _rng.integers_mod(draws, b)
+        assert got.dtype == np.int64
+        assert got.tolist() == [v % b for v in values]
+        assert draws.tolist() == values  # the draws are left as they were
+
+
 def test_resample_indices_deterministic_and_in_range():
     a = _rng.resample_indices(42, 3, 500)
     b = _rng.resample_indices(42, 3, 500)
