@@ -80,17 +80,12 @@ def resample_block(seed: int, start: int, count: int, n: int) -> np.ndarray:
 
     Row ``i`` holds replicate ``start + i``'s n with-replacement indices,
     drawn from the substream seeded by output ``start + i`` of the parent
-    stream, so replicates can be evaluated in any order, in any grouping
-    (or in parallel) without changing the draws.
+    stream, so replicates can be evaluated in any order and in any grouping
+    without changing the draws.
     """
     subs = stream(seed, count, start=start)
     ks = np.arange(1, n + 1, dtype=np.uint64)
     return integers_mod(_mix64(subs[:, None] + ks * GAMMA), n)
-
-
-def resample_indices(seed: int, replicate: int, n: int) -> np.ndarray:
-    """Index draws for one bootstrap replicate: one row of ``resample_block``."""
-    return resample_block(seed, replicate, 1, n)[0]
 
 
 def permutation(seed: int, n: int) -> np.ndarray:

@@ -19,22 +19,23 @@ import sys
 from . import io
 from .data import CostMatrix
 from .errors import EvalError, InvalidConfig, UnknownRule
-from .hard import DEFAULT_ECE_BINS, MAX_ECE_BINS, metric_report
+from .hard import DEFAULT_ECE_BINS, MAX_ECE_BINS, check_bins, metric_report
 from .retention import (
     DEFAULT_REPLICATES,
     DEFAULT_SEED,
     MAX_FRACTIONS,
     MAX_REPLICATES,
-    MAX_THREADS,
     check_bootstrap,
     check_fractions,
+    check_metric,
     rank_samples,
     retention_analysis,
 )
 from .scoring import RULES, _rule_fn
-from .synth import SynthConfig, generate
+from .synth import MAX_CELLS, SynthConfig, generate
 
 DEFAULT_FRACTION_SPEC = "1.0:0.05:0.05"
+MAX_THREADS = 64  # --threads is accepted for compatibility and changes nothing
 
 
 def _parse_fraction_spec(spec: str) -> tuple:
@@ -85,6 +86,7 @@ def _parse_rules(spec: str) -> list[str]:
 
 
 def cmd_score(args) -> int:
+    _rule_fn(args.rule)  # raises UnknownRule before the input is read
     ds = io.read_predictions(args.input, label_base=args.label_base)
     order, scores = rank_samples(ds, args.rule)
     io.write_scores(ds, order, scores, args.output)
@@ -101,6 +103,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    check_bins(args.bins)
     ds = io.read_predictions(args.input, label_base=args.label_base)
     cost = _resolve_cost(args.cost, ds.num_classes)
     report = metric_report(ds, cost=cost, bins=args.bins)
@@ -120,12 +123,15 @@ def cmd_evaluate(args) -> int:
 def cmd_rsc(args) -> int:
     rules = _parse_rules(args.rules)
     fractions = _parse_fraction_spec(args.fractions)
-    check_bootstrap(args.bootstrap, args.threads)
+    check_bootstrap(args.bootstrap)
+    if not 1 <= args.threads <= MAX_THREADS:
+        raise InvalidConfig(f"threads must be 1 to {MAX_THREADS}, got {args.threads}")
+    check_metric(args.metric)
     ds = io.read_predictions(args.input, label_base=args.label_base)
     cost = _resolve_cost(args.cost, ds.num_classes)
 
-    # threads deliberately not echoed: it is accepted for compatibility and
-    # changes nothing, and results are a pure function of the fields below
+    # threads deliberately not echoed: results are a pure function of the
+    # fields below
     config = {
         "input": args.input,
         "metric": args.metric,
@@ -235,7 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rsc)
 
     p = sub.add_parser("synth", help="generate a synthetic prediction CSV")
-    p.add_argument("--n", type=int, required=True, help="sample count")
+    p.add_argument(
+        "--n", type=int, required=True, help=f"sample count; n * k at most {MAX_CELLS:,}"
+    )
     p.add_argument("--k", type=int, required=True, help="class count")
     p.add_argument("--noise", type=float, default=1.0)
     p.add_argument("--miscal", type=float, default=1.0)

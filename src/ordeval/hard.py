@@ -43,13 +43,18 @@ def hard_predictions(ds: EvalDataset) -> np.ndarray:
     return out
 
 
+def _cells(ds: EvalDataset) -> np.ndarray:
+    """Each sample's cell of the raveled K x K confusion matrix: label * K +
+    argmax, so that counts[t][p] is cell t * K + p."""
+    return ds.labels * ds.num_classes + hard_predictions(ds)
+
+
 def confusion(ds: EvalDataset) -> np.ndarray:
     """K x K confusion counts, counts[t][p], summing to len(ds)."""
     if len(ds) == 0:
         raise EmptyDataset("cannot build a confusion matrix from no samples")
     k = ds.num_classes
-    cells = ds.labels * k + hard_predictions(ds)
-    return np.bincount(cells, minlength=k * k).reshape(k, k)
+    return np.bincount(_cells(ds), minlength=k * k).reshape(k, k)
 
 
 def _check_counts(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,6 +110,14 @@ def expected_cost(cm: np.ndarray, cost: CostMatrix) -> float:
     return _per_matrix((cm * cost.costs).sum(axis=(-2, -1)) / n)
 
 
+def check_bins(bins: int) -> None:
+    """Reject an ECE bin count outside 1 to MAX_ECE_BINS, before any work."""
+    if bins < 1:
+        raise ZeroBins(f"need at least 1 bin, got {bins}")
+    if bins > MAX_ECE_BINS:
+        raise InvalidConfig(f"at most {MAX_ECE_BINS} bins, got {bins}")
+
+
 def ece(ds: EvalDataset, bins: int = DEFAULT_ECE_BINS) -> float:
     """Top-label expected calibration error.
 
@@ -115,21 +128,23 @@ def ece(ds: EvalDataset, bins: int = DEFAULT_ECE_BINS) -> float:
     """
     if len(ds) == 0:
         raise EmptyDataset("cannot compute ECE on no samples")
-    if bins < 1:
-        raise ZeroBins(f"need at least 1 bin, got {bins}")
-    if bins > MAX_ECE_BINS:
-        raise InvalidConfig(f"at most {MAX_ECE_BINS} bins, got {bins}")
+    check_bins(bins)
     conf = ds.probs.max(axis=1)
     correct = hard_predictions(ds) == ds.labels
     edges = np.linspace(0.0, 1.0, bins + 1)
     idx = np.clip(np.digitize(conf, edges, right=True) - 1, 0, bins - 1)
+    # one stable sort lays every bin's members out contiguously, in dataset
+    # order, so each bin's means add the same values in the same order as a
+    # boolean mask over the whole array would
+    order = np.argsort(idx, kind="stable")
+    conf, correct = conf[order], correct[order]
+    counts = np.bincount(idx, minlength=bins)
+    stops = np.cumsum(counts)
     total = 0.0
     n = len(ds)
-    for b in range(bins):
-        members = idx == b
-        n_b = int(members.sum())
-        if n_b == 0:
-            continue
+    for b in np.flatnonzero(counts):
+        n_b = int(counts[b])
+        members = slice(stops[b] - n_b, stops[b])
         acc_b = correct[members].mean()
         conf_b = conf[members].mean()
         total += n_b / n * abs(acc_b - conf_b)

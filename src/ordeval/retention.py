@@ -54,7 +54,7 @@ from .errors import (
     InvalidConfig,
     UnknownMetric,
 )
-from .hard import expected_cost, hard_predictions, qwk
+from .hard import _cells, expected_cost, qwk
 from .scoring import _rule_fn
 
 # 1.00, 0.95, ..., 0.05
@@ -65,7 +65,6 @@ METRICS = ("qwk", "ec")
 DEFAULT_REPLICATES = 50
 DEFAULT_SEED = 42
 MAX_REPLICATES = 10**6  # every replicate's AURSC is kept, so more is rejected
-MAX_THREADS = 64
 MAX_FRACTIONS = 10**4  # the count stacks and cut arrays grow with the grid
 
 # draws per replicate block: enough to amortize per-call overhead at small n,
@@ -153,14 +152,20 @@ def rank_samples(ds: EvalDataset, rule: str) -> tuple[np.ndarray, np.ndarray]:
     return order, scores
 
 
-def check_bootstrap(num_replicates: int, threads: int) -> None:
-    """Reject a replicate or thread count outside its range, before any work."""
+def check_bootstrap(num_replicates: int) -> None:
+    """Reject a replicate count outside its range, before any work."""
     if not 1 <= num_replicates <= MAX_REPLICATES:
         raise InvalidConfig(
             f"replicates must be 1 to {MAX_REPLICATES}, got {num_replicates}"
         )
-    if not 1 <= threads <= MAX_THREADS:
-        raise InvalidConfig(f"threads must be 1 to {MAX_THREADS}, got {threads}")
+
+
+def check_metric(metric: str) -> None:
+    """Reject a metric name that is not in METRICS, before any work."""
+    if metric not in METRICS:
+        raise UnknownMetric(
+            f"unknown metric {metric!r}; expected one of {', '.join(METRICS)}"
+        )
 
 
 def retention_analysis(
@@ -171,7 +176,6 @@ def retention_analysis(
     num_replicates: int = DEFAULT_REPLICATES,
     seed: int = DEFAULT_SEED,
     cost: CostMatrix | None = None,
-    threads: int = 1,
 ) -> list[tuple[RetentionCurve, BootstrapSummary]]:
     """The retention curve and the bootstrapped AURSC of every rule at once.
 
@@ -179,15 +183,11 @@ def retention_analysis(
     equals ``(sample_retention_curve(...), bootstrap_aursc(...))`` for that
     rule. Every rule is ranked once; the replicates run in blocks of
     ``max(1, _BLOCK_DRAWS // max(n, fractions * K * K))``, whose draws are
-    made and counted once and shared by all rules. ``threads`` is
-    range-checked but changes nothing: the blocks run in order in the
-    calling thread.
+    made and counted once and shared by all rules. The blocks run in order
+    in the calling thread.
     """
-    check_bootstrap(num_replicates, threads)
-    if metric not in METRICS:
-        raise UnknownMetric(
-            f"unknown metric {metric!r}; expected one of {', '.join(METRICS)}"
-        )
+    check_bootstrap(num_replicates)
+    check_metric(metric)
     fractions = check_fractions(fractions)
     if cost is None:
         cost = CostMatrix.linear(ds.num_classes)
@@ -196,7 +196,7 @@ def retention_analysis(
     # gather through it several times slower
     bests = [rank_samples(ds, rule)[0][::-1].copy() for rule in rules]
     n, k = len(ds), ds.num_classes
-    cell = ds.labels * k + hard_predictions(ds)
+    cell = _cells(ds)
     kept = [retained_count(f, n) for f in reversed(fractions)]
     cuts = len(kept) * k * k
     # Replicate r of a block is row r of its draws, offset by r curves: cut s
@@ -342,7 +342,6 @@ def bootstrap_aursc(
     num_replicates: int = DEFAULT_REPLICATES,
     seed: int = DEFAULT_SEED,
     cost: CostMatrix | None = None,
-    threads: int = 1,
 ) -> BootstrapSummary:
     """AURSC distribution over with-replacement resamples of the dataset.
 
@@ -354,9 +353,7 @@ def bootstrap_aursc(
     on how the replicates are grouped. seed=0 is the identity convention:
     every replicate is the unresampled dataset (useful to recover the plain
     AURSC with std 0). ``num_replicates`` runs from 1 to MAX_REPLICATES.
-    ``threads`` (1 to MAX_THREADS) is accepted for compatibility and
-    changes nothing.
     """
     return retention_analysis(
-        ds, [rule], metric, fractions, num_replicates, seed, cost, threads
+        ds, [rule], metric, fractions, num_replicates, seed, cost
     )[0][1]

@@ -34,6 +34,10 @@ from .errors import InvalidConfig
 
 MODES = ("ordinal", "shuffled")
 
+# n * k at most this: generation holds several (n, k) float64 arrays at once
+# (~0.3 GB peak RSS at 1M x 5), so a larger size is rejected before allocating
+MAX_CELLS = 5 * 10**7
+
 # error-shape constants, all relative to cfg.noise
 _JITTER_SPAN = 1.5  # bump center offset ~ U(-1.5, 1.5) * noise
 _BUMP_WIDTH = 0.45  # main bump sigma, in units of noise
@@ -66,6 +70,10 @@ def _check_config(cfg: SynthConfig) -> None:
         raise InvalidConfig(f"need at least 1 sample, got n={cfg.n}")
     if cfg.k < 2:
         raise InvalidConfig(f"need at least 2 classes, got k={cfg.k}")
+    if cfg.n * cfg.k > MAX_CELLS:
+        raise InvalidConfig(
+            f"n * k must be at most {MAX_CELLS:,}, got n={cfg.n}, k={cfg.k}"
+        )
     if not np.isfinite(cfg.noise) or cfg.noise < 0:
         raise InvalidConfig(f"noise must be finite and >= 0, got {cfg.noise}")
     if not np.isfinite(cfg.miscal) or cfg.miscal <= 0:

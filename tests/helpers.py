@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ordeval import EvalDataset, validate_dataset
+from ordeval import EvalDataset, _rng, validate_dataset
 
 
 def make_dataset(probs, labels, ids=None, k=None, validate=True):
@@ -20,3 +20,8 @@ def random_prob_matrix(rng, n, k):
     """Random strictly-positive probability rows (Dirichlet-like)."""
     raw = -np.log(rng.random((n, k)) + 1e-300)
     return raw / raw.sum(axis=1, keepdims=True)
+
+
+def resample_indices(seed, replicate, n):
+    """Index draws for one bootstrap replicate: one row of ``_rng.resample_block``."""
+    return _rng.resample_block(seed, replicate, 1, n)[0]

@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ordeval import _rng, cli, retention, scoring
-from ordeval.cli import main
-from ordeval.retention import MAX_FRACTIONS, MAX_REPLICATES, MAX_THREADS
+from ordeval import SynthConfig, _rng, cli, retention, scoring, synth
+from ordeval.cli import MAX_THREADS, main
+from ordeval.errors import InvalidConfig
+from ordeval.hard import MAX_ECE_BINS
+from ordeval.retention import MAX_FRACTIONS, MAX_REPLICATES
 
 
 def run(argv):
@@ -53,6 +55,28 @@ class TestSynthCommand:
         rc = run(["synth", "--n", 10, "--k", 1, "--output", tmp_path / "x.csv"])
         assert rc == 1
         assert "InvalidConfig" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, k", [(10**13, 5), (10, 10**11)])
+    def test_oversized_data_fails_before_allocating(self, tmp_path, capsys, n, k):
+        tracemalloc.start()
+        try:
+            rc = run(["synth", "--n", n, "--k", k, "--output", tmp_path / "x.csv"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1 and peak < 256 * 1024
+        assert capsys.readouterr().err.startswith("error: InvalidConfig:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_size_is_accepted_and_documented(self, capsys):
+        # checked on the config alone: generating near the cap takes gigabytes
+        assert synth.MAX_CELLS >= 10**6 * 5
+        synth._check_config(SynthConfig(n=synth.MAX_CELLS // 5, k=5))
+        with pytest.raises(InvalidConfig):
+            synth._check_config(SynthConfig(n=synth.MAX_CELLS // 5 + 1, k=5))
+        with pytest.raises(SystemExit):
+            run(["synth", "--help"])
+        assert f"{synth.MAX_CELLS:,}" in capsys.readouterr().out
 
     def test_output_is_readable_by_score(self, tmp_path):
         data = tmp_path / "d.csv"
@@ -234,18 +258,37 @@ class TestRscCommand:
         assert rc == 1
         assert "InvalidConfig" in capsys.readouterr().err
 
+    BAD_FLAGS = [
+        ("rsc", "--threads", 0, "InvalidConfig"),
+        ("rsc", "--threads", MAX_THREADS + 1, "InvalidConfig"),
+        ("rsc", "--bootstrap", 0, "InvalidConfig"),
+        ("rsc", "--bootstrap", MAX_REPLICATES + 1, "InvalidConfig"),
+        ("rsc", "--metric", "bogus", "UnknownMetric"),
+        ("score", "--rule", "bogus", "UnknownRule"),
+        ("evaluate", "--bins", 0, "ZeroBins"),
+        ("evaluate", "--bins", 2 * MAX_ECE_BINS, "InvalidConfig"),
+    ]
+
     @pytest.mark.parametrize(
-        "flag, value",
-        [("--threads", 0), ("--threads", MAX_THREADS + 1),
-         ("--bootstrap", 0), ("--bootstrap", MAX_REPLICATES + 1)],
+        "command, flag, value, error",
+        BAD_FLAGS,
+        ids=[f"{flag}-{value}" for _, flag, value, _ in BAD_FLAGS],
     )
-    def test_counts_out_of_range_fail_before_reading(self, tmp_path, capsys, flag, value):
-        # the input does not exist: a check made after reading would say OSError
-        rc = run(["rsc", "--input", tmp_path / "missing.csv", flag, value,
-                  "--output-prefix", tmp_path / "x"])
+    def test_counts_out_of_range_fail_before_reading(
+        self, tmp_path, capsys, command, flag, value, error
+    ):
+        # the input does not exist: a check made after reading would say
+        # FileNotFoundError
+        required = {
+            "rsc": ["--output-prefix", tmp_path / "x"],
+            "score": ["--output", tmp_path / "x.csv"],
+            "evaluate": [],
+        }
+        rc = run([command, "--input", tmp_path / "missing.csv", flag, value,
+                  *required[command]])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: InvalidConfig:") and str(value) in err
+        assert err.startswith(f"error: {error}:") and str(value) in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(

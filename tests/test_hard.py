@@ -206,6 +206,40 @@ class TestEce:
                 ref_ece(conf.tolist(), correct, bins), abs=1e-12
             )
 
+    def test_matches_masked_loop_bit_for_bit(self):
+        # one boolean mask per bin over the whole array: each bin's means add
+        # the same values in the same order as ece's sorted slices
+        def masked(ds, bins):
+            conf = ds.probs.max(axis=1)
+            correct = hard_predictions(ds) == ds.labels
+            edges = np.linspace(0.0, 1.0, bins + 1)
+            idx = np.clip(np.digitize(conf, edges, right=True) - 1, 0, bins - 1)
+            total = 0.0
+            for b in range(bins):
+                members = idx == b
+                n_b = int(members.sum())
+                if n_b:
+                    gap = abs(correct[members].mean() - conf[members].mean())
+                    total += n_b / len(ds) * gap
+            return float(total)
+
+        rng = np.random.default_rng(49)
+        for n, k, bins in ((1, 2, 1), (37, 3, 7), (500, 5, 15), (3000, 4, 1000)):
+            probs = random_prob_matrix(rng, n, k)
+            for p in (probs, np.round(probs, 1) + 0.01):  # untied, then tied
+                ds = make_dataset(p / p.sum(axis=1, keepdims=True), rng.integers(0, k, n))
+                assert ece(ds, bins) == masked(ds, bins)
+
+    def test_one_sample_per_bin_at_the_ceiling(self):
+        # bins 1e-6 wide, confidences 1e-5 apart: every bin holds at most one
+        # sample, so ECE is the mean of |1{correct} - confidence|
+        n = 1000
+        conf = 0.5 + 1e-5 * np.arange(1, n + 1)
+        labels = np.arange(n) % 2  # class 0 is the argmax: even rows are correct
+        ds = make_dataset(np.stack([conf, 1.0 - conf], axis=1), labels)
+        want = np.abs((ds.labels == 0) - ds.probs.max(axis=1)).mean()
+        assert ece(ds, MAX_ECE_BINS) == pytest.approx(want, abs=1e-12)
+
     def test_bounded(self):
         rng = np.random.default_rng(47)
         for _ in range(20):

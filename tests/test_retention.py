@@ -15,7 +15,7 @@ from ordeval import (
     retained_count,
     sample_retention_curve,
 )
-from ordeval import _rng, retention, scoring
+from ordeval import retention, scoring
 from ordeval.errors import (
     EmptyDataset,
     EmptyFractionList,
@@ -29,13 +29,12 @@ from ordeval.retention import (
     DEFAULT_FRACTIONS,
     MAX_FRACTIONS,
     MAX_REPLICATES,
-    MAX_THREADS,
     METRICS,
     check_fractions,
     retention_analysis,
 )
 
-from helpers import make_dataset
+from helpers import make_dataset, resample_indices
 from reference import ref_rank
 
 
@@ -238,13 +237,6 @@ class TestBootstrap:
         b = bootstrap_aursc(ds, "sa_rps", "ec", num_replicates=20, seed=7)
         assert a == b
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        ds = generate(SynthConfig(n=300, k=5, noise=1.2, seed=18))
-        monkeypatch.setattr(retention, "_BLOCK_DRAWS", 3 * len(ds))  # 6 blocks
-        seq = bootstrap_aursc(ds, "rps", "qwk", num_replicates=16, seed=5, threads=1)
-        par = bootstrap_aursc(ds, "rps", "qwk", num_replicates=16, seed=5, threads=4)
-        assert seq == par
-
     @pytest.mark.parametrize(
         "n, replicates, tied",
         [(200, 4, False), (200, 4, True), (2, 20, False), (3, 20, False),
@@ -267,7 +259,7 @@ class TestBootstrap:
         assert bootstrap_aursc(ds, "brier", "qwk", num_replicates=replicates, seed=11) == summary
         monkeypatch.undo()
         for r in range(replicates):
-            idx = np.sort(_rng.resample_indices(11, r, len(ds)))
+            idx = np.sort(resample_indices(11, r, len(ds)))
             resampled = EvalDataset(
                 ds.num_classes, tuple(ds.ids[i] for i in idx), ds.labels[idx], ds.probs[idx]
             )
@@ -385,11 +377,12 @@ class TestRetentionKernel:
             )
 
     @pytest.mark.parametrize(
-        "replicates, threads",
-        [(0, 1), (MAX_REPLICATES + 1, 1), (5, 0), (5, MAX_THREADS + 1), (5, -1)],
+        "replicates, seed",
+        [(0, 1), (MAX_REPLICATES + 1, 1), (0, 0), (MAX_REPLICATES + 1, 0)],
     )
-    def test_rejects_counts_out_of_range(self, replicates, threads):
+    def test_rejects_counts_out_of_range(self, replicates, seed):
+        # seed 0 draws nothing but would still keep one AURSC per replicate
         with pytest.raises(InvalidConfig):
             bootstrap_aursc(
-                eq3_dataset(), "rps", "qwk", num_replicates=replicates, threads=threads
+                eq3_dataset(), "rps", "qwk", num_replicates=replicates, seed=seed
             )

