@@ -43,18 +43,23 @@ def hard_predictions(ds: EvalDataset) -> np.ndarray:
     return out
 
 
-def _cells(ds: EvalDataset) -> np.ndarray:
-    """Each sample's cell of the raveled K x K confusion matrix: label * K +
-    argmax, so that counts[t][p] is cell t * K + p."""
-    return ds.labels * ds.num_classes + hard_predictions(ds)
+def _cells(ds: EvalDataset, pred: np.ndarray) -> np.ndarray:
+    """Each sample's cell of the raveled K x K confusion matrix, given its
+    argmax ``pred``: label * K + pred, so that counts[t][p] is cell t * K + p."""
+    return ds.labels * ds.num_classes + pred
 
 
 def confusion(ds: EvalDataset) -> np.ndarray:
     """K x K confusion counts, counts[t][p], summing to len(ds)."""
+    return _confusion(ds, hard_predictions(ds))
+
+
+def _confusion(ds: EvalDataset, pred: np.ndarray) -> np.ndarray:
+    """``confusion`` from the argmax ``pred`` of ``ds``."""
     if len(ds) == 0:
         raise EmptyDataset("cannot build a confusion matrix from no samples")
     k = ds.num_classes
-    return np.bincount(_cells(ds), minlength=k * k).reshape(k, k)
+    return np.bincount(_cells(ds, pred), minlength=k * k).reshape(k, k)
 
 
 def _check_counts(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,8 +134,14 @@ def ece(ds: EvalDataset, bins: int = DEFAULT_ECE_BINS) -> float:
     if len(ds) == 0:
         raise EmptyDataset("cannot compute ECE on no samples")
     check_bins(bins)
+    return _ece(ds, hard_predictions(ds), bins)
+
+
+def _ece(ds: EvalDataset, pred: np.ndarray, bins: int) -> float:
+    """``ece`` from the argmax ``pred`` of a nonempty ``ds``, for a checked
+    bin count."""
     conf = ds.probs.max(axis=1)
-    correct = hard_predictions(ds) == ds.labels
+    correct = pred == ds.labels
     edges = np.linspace(0.0, 1.0, bins + 1)
     idx = np.clip(np.digitize(conf, edges, right=True) - 1, 0, bins - 1)
     # one stable sort lays every bin's members out contiguously, in dataset
@@ -158,14 +169,16 @@ def metric_report(
 
     ``cost`` defaults to the linear-distance matrix.
     """
-    cm = confusion(ds)
+    check_bins(bins)
+    pred = hard_predictions(ds)  # one argmax for the confusion matrix and ECE
+    cm = _confusion(ds, pred)
     if cost is None:
         cost = CostMatrix.linear(ds.num_classes)
     return MetricReport(
         accuracy=accuracy(cm),
         qwk=qwk(cm),
         expected_cost=expected_cost(cm, cost),
-        ece=ece(ds, bins),
+        ece=_ece(ds, pred, bins),
         n=len(ds),
         mean_scores={
             rule: float(fn(ds.probs, ds.labels).mean()) for rule, fn in RULES.items()

@@ -7,10 +7,12 @@ produced them) or, for retention curves, as two-column CSV. All writes go to
 a temp file in the target directory and are renamed into place, so a failed
 run never leaves a truncated output.
 
-Every CSV is written in chunks of rows, each formatted with one ``%``
-template per file. An id holding a comma, a quote, a line feed or a
-carriage return is written in double quotes with its quotes doubled, so it
-reads back unchanged; every other field is written bare.
+Every CSV is streamed to its temp file in chunks of rows, each formatted
+with one ``%`` template per file, so no writer holds the whole file. An id
+holding a comma, a quote, a line feed or a carriage return is written in
+double quotes with its quotes doubled, so it reads back unchanged; every
+other field is written bare. Written files get the mode ``open`` gives a
+new file: 0o666 less the umask.
 A prediction file is parsed with one ``np.loadtxt`` pass. Any file that pass
 does not accept is parsed again row by row with ``csv.reader``, which either
 reads it or names the error. Readers accept a UTF-8 byte order mark, CRLF
@@ -24,8 +26,8 @@ import csv
 import json
 import os
 import re
-import tempfile
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import numpy as np
@@ -55,18 +57,32 @@ _CHUNK_ROWS = 16384
 _needs_quotes = re.compile(r'[,"\r\n]').search
 
 
-def _atomic_write(path: str, data: bytes) -> None:
-    """Write the bytes ``data`` to ``path`` through a renamed temp file."""
+@contextmanager
+def _atomic_file(path: str):
+    """A binary file whose contents replace ``path`` when the block exits
+    normally; on an exception ``path`` is left as it was and the temp file
+    in its directory is removed. The temp file is created as ``open``
+    creates a new file, with mode 0o666 less the umask, which the output
+    keeps."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    # O_EXCL: never open an existing file or follow a planted link
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: str, data: bytes) -> None:
+    """Write the bytes ``data`` to ``path`` through a renamed temp file."""
+    with _atomic_file(path) as fh:
+        fh.write(data)
 
 
 def _quote(field: str) -> str:
@@ -82,19 +98,19 @@ def _write_table(path: str, header: list, template: str, columns: list,
     """Write ``header`` and one ``template`` row per entry of the equal-length
     arrays ``columns``, led by the CSV-quoted ``ids`` when given.
 
-    Rows are formatted and encoded a chunk at a time into one growing byte
-    buffer, so the file is held once, as bytes, and never also as text. A
-    chunk's ids are scanned for quoting as one string, and quoted one by one
-    only when that finds a character that needs it.
+    Rows are formatted and encoded a chunk at a time, and each chunk's bytes
+    go straight to the temp file, so at most one chunk is held, as text and
+    as bytes. A chunk's ids are scanned for quoting as one string, and
+    quoted one by one only when that finds a character that needs it.
     """
-    data = bytearray((",".join(header) + "\n").encode("utf-8"))
-    for lo in range(0, len(columns[0]), _CHUNK_ROWS):
-        fields = [c[lo:lo + _CHUNK_ROWS].tolist() for c in columns]
-        if ids is not None:
-            names = ids[lo:lo + _CHUNK_ROWS]
-            fields.insert(0, map(_quote, names) if _needs_quotes("".join(names)) else names)
-        data += "".join(map(template.__mod__, zip(*fields))).encode("utf-8")
-    _atomic_write(path, data)
+    with _atomic_file(path) as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+            fields = [c[lo:lo + _CHUNK_ROWS].tolist() for c in columns]
+            if ids is not None:
+                names = ids[lo:lo + _CHUNK_ROWS]
+                fields.insert(0, map(_quote, names) if _needs_quotes("".join(names)) else names)
+            fh.write("".join(map(template.__mod__, zip(*fields))).encode("utf-8"))
 
 
 def _records(fh):
@@ -165,7 +181,9 @@ def _parse_bulk(fh, label_base: int) -> EvalDataset | None:
     labels = rows["label"] - label_base
     if len(rows) == 0 or labels.min() < 0 or labels.max() >= k:
         return None
-    return EvalDataset(k, tuple(rows["id"]), labels, rows["p"])
+    ids, probs = tuple(rows["id"]), np.ascontiguousarray(rows["p"])
+    del rows  # the parse buffer, 56 bytes a row, is freed before validation
+    return EvalDataset(k, ids, labels, probs)
 
 
 def _read_rows(path: str, label_base: int) -> EvalDataset:

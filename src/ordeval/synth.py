@@ -35,7 +35,7 @@ from .errors import InvalidConfig
 MODES = ("ordinal", "shuffled")
 
 # n * k at most this: generation holds several (n, k) float64 arrays at once
-# (~0.3 GB peak RSS at 1M x 5), so a larger size is rejected before allocating
+# (~0.22 GB peak RSS at 1M x 5), so a larger size is rejected before allocating
 MAX_CELLS = 5 * 10**7
 
 # error-shape constants, all relative to cfg.noise

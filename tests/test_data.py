@@ -52,6 +52,28 @@ class TestValidation:
         with pytest.raises(DuplicateId):
             make_dataset([[1.0, 0.0], [0.0, 1.0]], [0, 1], ids=("a", "a"))
 
+    def test_duplicate_check_compares_ids_whose_hashes_collide(self):
+        class Clash(str):
+            def __hash__(self):
+                return 7
+
+        unique = tuple(map(Clash, "abcde"))
+        assert make_dataset(np.full((5, 2), 0.5), [0] * 5, ids=unique).ids == unique
+        # "c" repeats first in dataset order, though "a" repeats too
+        repeated = tuple(map(Clash, "abcdca"))
+        with pytest.raises(DuplicateId, match="^duplicate sample id 'c'$"):
+            make_dataset(np.full((6, 2), 0.5), [0] * 6, ids=repeated)
+
+    def test_leaves_the_callers_arrays_as_they_were(self):
+        probs = np.array([[0.5, 0.5000004, 0.0], [0.25, 0.75, 0.0]])
+        labels = np.array([0, 2])
+        before = probs.copy()
+        ds = make_dataset(probs, labels)
+        assert ds.probs[0].sum() != probs[0].sum()  # row 0 was renormalized
+        assert probs.flags.writeable and labels.flags.writeable
+        assert np.array_equal(probs, before) and np.array_equal(labels, [0, 2])
+        assert not ds.probs.flags.writeable and not ds.labels.flags.writeable
+
     def test_rejects_empty(self):
         with pytest.raises(EmptyDataset):
             validate_dataset(EvalDataset(2, (), np.array([], dtype=np.int64),

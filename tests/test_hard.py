@@ -291,6 +291,24 @@ class TestMetricReport:
         assert r.accuracy == 1.0 and r.qwk == 1.0
         assert r.expected_cost == 0.0 and r.ece == 0.0 and r.n == 3
 
+    def test_fields_equal_the_standalone_metrics(self, monkeypatch):
+        ds = generate(SynthConfig(n=3000, k=5, noise=1.2, miscal=1.5, seed=3))
+        cost = CostMatrix.quadratic(5)
+        cm = confusion(ds)
+        calls = []
+
+        def counted(data):
+            calls.append(data)
+            return hard_predictions(data)
+
+        monkeypatch.setattr(hard, "hard_predictions", counted)
+        r = metric_report(ds, cost=cost, bins=7)
+        assert len(calls) == 1  # one argmax serves the confusion matrix and ECE
+        monkeypatch.undo()
+        assert r.accuracy == accuracy(cm) and r.qwk == qwk(cm)
+        assert r.expected_cost == expected_cost(cm, cost)
+        assert r.ece == ece(ds, bins=7)
+
     def test_quadratic_cost_option(self):
         ds = one_hot_dataset([0, 0], [2, 0], 3)
         r = metric_report(ds, cost=CostMatrix.quadratic(3))

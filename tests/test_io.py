@@ -1,6 +1,10 @@
 import csv
+import gc
 import json
+import os
 import random
+import stat
+import tracemalloc
 import warnings
 from io import StringIO
 
@@ -17,6 +21,7 @@ from ordeval import (
     SynthConfig,
     bootstrap_aursc,
     generate,
+    metric_report,
     read_cost_matrix,
     read_predictions,
     render_curve_svg,
@@ -307,6 +312,73 @@ class TestRoundTrip:
         write_predictions(ds, str(a))
         write_predictions(ds, str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+def _traced(fn, *args):
+    """``fn(*args)``, the bytes its result holds and the peak of the call,
+    both as ``tracemalloc`` counts them."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+class TestMemory:
+    # the tables are streamed a chunk at a time, the parse buffer is freed
+    # before validation, and the id check sorts 8-byte hashes instead of
+    # building a set
+
+    def test_write_peak_does_not_grow_with_the_file(self, tmp_path, monkeypatch):
+        # 2 chunks against 10, as 32k and 160k rows are at the default chunk
+        # size, with 8 times fewer rows to trace
+        monkeypatch.setattr(ordeval.io, "_CHUNK_ROWS", 2048)
+        peaks = []
+        for n in (4096, 20480):
+            ds = generate(SynthConfig(n=n, k=5, noise=1.2, miscal=1.5, seed=1))
+            peaks.append(_traced(write_predictions, ds, str(tmp_path / f"{n}.csv"))[2])
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_generate_peaks_near_what_it_returns(self):
+        cfg = SynthConfig(n=20_000, k=5, noise=1.2, miscal=1.5, seed=1)
+        ds, held, peak = _traced(generate, cfg)
+        assert len(ds) == cfg.n and peak <= 1.8 * held
+
+    def test_read_peaks_near_what_it_returns(self, tmp_path):
+        path = str(tmp_path / "p.csv")
+        write_predictions(generate(SynthConfig(n=20_000, k=5, seed=1)), path)
+        ds, held, peak = _traced(read_predictions, path)
+        assert len(ds) == 20_000 and peak <= 1.8 * held
+
+
+class TestAtomicWrites:
+    def test_failed_table_write_leaves_the_target_as_it_was(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"earlier contents\n")
+        monkeypatch.setattr(ordeval.io, "_CHUNK_ROWS", 2)
+        # the first chunk reaches the temp file; the second fails on a
+        # non-str id
+        ds = EvalDataset(2, ("a", "b", 3, "d"), np.zeros(4, dtype=np.int64),
+                         np.full((4, 2), 0.5))
+        with pytest.raises(TypeError):
+            write_predictions(ds, str(path))
+        assert path.read_bytes() == b"earlier contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_outputs_follow_the_umask(self, tmp_path, umask):
+        ds = generate(SynthConfig(n=20, k=3, seed=5))
+        old = os.umask(umask)
+        try:
+            write_predictions(ds, str(tmp_path / "p.csv"))
+            write_report(metric_report(ds), str(tmp_path / "r.json"))
+        finally:
+            os.umask(old)
+        for name in ("p.csv", "r.json"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask
 
 
 class TestCostMatrixFile:
