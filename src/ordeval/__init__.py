@@ -13,7 +13,6 @@ from . import errors
 from .data import (
     CostMatrix,
     EvalDataset,
-    cumulative,
     validate_dataset,
 )
 from .hard import (
@@ -63,7 +62,6 @@ __all__ = [
     "bootstrap_aursc",
     "brier",
     "confusion",
-    "cumulative",
     "ece",
     "errors",
     "expected_cost",

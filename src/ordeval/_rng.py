@@ -29,9 +29,11 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _DOUBLE_SCALE = float(2.0**-53)
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """mix64 of every element of the uint64 array ``z``, in place; returns z."""
-    t = np.empty_like(z)
+def _mix64(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """mix64 of every element of the uint64 array ``z``, in place; returns z.
+    ``t`` is scratch space of z's shape, allocated when not given."""
+    if t is None:
+        t = np.empty_like(z)
     for shift, mult in ((30, _M1), (27, _M2)):
         np.right_shift(z, np.uint64(shift), out=t)
         z ^= t
@@ -59,8 +61,9 @@ def uniform01(values: np.ndarray) -> np.ndarray:
     return (values >> np.uint64(11)).astype(np.float64) * _DOUBLE_SCALE
 
 
-def integers_mod(values: np.ndarray, bound: int) -> np.ndarray:
-    """Map uint64 draws to integers in [0, bound) by modulo.
+def integers_mod(values: np.ndarray, bound: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Map uint64 draws to integers in [0, bound) by modulo, into the uint64
+    array ``out`` when given.
 
     The modulo bias is at most bound / 2^64, which is far below anything
     observable at the sample counts this package handles. ``values - (values
@@ -69,23 +72,33 @@ def integers_mod(values: np.ndarray, bound: int) -> np.ndarray:
     the remainder.
     """
     b = np.uint64(bound)
-    q = values // b
+    q = np.floor_divide(values, b, out=out)
     q *= b
     np.subtract(values, q, out=q)
     return q.view(np.int64)
 
 
-def resample_block(seed: int, start: int, count: int, n: int) -> np.ndarray:
+def resample_block(
+    seed: int, start: int, count: int, n: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Index draws for bootstrap replicates start .. start+count-1.
 
     Row ``i`` holds replicate ``start + i``'s n with-replacement indices,
     drawn from the substream seeded by output ``start + i`` of the parent
     stream, so replicates can be evaluated in any order and in any grouping
     without changing the draws.
+
+    ``out``, a (2, at least count, n) uint64 array, is the space the draws
+    are made in when given, and the result is a view into it: a caller that
+    draws many blocks then allocates no (count, n) array per block.
     """
+    if out is None:
+        out = np.empty((2, count, n), dtype=np.uint64)
+    z, t = out[0, :count], out[1, :count]
     subs = stream(seed, count, start=start)
-    ks = np.arange(1, n + 1, dtype=np.uint64)
-    return integers_mod(_mix64(subs[:, None] + ks * GAMMA), n)
+    np.multiply(np.arange(1, n + 1, dtype=np.uint64), GAMMA, out=t[0])
+    np.add(subs[:, None], t[0], out=z)
+    return integers_mod(_mix64(z, t), n, out=t)
 
 
 def permutation(seed: int, n: int) -> np.ndarray:

@@ -1,14 +1,19 @@
-"""The evaluation dataset, its validation, the cumulative distribution of a
-probability vector, and misclassification cost matrices.
+"""The evaluation dataset, its validation, and misclassification cost
+matrices.
 
 ``EvalDataset`` keeps a whole test set in arrays: ids, labels and an N x K
 probability matrix whose rows are nonnegative and sum to 1 within tolerance.
 Every per-sample computation in the package works on these arrays directly.
-Everything is immutable after validation, so datasets can be shared freely
-across threads.
+Validated ids are one ``np.dtypes.StringDType`` array behind a read-only
+sequence of ``str``. Everything is immutable after validation, so datasets
+can be shared freely across threads.
 """
 
+import operator
+import re
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -30,17 +35,64 @@ SUM_TOLERANCE = 1e-6
 # what makes validation idempotent bit for bit.
 _RENORM_TRIGGER = 1e-12
 
+# rows per block where validation, the rule scores and id iteration walk a
+# dataset a block at a time: the per-block numpy calls vanish in the total,
+# and a block's temporaries stay under a few megabytes
+_BLOCK_ROWS = 1 << 14
+
+
+class _Ids(Sequence):
+    """Validated sample ids: a read-only sequence of ``str`` held in one
+    StringDType array, which takes 16 bytes an id of up to 15 UTF-8 bytes
+    where a tuple of ``str`` takes about 64.
+
+    An index gives a ``str`` and a slice a tuple; ``==`` compares item by
+    item with any sequence. Iteration converts a block of ids at a time,
+    as numpy gives up its elements one by one several times slower.
+    """
+
+    __slots__ = ("_array",)
+
+    def __init__(self, array: np.ndarray):
+        self._array = array
+
+    def __len__(self) -> int:
+        return len(self._array)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self._array[i].tolist())
+        return self._array[operator.index(i)]
+
+    def __iter__(self):
+        for lo in range(0, len(self._array), _BLOCK_ROWS):
+            yield from self._array[lo : lo + _BLOCK_ROWS].tolist()
+
+    def __eq__(self, other):
+        if isinstance(other, _Ids):
+            return np.array_equal(self._array, other._array)
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"ids({self._array!r})"
+
 
 @dataclass(frozen=True)
 class EvalDataset:
     """An ordered set of labeled probabilistic predictions over K classes.
 
-    ``labels`` has shape (N,), ``probs`` shape (N, K). Sample order is
-    significant: later tie-breaks fall back to position in this list.
+    ``ids`` is a sequence of N ``str``, ``labels`` has shape (N,), ``probs``
+    shape (N, K). Sample order is significant: later tie-breaks fall back to
+    position in this list. A validated dataset's ``ids[i]`` is a ``str`` and
+    a slice of its ids a tuple.
     """
 
     num_classes: int
-    ids: tuple
+    ids: Sequence
     labels: np.ndarray
     probs: np.ndarray
 
@@ -48,9 +100,84 @@ class EvalDataset:
         return len(self.ids)
 
 
+class _Built(EvalDataset):
+    """A dataset whose arrays the package has just built and nobody else
+    holds: ``ids`` is a StringDType array and ``hashes`` the ``hash`` of
+    every id, taken while it was still a ``str``. Validation checks and
+    freezes these arrays in place instead of copying them. (A plain
+    subclass: a dataclass would cost every import most of a millisecond.)"""
+
+    def __init__(self, num_classes, ids, labels, probs, hashes):
+        super().__init__(num_classes, ids, labels, probs)
+        object.__setattr__(self, "hashes", hashes)  # the parent is frozen
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _id_array(ids) -> np.ndarray:
+    """``ids`` as a 1-D array to index and gather from: the StringDType
+    array of validated ids, an object array of any other sequence."""
+    if isinstance(ids, _Ids):
+        return ids._array
+    return np.fromiter(ids, dtype=object, count=len(ids))
+
+
+def _cast_ids(ids) -> tuple[np.ndarray, np.ndarray]:
+    """A caller's ids as a StringDType array, and their hashes, taken before
+    the cast. The first id that is not a ``str``, or that holds a lone
+    surrogate, which UTF-8 and so StringDType cannot encode, is rejected by
+    its position."""
+    if not all(map(isinstance, ids, repeat(str))):
+        bad, sid = next((i, s) for i, s in enumerate(ids) if not isinstance(s, str))
+        raise InvalidConfig(
+            f"sample {bad} has id {sid!r} of type {type(sid).__name__}; ids must be str"
+        )
+    hashes = np.fromiter(map(hash, ids), np.int64, len(ids))
+    try:
+        return np.array(ids, dtype=np.dtypes.StringDType()), hashes
+    except UnicodeEncodeError:
+        surrogate = re.compile("[\ud800-\udfff]").search
+        bad, sid = next((i, s) for i, s in enumerate(ids) if surrogate(s))
+        raise InvalidConfig(
+            f"sample {bad} has id {sid!r}, which holds a lone surrogate"
+        ) from None
+
+
+def _check_unique(ids, hashes: np.ndarray) -> None:
+    """Reject the first id, in dataset order, that repeats an earlier one.
+
+    Equal ids have equal hashes, so only ids whose hashes repeat in the
+    sorted ``hashes`` (8 bytes an id, where a set takes ~60) are compared.
+    ``hashes`` is sorted in place.
+    """
+    hashes.sort()
+    repeats = set(hashes[1:][hashes[1:] == hashes[:-1]].tolist())
+    if not repeats:
+        return
+    seen = set()
+    for sid in ids:
+        if sid in seen:
+            raise DuplicateId(f"duplicate sample id {sid!r}")
+        if hash(sid) in repeats:
+            seen.add(sid)
+
+
+def _reject_probs(ids, probs: np.ndarray) -> None:
+    """Raise the error for the first probability check that ``probs`` fails:
+    non-finite entries, then negative ones, then the row whose sum is
+    farthest from 1 beyond SUM_TOLERANCE."""
+    if not np.all(np.isfinite(probs)):
+        bad = int(np.argwhere(~np.isfinite(probs).all(axis=1))[0, 0])
+        raise NonFiniteProbability(f"non-finite probability in sample {ids[bad]!r}")
+    if np.any(probs < 0.0):
+        bad = int(np.argwhere((probs < 0.0).any(axis=1))[0, 0])
+        raise NegativeProbability(f"negative probability in sample {ids[bad]!r}")
+    sums = probs.sum(axis=1)
+    bad = int(np.argmax(np.abs(sums - 1.0)))
+    raise SumOutOfTolerance(f"sample {ids[bad]!r} probabilities sum to {sums[bad]!r}")
 
 
 def validate_dataset(raw: EvalDataset) -> EvalDataset:
@@ -58,9 +185,11 @@ def validate_dataset(raw: EvalDataset) -> EvalDataset:
 
     Probability rows within SUM_TOLERANCE of summing to 1 are renormalized;
     anything worse is rejected. Labels must be valid class indices and ids
-    unique. The returned arrays are read-only, and validating an already
-    validated dataset returns identical values (the renormalization trigger
-    sits far above the residual left by renormalization itself).
+    unique ``str`` that UTF-8 can encode. The returned arrays are read-only,
+    and validating an already validated dataset returns identical values
+    (the renormalization trigger sits far above the residual left by
+    renormalization itself). The caller's arrays are copied, never changed
+    or frozen.
     """
     k = raw.num_classes
     if k < 2:
@@ -68,8 +197,12 @@ def validate_dataset(raw: EvalDataset) -> EvalDataset:
     n = len(raw.ids)
     if n == 0:
         raise EmptyDataset("dataset has no samples")
-    probs = np.array(raw.probs, dtype=np.float64)
-    labels = np.asarray(raw.labels, dtype=np.int64)
+    built = isinstance(raw, _Built)
+    if built:
+        probs, labels = raw.probs, raw.labels
+    else:
+        probs = np.array(raw.probs, dtype=np.float64)
+        labels = np.array(raw.labels, dtype=np.int64)
     if probs.shape != (n, k):
         raise ShapeMismatch(
             f"probability matrix has shape {probs.shape}, expected {(n, k)}"
@@ -77,53 +210,36 @@ def validate_dataset(raw: EvalDataset) -> EvalDataset:
     if labels.shape != (n,):
         raise ShapeMismatch(f"labels have shape {labels.shape}, expected {(n,)}")
 
-    if not np.all(np.isfinite(probs)):
-        bad = int(np.argwhere(~np.isfinite(probs).all(axis=1))[0, 0])
-        raise NonFiniteProbability(f"non-finite probability in sample {raw.ids[bad]!r}")
-    if np.any(probs < 0.0):
-        bad = int(np.argwhere((probs < 0.0).any(axis=1))[0, 0])
-        raise NegativeProbability(f"negative probability in sample {raw.ids[bad]!r}")
-
-    sums = probs.sum(axis=1)
-    off = np.abs(sums - 1.0)
-    if np.any(off > SUM_TOLERANCE):
-        bad = int(np.argmax(off))
-        raise SumOutOfTolerance(
-            f"sample {raw.ids[bad]!r} probabilities sum to {sums[bad]!r}"
-        )
-    renorm = off > _RENORM_TRIGGER
-    if np.any(renorm):
-        probs[renorm] /= sums[renorm, None]
+    # a block of rows at a time, so no check holds a temporary as long as
+    # the dataset; a block that fails any check hands over to the whole-
+    # array checks, which raise the error for the first fault in check order
+    for lo in range(0, n, _BLOCK_ROWS):
+        block = probs[lo : lo + _BLOCK_ROWS]
+        sums = block.sum(axis=1)
+        off = np.abs(sums - 1.0)
+        valid = np.isfinite(block).all() and (block >= 0.0).all()
+        if not (valid and (off <= SUM_TOLERANCE).all()):
+            _reject_probs(raw.ids, probs)
+        renorm = off > _RENORM_TRIGGER
+        if np.any(renorm):
+            block[renorm] /= sums[renorm, None]
 
     if np.any(labels < 0) or np.any(labels >= k):
         bad = int(np.argwhere((labels < 0) | (labels >= k))[0, 0])
         raise LabelOutOfRange(
             f"sample {raw.ids[bad]!r} has label {labels[bad]}, valid range 0..{k - 1}"
         )
-    # equal ids have equal hashes, so only ids whose hashes collide in one
-    # sorted array (8 bytes an id, where a set takes ~60) are compared
-    hashes = np.fromiter(map(hash, raw.ids), np.int64, n)
-    hashes.sort()
-    collide = set(hashes[1:][hashes[1:] == hashes[:-1]].tolist())
-    suspects = [sid for sid in raw.ids if hash(sid) in collide] if collide else ()
-    if len(set(suspects)) != len(suspects):
-        seen = set()
-        for sid in raw.ids:
-            if sid in seen:
-                raise DuplicateId(f"duplicate sample id {sid!r}")
-            seen.add(sid)
+    if isinstance(raw.ids, _Ids):  # validated before: unique str
+        ids = raw.ids
+    elif built:
+        ids = _Ids(_freeze(raw.ids))
+        _check_unique(ids, raw.hashes)
+    else:
+        array, hashes = _cast_ids(raw.ids)
+        _check_unique(raw.ids, hashes)
+        ids = _Ids(_freeze(array))
 
-    return EvalDataset(k, tuple(raw.ids), _freeze(labels.copy()), _freeze(probs))
-
-
-def cumulative(probs) -> np.ndarray:
-    """Cumulative distribution of a probability vector.
-
-    Partial sums clipped to [0, 1], with the last entry pinned to exactly 1.
-    """
-    c = np.minimum(np.cumsum(np.asarray(probs, dtype=np.float64)), 1.0)
-    c[-1] = 1.0
-    return c
+    return EvalDataset(k, ids, _freeze(labels), _freeze(probs))
 
 
 @dataclass(frozen=True)

@@ -143,13 +143,16 @@ def _ece(ds: EvalDataset, pred: np.ndarray, bins: int) -> float:
     conf = ds.probs.max(axis=1)
     correct = pred == ds.labels
     edges = np.linspace(0.0, 1.0, bins + 1)
-    idx = np.clip(np.digitize(conf, edges, right=True) - 1, 0, bins - 1)
+    idx = np.digitize(conf, edges, right=True)
+    idx -= 1
+    np.clip(idx, 0, bins - 1, out=idx)
     # one stable sort lays every bin's members out contiguously, in dataset
     # order, so each bin's means add the same values in the same order as a
     # boolean mask over the whole array would
     order = np.argsort(idx, kind="stable")
-    conf, correct = conf[order], correct[order]
     counts = np.bincount(idx, minlength=bins)
+    del idx  # before the gathers, which are the peak
+    conf, correct = conf[order], correct[order]
     stops = np.cumsum(counts)
     total = 0.0
     n = len(ds)

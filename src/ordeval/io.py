@@ -13,11 +13,14 @@ holding a comma, a quote, a line feed or a carriage return is written in
 double quotes with its quotes doubled, so it reads back unchanged; every
 other field is written bare. Written files get the mode ``open`` gives a
 new file: 0o666 less the umask.
-A prediction file is parsed with one ``np.loadtxt`` pass. Any file that pass
-does not accept is parsed again row by row with ``csv.reader``, which either
-reads it or names the error. Readers accept a UTF-8 byte order mark, CRLF
-line ends and blank lines, and report errors with the line number as it
-appears in the file.
+A prediction file is parsed by ``np.loadtxt`` a block of text at a time,
+each block cut at a line end outside quotes and written straight into the
+dataset's arrays, which are sized from a count of the file's lines; where
+quoting makes a cut uncertain, the rest of the file is parsed in one pass.
+Any file that pass does not accept is parsed again row by row with
+``csv.reader``, which either reads it or names the error. Readers accept a
+UTF-8 byte order mark, CRLF line ends and blank lines, and report errors
+with the line number as it appears in the file.
 Reals are written with 17 significant digits, which round-trips float64
 exactly.
 """
@@ -29,10 +32,12 @@ import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict
+from io import StringIO
+from itertools import chain
 
 import numpy as np
 
-from .data import CostMatrix, EvalDataset, validate_dataset
+from .data import CostMatrix, EvalDataset, _Built, _id_array, validate_dataset
 from .errors import (
     GridMismatch,
     InvalidConfig,
@@ -41,7 +46,7 @@ from .errors import (
     NonNumericField,
     RowArityMismatch,
 )
-from .hard import MetricReport, hard_predictions
+from .hard import MetricReport
 from .retention import BootstrapSummary, RetentionCurve
 
 _REPORT_TYPES = {
@@ -51,10 +56,19 @@ _REPORT_TYPES = {
 }
 
 # rows formatted per chunk: large enough that the per-chunk work vanishes,
-# small enough that a chunk's text stays within a few megabytes
-_CHUNK_ROWS = 16384
+# small enough that a chunk's fields and text stay within about 2 MB
+_CHUNK_ROWS = 4096
 
 _needs_quotes = re.compile(r'[,"\r\n]').search
+
+# characters of CSV text per np.loadtxt call, and bytes per read when
+# counting lines: io.StringIO holds 4 bytes a character, so a block and its
+# parse take under a megabyte, and np.loadtxt runs no slower than on the file
+_BLOCK_CHARS = 1 << 16
+
+# a field in double quotes, with its quotes doubled, between field
+# separators or line ends: RFC 4180 quoting that closes
+_QUOTED_FIELD = re.compile(r'(?<![^,\r\n])"(?:[^"]|"")*"(?![^,\r\n])')
 
 
 @contextmanager
@@ -93,10 +107,19 @@ def _quote(field: str) -> str:
     return field
 
 
-def _write_table(path: str, header: list, template: str, columns: list,
-                 ids=None) -> None:
-    """Write ``header`` and one ``template`` row per entry of the equal-length
-    arrays ``columns``, led by the CSV-quoted ``ids`` when given.
+def _chunks(count: int, rows=None):
+    """Selections of at most ``_CHUNK_ROWS`` rows, in order: slices of
+    0 .. count-1, or, when given, consecutive pieces of the index array
+    ``rows``."""
+    for lo in range(0, count, _CHUNK_ROWS):
+        yield slice(lo, lo + _CHUNK_ROWS) if rows is None else rows[lo:lo + _CHUNK_ROWS]
+
+
+def _write_table(path: str, header: list, template: str, chunks) -> None:
+    """Write ``header`` and one ``template`` row per row of ``chunks``,
+    which yields an (ids, columns) pair per chunk of rows: the chunk's
+    columns as arrays, and its ids as a list, written first and CSV-quoted,
+    or None.
 
     Rows are formatted and encoded a chunk at a time, and each chunk's bytes
     go straight to the temp file, so at most one chunk is held, as text and
@@ -105,10 +128,9 @@ def _write_table(path: str, header: list, template: str, columns: list,
     """
     with _atomic_file(path) as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
-        for lo in range(0, len(columns[0]), _CHUNK_ROWS):
-            fields = [c[lo:lo + _CHUNK_ROWS].tolist() for c in columns]
-            if ids is not None:
-                names = ids[lo:lo + _CHUNK_ROWS]
+        for names, columns in chunks:
+            fields = [c.tolist() for c in columns]
+            if names is not None:
                 fields.insert(0, map(_quote, names) if _needs_quotes("".join(names)) else names)
             fh.write("".join(map(template.__mod__, zip(*fields))).encode("utf-8"))
 
@@ -152,9 +174,48 @@ def read_predictions(path: str, label_base: int = 0) -> EvalDataset:
     return validate_dataset(raw)
 
 
+def _line_count(raw) -> int:
+    """Lines in the binary file ``raw`` from where it stands: its line feeds,
+    its carriage returns not followed by one, and a last line with no line
+    end. A CRLF split between two reads counts twice, so the count is an
+    upper bound."""
+    count, last = 0, b"\n"
+    while chunk := raw.read(_BLOCK_CHARS):
+        count += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+        if b"\r" in chunk:
+            count += chunk.count(b"\r") - chunk.count(b"\r\n")
+        last = chunk[-1:]
+    return count + (last not in b"\r\n")
+
+
+def _sources(fh):
+    """The rest of the text file ``fh`` as inputs for ``np.loadtxt``: blocks
+    of about ``_BLOCK_CHARS`` characters, each cut at a line end.
+
+    A cut is trusted only while every double quote in the block is RFC 4180
+    field quoting and every quoted field closes within it. From the first
+    block that breaks this (a quoted line break across the cut, or a quote
+    inside a bare field), that block and the rest of the file are one
+    input, read line by line as a whole-file parse reads them.
+    """
+    while text := fh.read(_BLOCK_CHARS):
+        if text[-1] not in "\r\n":
+            text += fh.readline()
+        # numpy reads a StringIO that splits lines at \n alone far faster
+        # (613 against 720 ms of CPU at 200k rows); a lone \r needs the split
+        # a file opened with newline="" makes
+        lone_cr = "\r" in text and text.count("\r") != text.count("\r\n")
+        block = StringIO(text, newline="" if lone_cr else "\n")
+        if '"' in text and '"' in _QUOTED_FIELD.sub("", text):
+            yield chain(block, fh)
+            return
+        yield block
+
+
 def _parse_bulk(fh, label_base: int) -> EvalDataset | None:
-    """The unvalidated dataset in ``fh`` from one ``np.loadtxt`` pass, or
-    None when ``_read_rows`` must decide.
+    """The unvalidated dataset in the text file ``fh``, read from its start
+    by ``np.loadtxt`` a block at a time, or None when ``_read_rows`` must
+    decide.
 
     The pass accepts a subset of what ``_read_rows`` accepts and reads it to
     the same values. It gives up on a header that is not bare
@@ -162,28 +223,55 @@ def _parse_bulk(fh, label_base: int) -> EvalDataset | None:
     ``1_0`` among them, which ``int``/``float`` accept), on an empty body and
     on a label out of range, so every error message comes from the row
     parser.
+
+    The dataset's arrays are allocated once, for as many rows as the file
+    has lines after its header, filled one ``_sources`` input at a time, and
+    cut to the rows read; each input's ids are hashed while they are still
+    ``str``. A file that cannot seek, such as a pipe, is one input, and the
+    arrays are sized by what it held.
     """
+    seekable = fh.seekable()
+    bound = _line_count(fh.buffer) - 1 if seekable else None
+    if seekable:
+        fh.seek(0)
     k = _header_classes(fh.readline().rstrip("\r\n").split(","))
-    if k is None:
+    if k is None or bound is not None and bound < 1:
         return None
     dtype = np.dtype([("id", object), ("label", np.int64), ("p", np.float64, (k,))])
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            # numpy releases that still read an int field such as "2.7" as a
-            # truncated float do so under a DeprecationWarning: refuse them
-            warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(
-                fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
-            )
-    except (ValueError, DeprecationWarning):
+    m, labels = 0, None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        # numpy releases that still read an int field such as "2.7" as a
+        # truncated float do so under a DeprecationWarning: refuse them
+        warnings.simplefilter("error", DeprecationWarning)
+        for source in _sources(fh) if seekable else [fh]:
+            try:
+                rows = np.loadtxt(
+                    source, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
+                )
+            except (ValueError, DeprecationWarning):
+                return None
+            if labels is None:
+                bound = len(rows) if bound is None else bound
+                ids = np.empty(bound, dtype=np.dtypes.StringDType())
+                hashes = np.empty(bound, dtype=np.int64)
+                labels = np.empty(bound, dtype=np.int64)
+                probs = np.empty((bound, k))
+            lo, m = m, m + len(rows)
+            hashes[lo:m] = np.fromiter(map(hash, rows["id"].tolist()), np.int64, m - lo)
+            ids[lo:m] = rows["id"]
+            labels[lo:m] = rows["label"]
+            probs[lo:m] = rows["p"]
+    if m == 0:
         return None
-    labels = rows["label"] - label_base
-    if len(rows) == 0 or labels.min() < 0 or labels.max() >= k:
+    if m < bound:  # blank lines or quoted line breaks: give back the rest
+        for a in (ids, hashes, labels):
+            a.resize(m, refcheck=False)
+        probs.resize((m, k), refcheck=False)
+    labels -= label_base
+    if labels.min() < 0 or labels.max() >= k:
         return None
-    ids, probs = tuple(rows["id"]), np.ascontiguousarray(rows["p"])
-    del rows  # the parse buffer, 56 bytes a row, is freed before validation
-    return EvalDataset(k, ids, labels, probs)
+    return _Built(k, ids, labels, probs, hashes)
 
 
 def _read_rows(path: str, label_base: int) -> EvalDataset:
@@ -239,15 +327,22 @@ def write_predictions(ds: EvalDataset, path: str) -> None:
     """Emit a dataset in the prediction CSV schema (0-based labels)."""
     k = ds.num_classes
     template = "%s,%d" + ",%.17g" * k + "\n"
-    _write_table(path, _expected_header(k), template, [ds.labels, *ds.probs.T], ds.ids)
+    ids = _id_array(ds.ids)
+    chunks = ((ids[s].tolist(), [ds.labels[s], *ds.probs[s].T]) for s in _chunks(len(ds)))
+    _write_table(path, _expected_header(k), template, chunks)
 
 
 def write_scores(ds: EvalDataset, order: np.ndarray, scores: np.ndarray, path: str) -> None:
     """Emit per-sample scores as an id,label,argmax,score CSV, one row per
-    sample in ``order``; scores use Python's shortest round-trip repr."""
-    columns = [ds.labels[order], hard_predictions(ds)[order], scores[order]]
-    ids = np.fromiter(ds.ids, dtype=object, count=len(ds.ids))[order].tolist()
-    _write_table(path, ["id", "label", "argmax", "score"], "%s,%d,%d,%r\n", columns, ids)
+    sample in ``order``; scores use Python's shortest round-trip repr. Each
+    chunk of rows is gathered through its piece of ``order``."""
+    ids = _id_array(ds.ids)
+    # one id at a time: a StringDType gather and its tolist() take longer
+    chunks = (
+        ([ids[i] for i in s.tolist()], [ds.labels[s], ds.probs[s].argmax(axis=1), scores[s]])
+        for s in _chunks(len(order), order)
+    )
+    _write_table(path, ["id", "label", "argmax", "score"], "%s,%d,%d,%r\n", chunks)
 
 
 def read_cost_matrix(path: str) -> CostMatrix:
@@ -295,7 +390,7 @@ def write_report(report, path: str, fmt: str = "json", config: dict | None = Non
         if not isinstance(report, RetentionCurve):
             raise InvalidConfig("csv format applies only to retention curves")
         columns = [np.array(report.fractions), np.array(report.values)]
-        _write_table(path, ["fraction", "value"], "%.17g,%.17g\n", columns)
+        _write_table(path, ["fraction", "value"], "%.17g,%.17g\n", [(None, columns)])
     else:
         raise InvalidConfig(f"unknown report format {fmt!r}")
 

@@ -144,11 +144,10 @@ def rank_samples(ds: EvalDataset, rule: str) -> tuple[np.ndarray, np.ndarray]:
     if len(ds) == 0:
         raise EmptyDataset("cannot rank an empty dataset")
     scores = _rule_fn(rule)(ds.probs, ds.labels)
-    keys = -scores
-    order = np.argsort(keys)
-    ranked = keys[order]
+    order = np.argsort(-scores)
+    ranked = scores[order]
     if np.any(ranked[1:] == ranked[:-1]):
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(-scores, kind="stable")
     return order, scores
 
 
@@ -287,16 +286,24 @@ def retention_analysis(
     ones = np.ones(n, dtype=np.int64)
     plain = score([ones] * len(tiled), 1)[:, 0]
 
+    # the draws and each rule's copy counts go to buffers made once, like
+    # the count buffer: fresh (replicates, n) arrays per block page-fault
+    # whenever malloc has returned their pages to the system in between
+    space = np.empty((2, max_rows, n), dtype=np.uint64)
+    weight = np.empty((max_rows, n), dtype=np.int64)
+
     # every rule's AURSC per replicate, a block of replicates at a time;
     # seed 0: every replicate is the unresampled dataset
     aurscs = [[] for _ in rules]
     for r0 in range(0, num_replicates, b) if seed != 0 else ():
         rows = min(b, num_replicates - r0)
-        draws = _rng.resample_block(seed, r0, rows, n)
+        draws = _rng.resample_block(seed, r0, rows, n, out=space)
         draws += np.arange(0, rows * n, n)[:, None]
         copies = np.bincount(draws.ravel(), minlength=rows * n).reshape(rows, n)
-        del draws
-        weights = (copies.take(best, axis=1).ravel() for best in bests)
+        # mode="clip": with the default "raise", take buffers its output
+        weights = (
+            copies.take(best, axis=1, out=weight[:rows], mode="clip").ravel() for best in bests
+        )
         for values, out in zip(score(weights, rows), aurscs):
             out.extend(float(row.sum()) for row in values)
 

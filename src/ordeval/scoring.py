@@ -15,11 +15,14 @@ ranking, retention curves and the CLI use:
   symmetric predictions.
 
 Rule identifiers used everywhere (library, CLI, file outputs) are the
-lowercase strings "brier", "log", "rps", "sa_rps".
+lowercase strings "brier", "log", "rps", "sa_rps". The array form fills one
+N-vector of scores a block of rows at a time, so its temporaries never span
+the whole matrix.
 """
 
 import numpy as np
 
+from .data import _BLOCK_ROWS
 from .errors import UnknownRule
 
 # Probability floor for the logarithmic score. File-ingested predictions can
@@ -61,11 +64,25 @@ def _sa_rps_matrix(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.square(s, out=s)
 
 
+def _blockwise(rule_matrix):
+    """The array form of a rule from its form on a block of rows: the N
+    scores go into one fresh vector, ``_BLOCK_ROWS`` rows at a time."""
+
+    def scores(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        out = np.empty(len(probs))
+        for lo in range(0, len(out), _BLOCK_ROWS):
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            out[rows] = rule_matrix(probs[rows], labels[rows])
+        return out
+
+    return scores
+
+
 RULES = {
-    "brier": _brier_matrix,
-    "log": _log_matrix,
-    "rps": _rps_matrix,
-    "sa_rps": _sa_rps_matrix,
+    "brier": _blockwise(_brier_matrix),
+    "log": _blockwise(_log_matrix),
+    "rps": _blockwise(_rps_matrix),
+    "sa_rps": _blockwise(_sa_rps_matrix),
 }
 
 

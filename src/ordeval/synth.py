@@ -29,14 +29,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .data import EvalDataset, validate_dataset
+from .data import EvalDataset, _Built, validate_dataset
 from .errors import InvalidConfig
 
 MODES = ("ordinal", "shuffled")
 
-# n * k at most this: generation holds several (n, k) float64 arrays at once
-# (~0.22 GB peak RSS at 1M x 5), so a larger size is rejected before allocating
+# n * k at most this: the dataset's own arrays grow with it, so a larger size
+# is rejected before allocating
 MAX_CELLS = 5 * 10**7
+
+# samples per block: a block's draws and temporaries take about 70 bytes a
+# sample and class, under a megabyte at K = 5, and smaller blocks run slower
+_BLOCK_ROWS = 1 << 11
 
 # error-shape constants, all relative to cfg.noise
 _JITTER_SPAN = 1.5  # bump center offset ~ U(-1.5, 1.5) * noise
@@ -116,22 +120,19 @@ def _class_permutation(seed: int, n: int, k: int) -> np.ndarray:
         attempt += 1
 
 
-def generate(cfg: SynthConfig) -> EvalDataset:
-    """Build a validated dataset of ``cfg.n`` synthetic predictions."""
-    _check_config(cfg)
-    n, k = cfg.n, cfg.k
-
-    subs = _rng.stream(cfg.seed, n)
+def _rows(cfg: SynthConfig, subs: np.ndarray, perm) -> tuple[np.ndarray, np.ndarray]:
+    """The labels and probabilities of the samples whose substream seeds are
+    ``subs``; ``perm`` relabels the classes in shuffled mode."""
+    m, k = len(subs), cfg.k
     labels = _rng.integers_mod(_rng.substream_column(subs, 0), k)
-    u_jitter = _rng.uniform01(_rng.substream_column(subs, 1))
-    u_lobe = _rng.uniform01(_rng.substream_column(subs, 2))
-    lobe_class = _rng.integers_mod(_rng.substream_column(subs, 3), k)
-    u_mass = _rng.uniform01(_rng.substream_column(subs, 4))
-
     if cfg.noise == 0.0:
-        probs = np.zeros((n, k))
-        probs[np.arange(n), labels] = 1.0
+        probs = np.zeros((m, k))
+        probs[np.arange(m), labels] = 1.0
     else:
+        u_jitter = _rng.uniform01(_rng.substream_column(subs, 1))
+        u_lobe = _rng.uniform01(_rng.substream_column(subs, 2))
+        lobe_class = _rng.integers_mod(_rng.substream_column(subs, 3), k)
+        u_mass = _rng.uniform01(_rng.substream_column(subs, 4))
         grid = np.arange(k, dtype=np.float64)
         centers = labels + (2.0 * u_jitter - 1.0) * _JITTER_SPAN * cfg.noise
         probs = _bump(grid, centers, _BUMP_WIDTH * cfg.noise)
@@ -146,18 +147,33 @@ def generate(cfg: SynthConfig) -> EvalDataset:
         probs *= (1.0 - mass)[:, None]
         lobe *= mass[:, None]
         probs += lobe
-        del lobe, centers, mass
         if cfg.miscal != 1.0:
             probs **= cfg.miscal
             probs /= probs.sum(axis=1, keepdims=True)
-
-    del subs, u_jitter, u_lobe, lobe_class, u_mass  # before the ids are built
-
-    if cfg.mode == "shuffled":
-        perm = _class_permutation(cfg.seed, n, k)
-        inverse = np.argsort(perm)
-        probs = probs[:, inverse]  # new column perm[j] holds old column j
+    if perm is not None:
+        probs = probs[:, np.argsort(perm)]  # new column perm[j] holds old column j
         labels = perm[labels]
+    return labels, probs
 
-    ids = tuple(map("s%06d".__mod__, range(1, n + 1)))
-    return validate_dataset(EvalDataset(k, ids, labels, probs))
+
+def generate(cfg: SynthConfig) -> EvalDataset:
+    """Build a validated dataset of ``cfg.n`` synthetic predictions.
+
+    Samples are made ``_BLOCK_ROWS`` at a time straight into the dataset's
+    arrays; every draw depends only on (seed, sample index), so the result
+    does not depend on the block size.
+    """
+    _check_config(cfg)
+    n, k = cfg.n, cfg.k
+    perm = _class_permutation(cfg.seed, n, k) if cfg.mode == "shuffled" else None
+    ids = np.empty(n, dtype=np.dtypes.StringDType())
+    hashes = np.empty(n, dtype=np.int64)
+    labels = np.empty(n, dtype=np.int64)
+    probs = np.empty((n, k))
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(n, lo + _BLOCK_ROWS)
+        labels[lo:hi], probs[lo:hi] = _rows(cfg, _rng.stream(cfg.seed, hi - lo, start=lo), perm)
+        names = list(map("s%06d".__mod__, range(lo + 1, hi + 1)))
+        hashes[lo:hi] = np.fromiter(map(hash, names), np.int64, hi - lo)
+        ids[lo:hi] = names
+    return validate_dataset(_Built(k, ids, labels, probs, hashes))

@@ -6,7 +6,7 @@ from ordeval import _rng, retention
 PUBLIC = (
     "BootstrapSummary", "CostMatrix", "EvalDataset", "MetricReport", "RULES",
     "RetentionCurve", "SynthConfig", "accuracy", "bootstrap_aursc", "brier",
-    "confusion", "cumulative", "ece", "errors", "expected_cost", "generate",
+    "confusion", "ece", "errors", "expected_cost", "generate",
     "log_score", "metric_report", "qwk", "rank_samples", "read_cost_matrix",
     "read_predictions", "render_curve_svg", "retained_count", "rps", "sa_rps",
     "sample_retention_curve", "validate_dataset", "write_predictions",
@@ -15,7 +15,7 @@ PUBLIC = (
 
 
 def test_public_surface():
-    assert sorted(ordeval.__all__) == sorted(PUBLIC) and len(PUBLIC) == 30
+    assert sorted(ordeval.__all__) == sorted(PUBLIC) and len(PUBLIC) == 29
     for name in PUBLIC:
         assert getattr(ordeval, name) is not None
     # the bootstrap runs in the calling thread: no thread count is taken

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from ordeval import CostMatrix, EvalDataset, cumulative, validate_dataset
+from ordeval import CostMatrix, EvalDataset, validate_dataset
 from ordeval.errors import (
     DuplicateId,
     EmptyDataset,
@@ -14,7 +16,16 @@ from ordeval.errors import (
 )
 
 from helpers import make_dataset, random_prob_matrix
+from ordeval.scoring import _cumulative_diffs
 from reference import ref_cumulative
+
+
+def cumulative(row):
+    """The first K-1 entries of a probability vector's cumulative
+    distribution, as ``_cumulative_diffs`` gives them against label K-1,
+    whose own cumulative distribution is 0 there."""
+    row = np.asarray(row, dtype=np.float64)
+    return _cumulative_diffs(row[None, :], np.array([len(row) - 1]))[0]
 
 
 class TestValidation:
@@ -74,6 +85,34 @@ class TestValidation:
         assert np.array_equal(probs, before) and np.array_equal(labels, [0, 2])
         assert not ds.probs.flags.writeable and not ds.labels.flags.writeable
 
+    @pytest.mark.parametrize(
+        "sid, reason",
+        [(3, "of type int; ids must be str"), (b"b", "of type bytes"), (None, "of type NoneType")],
+    )
+    def test_rejects_an_id_that_is_not_a_str(self, sid, reason):
+        with pytest.raises(InvalidConfig, match=f"^sample 1 has id {re.escape(repr(sid))} {reason}"):
+            make_dataset(np.full((3, 2), 0.5), [0] * 3, ids=("a", sid, "c"))
+
+    def test_rejects_an_id_that_cannot_be_stored(self):
+        # a lone surrogate is a str that UTF-8, and so StringDType, cannot hold
+        with pytest.raises(InvalidConfig, match=r"^sample 2 has id '\\ud800', which holds a lone surrogate$"):
+            make_dataset(np.full((3, 2), 0.5), [0] * 3, ids=("a", "b", "\ud800"))
+
+    def test_ids_are_a_read_only_sequence_of_str(self):
+        ids = ("a", "é" * 20, "c,d", "")
+        ds = make_dataset(np.full((4, 2), 0.5), [0, 1, 0, 1], ids=ids)
+        assert type(ds.ids[1]) is str and ds.ids[1] == "é" * 20 and ds.ids[-1] == ""
+        assert ds.ids[1:3] == ("é" * 20, "c,d") and type(ds.ids[1:3]) is tuple
+        assert ds.ids == ids and ids == ds.ids and ds.ids == list(ids)
+        assert ds.ids != ids[:3] and ds.ids != ("a", "b", "c,d", "") and ds.ids != "a"
+        assert list(ds.ids) == list(ids) and len(ds.ids) == 4 and "c,d" in ds.ids
+        with pytest.raises(TypeError):
+            ds.ids[0] = "z"
+        with pytest.raises(IndexError):
+            ds.ids[4]
+        again = validate_dataset(ds)
+        assert again.ids is ds.ids and again.ids == make_dataset(ds.probs, ds.labels, ids=ids).ids
+
     def test_rejects_empty(self):
         with pytest.raises(EmptyDataset):
             validate_dataset(EvalDataset(2, (), np.array([], dtype=np.int64),
@@ -120,26 +159,28 @@ class TestValidation:
 
 class TestCumulative:
     def test_worked_example(self):
-        assert np.allclose(cumulative([0.25, 0.75, 0.0]), [0.25, 1.0, 1.0], atol=1e-15)
+        assert np.allclose(cumulative([0.25, 0.75, 0.0]), [0.25, 1.0], atol=1e-15)
 
     def test_one_hot_first_class(self):
-        assert np.array_equal(cumulative([1.0, 0.0, 0.0]), [1.0, 1.0, 1.0])
+        assert np.array_equal(cumulative([1.0, 0.0, 0.0]), [1.0, 1.0])
 
     def test_symmetric_example(self):
-        assert np.allclose(cumulative([0.30, 0.40, 0.30]), [0.30, 0.70, 1.0], atol=1e-12)
+        assert np.allclose(cumulative([0.30, 0.40, 0.30]), [0.30, 0.70], atol=1e-12)
 
     def test_matches_partial_sum_oracle(self):
         rng = np.random.default_rng(21)
         for k in (2, 3, 5, 8):
             for row in random_prob_matrix(rng, 50, k):
-                assert np.allclose(cumulative(row), ref_cumulative(row), atol=1e-12)
+                assert np.allclose(cumulative(row), ref_cumulative(row)[:-1], atol=1e-12)
 
     def test_monotone_and_ends_at_one(self):
         rng = np.random.default_rng(22)
         for row in random_prob_matrix(rng, 200, 6):
             c = cumulative(row)
             assert np.all(np.diff(c) >= 0)
-            assert c[-1] == 1.0
+            assert np.all(c <= 1.0)
+            # label 0's cumulative distribution is 1 from class 0 on
+            assert np.array_equal(_cumulative_diffs(row[None, :], np.array([0]))[0], c - 1.0)
 
 
 class TestCostMatrix:

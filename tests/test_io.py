@@ -4,6 +4,7 @@ import json
 import os
 import random
 import stat
+import threading
 import tracemalloc
 import warnings
 from io import StringIO
@@ -80,6 +81,19 @@ PARSER_CORPUS = {
     "wrong-arity": (K2 + "a,0,1.0,0.0\nb,1,0.0\n", 0, False),
     "label-zero-base-one": (K2 + "a,1,1.0,0.0\nb,0,0.0,1.0\n", 1, False),
     "label-base-one": (K2 + "a,1,1.0,0.0\nb,2,0.0,1.0\n", 1, True),
+}
+
+# files the np.loadtxt pass must read, however its blocks are cut
+BLOCK_EDGE_CORPUS = {
+    "quoted-lf": K2 + 'a,0,1.0,0.0\n"two\nlines",1,0.0,1.0\n"x\n\ny",0,0.5,0.5\nb,1,0.0,1.0\n',
+    "quoted-crlf": K2 + '"two\r\nlines",0,1.0,0.0\r\nb,1,0.0,1.0\r\n"\r\n",0,0.5,0.5\r\n',
+    "doubled-quotes": K2 + '"say ""hi""",0,1.0,0.0\n"""",1,0.0,1.0\n"a,""b""\nc",0,0.5,0.5\nd,1,0.0,1.0\n',
+    "crlf": "id,label,p0,p1\r\n" + "".join(f"r{i},{i % 2},0.5,0.5\r\n" for i in range(6)),
+    "bom-blank-lines": "\ufeff" + K2 + "\na,0,1.0,0.0\n\r\n\nb,1,0.0,1.0\n\n",
+    # a quote inside a bare field is not RFC 4180 quoting, so no later cut
+    # is trusted: the rest of the file is one np.loadtxt input
+    "stray-quote": K2 + 'x"y,0,1.0,0.0\n"two\nlines",1,0.0,1.0\nb,0,1.0,0.0\n',
+    "stray-quote-first": K2 + 'x"y,0,1.0,0.0\n' + "".join(f"r{i},1,0.0,1.0\n" for i in range(500)),
 }
 
 
@@ -214,6 +228,39 @@ class TestReadPredictions:
                 _read_rows, str(path), label_base
             ), path.read_bytes()
 
+    @pytest.mark.parametrize("name", list(BLOCK_EDGE_CORPUS))
+    def test_blocks_cut_anywhere_read_like_the_row_parser(self, tmp_path, monkeypatch, name):
+        # a block of a few characters puts a block edge at every position of
+        # the file for one size or another: inside quoted line breaks and
+        # doubled quotes, and between the CR and LF of a CRLF pair; 16 cuts
+        # "stray-quote" where its quote count is even inside a quoted field
+        path = tmp_path / "p.csv"
+        path.write_bytes(BLOCK_EDGE_CORPUS[name].encode("utf-8"))
+        want = _outcome(_read_rows, str(path), 0)
+        assert not isinstance(want[0], type)  # the corpus holds readable files
+        for chars in (*range(1, 12), 16, 64):
+            monkeypatch.setattr(ordeval.io, "_BLOCK_CHARS", chars)
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                assert _parse_bulk(fh, 0) is not None, chars
+            assert _outcome(read_predictions, str(path), 0) == want, chars
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_a_pipe(self, tmp_path):
+        # a pipe cannot seek back after its lines are counted: it is parsed
+        # in one pass, to the values the file itself gives
+        path = tmp_path / "p.csv"
+        write_predictions(generate(SynthConfig(n=300, k=3, seed=4)), str(path))
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
+        writer.start()
+        try:
+            got = _outcome(read_predictions, str(fifo), 0)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert got == _outcome(read_predictions, str(path), 0)
+
     @pytest.mark.filterwarnings("default")
     @pytest.mark.parametrize("label", ["2.7", "3.0", ".5", "1e0"])
     def test_real_label_is_rejected_without_the_error_filter(self, tmp_path, label):
@@ -328,13 +375,23 @@ def _traced(fn, *args):
 
 
 class TestMemory:
-    # the tables are streamed a chunk at a time, the parse buffer is freed
-    # before validation, and the id check sorts 8-byte hashes instead of
-    # building a set
+    # the tables are streamed a chunk at a time; files are parsed, datasets
+    # generated and rules scored a block of rows at a time into the
+    # dataset's own arrays, which validation checks in place
+
+    # at 50k x 5 rows: a block's temporaries, plus the few 8-byte-a-row
+    # vectors (0.4 MB each) that the ranking and ECE sort
+    ALLOWANCE = 2_500_000
+    N = 50_000
+
+    @staticmethod
+    def _resident(ds):
+        # StringDType takes 16 bytes an id of up to 15 bytes, "s000001" among them
+        return ds.probs.nbytes + ds.labels.nbytes + 16 * len(ds)
 
     def test_write_peak_does_not_grow_with_the_file(self, tmp_path, monkeypatch):
-        # 2 chunks against 10, as 32k and 160k rows are at the default chunk
-        # size, with 8 times fewer rows to trace
+        # 2 chunks against 10, as 8k and 40k rows are at the default chunk
+        # size, with fewer rows to trace
         monkeypatch.setattr(ordeval.io, "_CHUNK_ROWS", 2048)
         peaks = []
         for n in (4096, 20480):
@@ -352,6 +409,29 @@ class TestMemory:
         write_predictions(generate(SynthConfig(n=20_000, k=5, seed=1)), path)
         ds, held, peak = _traced(read_predictions, path)
         assert len(ds) == 20_000 and peak <= 1.8 * held
+
+    def test_generate_holds_little_beyond_the_dataset(self):
+        ds, _, peak = _traced(generate, SynthConfig(n=self.N, k=5, noise=1.2, miscal=1.5, seed=1))
+        assert peak <= self._resident(ds) + self.ALLOWANCE
+
+    def test_read_holds_little_beyond_the_dataset(self, tmp_path):
+        path = str(tmp_path / "p.csv")
+        write_predictions(generate(SynthConfig(n=self.N, k=5, noise=1.2, miscal=1.5, seed=1)), path)
+        ds, _, peak = _traced(read_predictions, path)
+        assert len(ds) == self.N and peak <= self._resident(ds) + self.ALLOWANCE
+
+    def test_metric_report_holds_little_beyond_the_dataset(self):
+        ds = generate(SynthConfig(n=self.N, k=5, noise=1.2, miscal=1.5, seed=1))
+        assert _traced(metric_report, ds)[2] <= self.ALLOWANCE
+
+    def test_ranking_and_writing_scores_hold_little_beyond_the_dataset(self, tmp_path):
+        ds = generate(SynthConfig(n=self.N, k=5, noise=1.2, miscal=1.5, seed=1))
+
+        def score():
+            order, scores = rank_samples(ds, "sa_rps")
+            write_scores(ds, order, scores, str(tmp_path / "s.csv"))
+
+        assert _traced(score)[2] <= self.ALLOWANCE
 
 
 class TestAtomicWrites:

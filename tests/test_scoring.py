@@ -7,6 +7,7 @@ import pytest
 from ordeval import SynthConfig, brier, generate, log_score, rank_samples, rps, sa_rps
 from ordeval.errors import UnknownRule
 from ordeval.hard import hard_predictions
+from ordeval import scoring
 from ordeval.scoring import RULES
 
 from helpers import make_dataset, random_prob_matrix
@@ -219,6 +220,13 @@ class TestRuleKernels:
             for rule, fn in RULES.items()
         }
         assert got == digests
+
+    @pytest.mark.parametrize("cfg, digests", DIGESTS, ids=["k5", "k8-shuffled", "k2"])
+    def test_frozen_digests_in_small_blocks(self, cfg, digests, monkeypatch):
+        # scores are filled a block of rows at a time; the rows of a block
+        # are scored alone, so the block size changes no bit
+        monkeypatch.setattr(scoring, "_BLOCK_ROWS", 7)
+        self.test_frozen_digests(cfg, digests)
 
     @pytest.mark.parametrize("rule", ["rps", "sa_rps"])
     def test_cumulative_rules_peak_memory(self, rule):

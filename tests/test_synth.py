@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from ordeval import synth
 from ordeval import SynthConfig, brier, ece, generate, log_score, metric_report, rps, validate_dataset
 from ordeval.errors import InvalidConfig
 
@@ -67,6 +68,19 @@ class TestDeterminism:
         h.update(ds.probs.astype("<f8").tobytes())
         h.update("\n".join(ds.ids).encode())
         assert h.hexdigest() == digest
+
+
+    @pytest.mark.parametrize("mode", ["ordinal", "shuffled"])
+    @pytest.mark.parametrize("k", [2, 8])
+    def test_block_size_changes_nothing(self, monkeypatch, mode, k):
+        cfg = SynthConfig(n=50, k=k, noise=1.4, miscal=1.7, mode=mode, seed=13)
+        want = generate(cfg)
+        for rows in (1, 7, cfg.n):
+            monkeypatch.setattr(synth, "_BLOCK_ROWS", rows)
+            got = generate(cfg)
+            assert got.ids == want.ids
+            assert got.labels.tobytes() == want.labels.tobytes()
+            assert got.probs.tobytes() == want.probs.tobytes()
 
 
 class TestLimits:
