@@ -13,12 +13,13 @@ holding a comma, a quote, a line feed or a carriage return is written in
 double quotes with its quotes doubled, so it reads back unchanged; every
 other field is written bare. Written files get the mode ``open`` gives a
 new file: 0o666 less the umask.
-A prediction file is parsed by ``np.loadtxt`` a block of text at a time,
-each block cut at a line end outside quotes and written straight into the
-dataset's arrays, which are sized from a count of the file's lines; where
-quoting makes a cut uncertain, the rest of the file is parsed in one pass.
-Any file that pass does not accept is parsed again row by row with
-``csv.reader``, which either reads it or names the error. Readers accept a
+A prediction file is opened once, in binary; one that cannot seek, such
+as a pipe, is first copied to an anonymous temp file. ``np.loadtxt`` parses
+it a block of rows at a time from the open handle, taking only the lines
+each block needs, and writes each block straight into the dataset's arrays,
+which are sized from a count of the file's lines. Any file that pass does
+not accept is parsed again from its start, row by row with ``csv.reader``,
+which either reads it or names the error. Readers accept a
 UTF-8 byte order mark, CRLF line ends and blank lines, and report errors
 with the line number as it appears in the file.
 Reals are written with 17 significant digits, which round-trips float64
@@ -29,16 +30,18 @@ import csv
 import json
 import os
 import re
+import shutil
+import tempfile
 import warnings
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict
-from io import StringIO
-from itertools import chain
+from io import TextIOWrapper
 
 import numpy as np
 
 from .data import CostMatrix, EvalDataset, _Built, _id_array, validate_dataset
 from .errors import (
+    EvalError,
     GridMismatch,
     InvalidConfig,
     LabelOutOfRange,
@@ -61,14 +64,12 @@ _CHUNK_ROWS = 4096
 
 _needs_quotes = re.compile(r'[,"\r\n]').search
 
-# characters of CSV text per np.loadtxt call, and bytes per read when
-# counting lines: io.StringIO holds 4 bytes a character, so a block and its
-# parse take under a megabyte, and np.loadtxt runs no slower than on the file
-_BLOCK_CHARS = 1 << 16
+# bytes per read when counting a file's lines
+_READ_BYTES = 1 << 16
 
-# a field in double quotes, with its quotes doubled, between field
-# separators or line ends: RFC 4180 quoting that closes
-_QUOTED_FIELD = re.compile(r'(?<![^,\r\n])"(?:[^"]|"")*"(?![^,\r\n])')
+# rows per np.loadtxt call: a call's rows take about 0.13 MB at K = 5, and
+# the per-call overhead vanishes in the parse
+_LOADTXT_ROWS = 1024
 
 
 @contextmanager
@@ -167,11 +168,20 @@ def read_predictions(path: str, label_base: int = 0) -> EvalDataset:
     """
     if label_base not in (0, 1):
         raise InvalidConfig(f"label_base must be 0 or 1, got {label_base}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        raw = _parse_bulk(fh, label_base)
-    if raw is None:
-        return _read_rows(path, label_base)
-    return validate_dataset(raw)
+    with ExitStack() as stack:
+        raw = stack.enter_context(open(path, "rb"))
+        if not raw.seekable():  # a pipe: copy it, so both parsers can read it
+            spool = stack.enter_context(tempfile.TemporaryFile())
+            shutil.copyfileobj(raw, spool)
+            spool.seek(0)
+            raw = spool
+        # the BOM dropped, line ends kept as they are
+        fh = stack.enter_context(TextIOWrapper(raw, "utf-8-sig", newline=""))
+        ds = _parse_bulk(fh, label_base)
+        if ds is None:
+            fh.seek(0)
+            ds = _read_rows(fh, path, label_base)
+    return validate_dataset(ds)
 
 
 def _line_count(raw) -> int:
@@ -180,7 +190,7 @@ def _line_count(raw) -> int:
     end. A CRLF split between two reads counts twice, so the count is an
     upper bound."""
     count, last = 0, b"\n"
-    while chunk := raw.read(_BLOCK_CHARS):
+    while chunk := raw.read(_READ_BYTES):
         count += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
         if b"\r" in chunk:
             count += chunk.count(b"\r") - chunk.count(b"\r\n")
@@ -188,34 +198,10 @@ def _line_count(raw) -> int:
     return count + (last not in b"\r\n")
 
 
-def _sources(fh):
-    """The rest of the text file ``fh`` as inputs for ``np.loadtxt``: blocks
-    of about ``_BLOCK_CHARS`` characters, each cut at a line end.
-
-    A cut is trusted only while every double quote in the block is RFC 4180
-    field quoting and every quoted field closes within it. From the first
-    block that breaks this (a quoted line break across the cut, or a quote
-    inside a bare field), that block and the rest of the file are one
-    input, read line by line as a whole-file parse reads them.
-    """
-    while text := fh.read(_BLOCK_CHARS):
-        if text[-1] not in "\r\n":
-            text += fh.readline()
-        # numpy reads a StringIO that splits lines at \n alone far faster
-        # (613 against 720 ms of CPU at 200k rows); a lone \r needs the split
-        # a file opened with newline="" makes
-        lone_cr = "\r" in text and text.count("\r") != text.count("\r\n")
-        block = StringIO(text, newline="" if lone_cr else "\n")
-        if '"' in text and '"' in _QUOTED_FIELD.sub("", text):
-            yield chain(block, fh)
-            return
-        yield block
-
-
 def _parse_bulk(fh, label_base: int) -> EvalDataset | None:
-    """The unvalidated dataset in the text file ``fh``, read from its start
-    by ``np.loadtxt`` a block at a time, or None when ``_read_rows`` must
-    decide.
+    """The unvalidated dataset in the seekable text file ``fh``, read from
+    its start by ``np.loadtxt`` a block of rows at a time, or None when
+    ``_read_rows`` must decide.
 
     The pass accepts a subset of what ``_read_rows`` accepts and reads it to
     the same values. It gives up on a header that is not bare
@@ -225,38 +211,39 @@ def _parse_bulk(fh, label_base: int) -> EvalDataset | None:
     parser.
 
     The dataset's arrays are allocated once, for as many rows as the file
-    has lines after its header, filled one ``_sources`` input at a time, and
-    cut to the rows read; each input's ids are hashed while they are still
-    ``str``. A file that cannot seek, such as a pipe, is one input, and the
-    arrays are sized by what it held.
+    has lines after its header, filled by ``np.loadtxt`` calls of at most
+    ``_LOADTXT_ROWS`` rows each, and cut to the rows read; each call's ids
+    are hashed while they are still ``str``. A call takes from the handle's
+    line iterator only the lines its rows span, quoted line breaks
+    included, so no row is ever split between two calls; the first call
+    that finds no row marks the end of the file.
     """
-    seekable = fh.seekable()
-    bound = _line_count(fh.buffer) - 1 if seekable else None
-    if seekable:
-        fh.seek(0)
+    bound = _line_count(fh.buffer) - 1
+    fh.seek(0)
     k = _header_classes(fh.readline().rstrip("\r\n").split(","))
-    if k is None or bound is not None and bound < 1:
+    if k is None or bound < 1:
         return None
     dtype = np.dtype([("id", object), ("label", np.int64), ("p", np.float64, (k,))])
-    m, labels = 0, None
+    ids = np.empty(bound, dtype=np.dtypes.StringDType())
+    hashes = np.empty(bound, dtype=np.int64)
+    labels = np.empty(bound, dtype=np.int64)
+    probs = np.empty((bound, k))
+    m = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
         # numpy releases that still read an int field such as "2.7" as a
         # truncated float do so under a DeprecationWarning: refuse them
         warnings.simplefilter("error", DeprecationWarning)
-        for source in _sources(fh) if seekable else [fh]:
+        while True:
             try:
                 rows = np.loadtxt(
-                    source, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
+                    fh, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                    ndmin=1, max_rows=_LOADTXT_ROWS,
                 )
             except (ValueError, DeprecationWarning):
                 return None
-            if labels is None:
-                bound = len(rows) if bound is None else bound
-                ids = np.empty(bound, dtype=np.dtypes.StringDType())
-                hashes = np.empty(bound, dtype=np.int64)
-                labels = np.empty(bound, dtype=np.int64)
-                probs = np.empty((bound, k))
+            if len(rows) == 0:
+                break
             lo, m = m, m + len(rows)
             hashes[lo:m] = np.fromiter(map(hash, rows["id"].tolist()), np.int64, m - lo)
             ids[lo:m] = rows["id"]
@@ -274,53 +261,51 @@ def _parse_bulk(fh, label_base: int) -> EvalDataset | None:
     return _Built(k, ids, labels, probs, hashes)
 
 
-def _read_rows(path: str, label_base: int) -> EvalDataset:
-    """``read_predictions`` one ``csv.reader`` record at a time: slower than
-    ``_parse_bulk``, but it reads every file the format allows and names the
+def _read_rows(fh, path: str, label_base: int) -> EvalDataset:
+    """The unvalidated dataset in the text file ``fh``, read from where it
+    stands one ``csv.reader`` record at a time: slower than ``_parse_bulk``,
+    but it reads every file the format allows and, naming ``path``, the
     file line of the first fault in any other."""
-    ids = []
-    labels = []
-    probs = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        records = _records(fh)
-        first = next(records, None)
-        if first is None:
-            raise MalformedHeader(f"{path}: empty file")
-        lineno, header = first
-        k = _header_classes(header)
-        if k is None:
-            raise MalformedHeader(
-                f"{path}: line {lineno}: expected header 'id,label,p0,...', "
-                f"got {','.join(field.strip() for field in header)!r}"
+    ids, labels, probs = [], [], []
+    records = _records(fh)
+    first = next(records, None)
+    if first is None:
+        raise MalformedHeader(f"{path}: empty file")
+    lineno, header = first
+    k = _header_classes(header)
+    if k is None:
+        raise MalformedHeader(
+            f"{path}: line {lineno}: expected header 'id,label,p0,...', "
+            f"got {','.join(field.strip() for field in header)!r}"
+        )
+    for lineno, row in records:
+        if len(row) != k + 2:
+            raise RowArityMismatch(
+                f"{path}: line {lineno}: expected {k + 2} fields, got {len(row)}"
             )
-        for lineno, row in records:
-            if len(row) != k + 2:
-                raise RowArityMismatch(
-                    f"{path}: line {lineno}: expected {k + 2} fields, got {len(row)}"
-                )
-            try:
-                label = int(row[1])
-            except ValueError:
-                raise NonNumericField(
-                    f"{path}: line {lineno}: label {row[1]!r} is not an integer"
-                ) from None
-            if not label_base <= label < k + label_base:
-                raise LabelOutOfRange(
-                    f"{path}: line {lineno}: label {row[1]!r} outside "
-                    f"{label_base}..{k - 1 + label_base}"
-                )
-            ids.append(row[0])
-            labels.append(label)
-            try:
-                probs.extend(map(float, row[2:]))
-            except ValueError:
-                raise NonNumericField(
-                    f"{path}: line {lineno}: non-numeric probability"
-                ) from None
+        try:
+            label = int(row[1])
+        except ValueError:
+            raise NonNumericField(
+                f"{path}: line {lineno}: label {row[1]!r} is not an integer"
+            ) from None
+        if not label_base <= label < k + label_base:
+            raise LabelOutOfRange(
+                f"{path}: line {lineno}: label {row[1]!r} outside "
+                f"{label_base}..{k - 1 + label_base}"
+            )
+        ids.append(row[0])
+        labels.append(label)
+        try:
+            probs.extend(map(float, row[2:]))
+        except ValueError:
+            raise NonNumericField(
+                f"{path}: line {lineno}: non-numeric probability"
+            ) from None
 
     labels = np.array(labels, dtype=np.int64) - label_base
     probs = np.array(probs, dtype=np.float64).reshape(len(ids), k)
-    return validate_dataset(EvalDataset(k, tuple(ids), labels, probs))
+    return EvalDataset(k, tuple(ids), labels, probs)
 
 
 def write_predictions(ds: EvalDataset, path: str) -> None:
@@ -346,7 +331,8 @@ def write_scores(ds: EvalDataset, order: np.ndarray, scores: np.ndarray, path: s
 
 
 def read_cost_matrix(path: str) -> CostMatrix:
-    """Parse a K x K cost CSV (no header) with full CostMatrix validation."""
+    """Parse a K x K cost CSV (no header) with full CostMatrix validation;
+    every error names the file."""
     parsed = []
     width = None
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -363,7 +349,10 @@ def read_cost_matrix(path: str) -> CostMatrix:
                 raise NonNumericField(
                     f"{path}: line {lineno}: non-numeric cost"
                 ) from None
-    return CostMatrix.from_array(parsed)
+    try:
+        return CostMatrix.from_array(parsed)
+    except EvalError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def report_json(report, config: dict | None = None) -> str:

@@ -3,6 +3,7 @@ import gc
 import json
 import os
 import random
+import re
 import stat
 import threading
 import tracemalloc
@@ -41,6 +42,7 @@ from ordeval.errors import (
     ShapeMismatch,
 )
 from ordeval.cli import main
+from ordeval.data import validate_dataset
 from ordeval.io import _parse_bulk, _read_rows, write_scores
 from ordeval.retention import rank_samples
 
@@ -83,18 +85,24 @@ PARSER_CORPUS = {
     "label-base-one": (K2 + "a,1,1.0,0.0\nb,2,0.0,1.0\n", 1, True),
 }
 
-# files the np.loadtxt pass must read, however its blocks are cut
+# files the np.loadtxt pass must read, however many rows each call takes
 BLOCK_EDGE_CORPUS = {
     "quoted-lf": K2 + 'a,0,1.0,0.0\n"two\nlines",1,0.0,1.0\n"x\n\ny",0,0.5,0.5\nb,1,0.0,1.0\n',
     "quoted-crlf": K2 + '"two\r\nlines",0,1.0,0.0\r\nb,1,0.0,1.0\r\n"\r\n",0,0.5,0.5\r\n',
     "doubled-quotes": K2 + '"say ""hi""",0,1.0,0.0\n"""",1,0.0,1.0\n"a,""b""\nc",0,0.5,0.5\nd,1,0.0,1.0\n',
     "crlf": "id,label,p0,p1\r\n" + "".join(f"r{i},{i % 2},0.5,0.5\r\n" for i in range(6)),
     "bom-blank-lines": "\ufeff" + K2 + "\na,0,1.0,0.0\n\r\n\nb,1,0.0,1.0\n\n",
-    # a quote inside a bare field is not RFC 4180 quoting, so no later cut
-    # is trusted: the rest of the file is one np.loadtxt input
+    # a quote inside a bare field is part of the field, not quoting
     "stray-quote": K2 + 'x"y,0,1.0,0.0\n"two\nlines",1,0.0,1.0\nb,0,1.0,0.0\n',
     "stray-quote-first": K2 + 'x"y,0,1.0,0.0\n' + "".join(f"r{i},1,0.0,1.0\n" for i in range(500)),
 }
+
+
+def _row_parse(path, label_base):
+    """``_read_rows`` on the file at ``path``, validated as
+    ``read_predictions`` validates what it reads."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        return validate_dataset(_read_rows(fh, path, label_base))
 
 
 def _outcome(read, path, label_base):
@@ -213,7 +221,7 @@ class TestReadPredictions:
         path = tmp_path / "p.csv"
         path.write_bytes(text.encode("utf-8"))
         assert _outcome(read_predictions, str(path), label_base) == _outcome(
-            _read_rows, str(path), label_base
+            _row_parse, str(path), label_base
         )
         with open(path, newline="", encoding="utf-8-sig") as fh:
             assert (_parse_bulk(fh, label_base) is not None) == bulk
@@ -225,31 +233,34 @@ class TestReadPredictions:
             path.write_bytes(_random_file(rng).encode("utf-8"))
             label_base = rng.randrange(2)
             assert _outcome(read_predictions, str(path), label_base) == _outcome(
-                _read_rows, str(path), label_base
+                _row_parse, str(path), label_base
             ), path.read_bytes()
 
     @pytest.mark.parametrize("name", list(BLOCK_EDGE_CORPUS))
     def test_blocks_cut_anywhere_read_like_the_row_parser(self, tmp_path, monkeypatch, name):
-        # a block of a few characters puts a block edge at every position of
-        # the file for one size or another: inside quoted line breaks and
-        # doubled quotes, and between the CR and LF of a CRLF pair; 16 cuts
-        # "stray-quote" where its quote count is even inside a quoted field
+        # blocks of a few rows put a block edge after every row for one size
+        # or another: after rows that span quoted line breaks, hold doubled
+        # quotes or end in CRLF, and before blank lines. A call that read
+        # lines past its last row would lose them from the next block
         path = tmp_path / "p.csv"
         path.write_bytes(BLOCK_EDGE_CORPUS[name].encode("utf-8"))
-        want = _outcome(_read_rows, str(path), 0)
+        want = _outcome(_row_parse, str(path), 0)
         assert not isinstance(want[0], type)  # the corpus holds readable files
-        for chars in (*range(1, 12), 16, 64):
-            monkeypatch.setattr(ordeval.io, "_BLOCK_CHARS", chars)
+        for rows in (1, 2, 3, 5):
+            monkeypatch.setattr(ordeval.io, "_LOADTXT_ROWS", rows)
             with open(path, newline="", encoding="utf-8-sig") as fh:
-                assert _parse_bulk(fh, 0) is not None, chars
-            assert _outcome(read_predictions, str(path), 0) == want, chars
+                assert _parse_bulk(fh, 0) is not None, rows
+            assert _outcome(read_predictions, str(path), 0) == want, rows
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_reads_a_pipe(self, tmp_path):
-        # a pipe cannot seek back after its lines are counted: it is parsed
-        # in one pass, to the values the file itself gives
+    def test_reads_a_pipe(self, tmp_path, monkeypatch):
+        # a pipe is copied to a temp file, which the bulk pass reads, over
+        # several np.loadtxt calls, to the values the file itself gives
         path = tmp_path / "p.csv"
-        write_predictions(generate(SynthConfig(n=300, k=3, seed=4)), str(path))
+        n = 3 * ordeval.io._LOADTXT_ROWS + 1
+        write_predictions(generate(SynthConfig(n=n, k=3, seed=4)), str(path))
+        want = _outcome(read_predictions, str(path), 0)
+        monkeypatch.setattr(ordeval.io, "_read_rows", None)  # the bulk pass must read it
         fifo = tmp_path / "pipe.csv"
         os.mkfifo(fifo)
         writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
@@ -259,7 +270,28 @@ class TestReadPredictions:
         finally:
             writer.join(timeout=10)
         assert not writer.is_alive()
-        assert got == _outcome(read_predictions, str(path), 0)
+        assert len(got[0]) == n and got == want
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_errors_name_the_pipe_and_line(self, tmp_path):
+        # the row parser reads the pipe's copy: it must not wait on the
+        # drained pipe for a writer that has gone. The read runs in a
+        # daemon thread, so a read that blocks fails the test, not the suite
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        text = (K2 + "a,0,1.0,0.0\nb,1,0.5\n").encode("utf-8")
+        writer = threading.Thread(target=fifo.write_bytes, args=(text,), daemon=True)
+        got = []
+        reader = threading.Thread(
+            target=lambda: got.append(_outcome(read_predictions, str(fifo), 0)), daemon=True
+        )
+        writer.start()
+        reader.start()
+        reader.join(timeout=10)
+        assert not reader.is_alive(), "the read blocked on the drained pipe"
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert got == [(RowArityMismatch, f"{fifo}: line 3: expected 4 fields, got 3")]
 
     @pytest.mark.filterwarnings("default")
     @pytest.mark.parametrize("label", ["2.7", "3.0", ".5", "1e0"])
@@ -420,6 +452,19 @@ class TestMemory:
         ds, _, peak = _traced(read_predictions, path)
         assert len(ds) == self.N and peak <= self._resident(ds) + self.ALLOWANCE
 
+    def test_read_with_a_stray_quote_holds_little_beyond_the_dataset(self, tmp_path):
+        # a quote inside a bare id is data: the file is still read a block
+        # of rows at a time, not in one np.loadtxt call from that row on
+        path = tmp_path / "p.csv"
+        write_predictions(generate(SynthConfig(n=self.N, k=5, noise=1.2, miscal=1.5, seed=1)),
+                          str(path))
+        lines = path.read_bytes().split(b"\n")
+        lines[11] = b'5"x' + lines[11][lines[11].index(b","):]  # file line 12
+        path.write_bytes(b"\n".join(lines))
+        ds, _, peak = _traced(read_predictions, str(path))
+        assert ds.ids[10] == '5"x' and len(ds) == self.N
+        assert peak <= self._resident(ds) + self.ALLOWANCE
+
     def test_metric_report_holds_little_beyond_the_dataset(self):
         ds = generate(SynthConfig(n=self.N, k=5, noise=1.2, miscal=1.5, seed=1))
         assert _traced(metric_report, ds)[2] <= self.ALLOWANCE
@@ -473,6 +518,21 @@ class TestCostMatrixFile:
         f = tmp_path / "c.csv"
         f.write_text("0,1,2\n1,0,1\n")
         with pytest.raises(ShapeMismatch):
+            read_cost_matrix(str(f))
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("0,1\n-1,0\n", InvalidConfig, "cost matrix entries must be nonnegative"),
+            ("0,1,2\n1,0,1\n", ShapeMismatch, "cost matrix must be square, got shape (2, 3)"),
+            ("", ShapeMismatch, "cost matrix must be square, got shape (0,)"),
+        ],
+        ids=["negative", "non-square", "empty"],
+    )
+    def test_errors_name_the_file(self, tmp_path, text, error, message):
+        f = tmp_path / "c.csv"
+        f.write_text(text)
+        with pytest.raises(error, match="^" + re.escape(f"{f}: {message}") + "$"):
             read_cost_matrix(str(f))
 
     def test_non_numeric(self, tmp_path):
