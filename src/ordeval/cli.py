@@ -62,12 +62,15 @@ def _parse_fraction_spec(spec: str) -> tuple:
     return check_fractions(grid)
 
 
-def _resolve_cost(choice: str, num_classes: int) -> CostMatrix:
-    if choice == "linear":
-        return CostMatrix.linear(num_classes)
-    if choice == "quadratic":
-        return CostMatrix.quadratic(num_classes)
-    cost = io.read_cost_matrix(choice)
+def _read_cost(choice: str) -> CostMatrix | None:
+    """The matrix in a ``--cost`` file, or None for a named one. The file is
+    read before the input, so a bad one fails at once."""
+    return None if choice in ("linear", "quadratic") else io.read_cost_matrix(choice)
+
+
+def _resolve_cost(choice: str, cost: CostMatrix | None, num_classes: int) -> CostMatrix:
+    if cost is None:
+        return (CostMatrix.linear if choice == "linear" else CostMatrix.quadratic)(num_classes)
     if cost.num_classes != num_classes:
         raise InvalidConfig(
             f"cost matrix is {cost.num_classes}x{cost.num_classes}, "
@@ -104,8 +107,9 @@ def cmd_score(args) -> int:
 
 def cmd_evaluate(args) -> int:
     check_bins(args.bins)
+    cost = _read_cost(args.cost)
     ds = io.read_predictions(args.input, label_base=args.label_base)
-    cost = _resolve_cost(args.cost, ds.num_classes)
+    cost = _resolve_cost(args.cost, cost, ds.num_classes)
     report = metric_report(ds, cost=cost, bins=args.bins)
     config = {
         "input": args.input,
@@ -127,8 +131,9 @@ def cmd_rsc(args) -> int:
     if not 1 <= args.threads <= MAX_THREADS:
         raise InvalidConfig(f"threads must be 1 to {MAX_THREADS}, got {args.threads}")
     check_metric(args.metric)
+    cost = _read_cost(args.cost)
     ds = io.read_predictions(args.input, label_base=args.label_base)
-    cost = _resolve_cost(args.cost, ds.num_classes)
+    cost = _resolve_cost(args.cost, cost, ds.num_classes)
 
     # threads deliberately not echoed: results are a pure function of the
     # fields below
@@ -191,31 +196,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Evaluate probabilistic predictions of ordinal classifiers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared by the subcommands that read a prediction file
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("--input", required=True, help="prediction CSV")
+    dataset.add_argument("--label-base", type=int, default=0, help="0 or 1 (file labels)")
+    costed = argparse.ArgumentParser(add_help=False)
+    costed.add_argument("--cost", default="linear", help="linear | quadratic | path to cost CSV")
 
-    p = sub.add_parser("score", help="per-sample scores under one rule, worst first")
-    p.add_argument("--input", required=True, help="prediction CSV")
+    p = sub.add_parser(
+        "score", parents=[dataset], help="per-sample scores under one rule, worst first"
+    )
     p.add_argument("--rule", required=True, help="brier | log | rps | sa_rps")
     p.add_argument("--output", required=True, help="scores CSV to write")
-    p.add_argument("--label-base", type=int, default=0, help="0 or 1 (file labels)")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("evaluate", help="dataset-level metric report")
-    p.add_argument("--input", required=True, help="prediction CSV")
-    p.add_argument(
-        "--cost", default="linear", help="linear | quadratic | path to cost CSV"
-    )
+    p = sub.add_parser("evaluate", parents=[dataset, costed], help="dataset-level metric report")
     p.add_argument(
         "--bins", type=int, default=DEFAULT_ECE_BINS, help=f"ECE bins, 1 to {MAX_ECE_BINS}"
     )
     p.add_argument("--output", default=None, help="report JSON (default: stdout)")
-    p.add_argument("--label-base", type=int, default=0)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("rsc", help="retention curves with bootstrapped AURSC")
-    p.add_argument("--input", required=True, help="prediction CSV")
-    p.add_argument(
-        "--rules", default=",".join(RULES), help="comma-separated rule list"
+    p = sub.add_parser(
+        "rsc", parents=[dataset, costed], help="retention curves with bootstrapped AURSC"
     )
+    p.add_argument("--rules", default=",".join(RULES), help="comma-separated rule list")
     p.add_argument("--metric", default="qwk", help="qwk | ec")
     p.add_argument(
         "--fractions",
@@ -230,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="0 = no resampling")
     p.add_argument("--output-prefix", required=True, help="prefix for output files")
-    p.add_argument("--cost", default="linear")
-    p.add_argument("--label-base", type=int, default=0)
     p.add_argument(
         "--threads",
         type=int,

@@ -35,9 +35,9 @@ SUM_TOLERANCE = 1e-6
 # what makes validation idempotent bit for bit.
 _RENORM_TRIGGER = 1e-12
 
-# rows per block where validation, the rule scores and id iteration walk a
-# dataset a block at a time: the per-block numpy calls vanish in the total,
-# and a block's temporaries stay under a few megabytes
+# rows per block where validation, the argmax, the rule scores and id
+# iteration walk a dataset a block at a time: the per-block numpy calls
+# vanish in the total, and a block's temporaries stay under a few megabytes
 _BLOCK_ROWS = 1 << 14
 
 
@@ -117,12 +117,10 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _id_array(ids) -> np.ndarray:
-    """``ids`` as a 1-D array to index and gather from: the StringDType
-    array of validated ids, an object array of any other sequence."""
-    if isinstance(ids, _Ids):
-        return ids._array
-    return np.fromiter(ids, dtype=object, count=len(ids))
+def _id_array(ids) -> Sequence:
+    """``ids`` to index one id at a time: the StringDType array of
+    validated ids, or any other sequence as it is."""
+    return ids._array if isinstance(ids, _Ids) else ids
 
 
 def _cast_ids(ids) -> tuple[np.ndarray, np.ndarray]:

@@ -10,16 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CostMatrix, EvalDataset
+from .data import _BLOCK_ROWS, CostMatrix, EvalDataset
 from .errors import EmptyDataset, InvalidConfig, ShapeMismatch, ZeroBins
 from .scoring import RULES
 
 DEFAULT_ECE_BINS = 15
 MAX_ECE_BINS = 10**6  # bin edges are allocated up front, so more is rejected
-
-# argmax copies a read-only input, so hard_predictions takes it this many
-# rows at a time and only one block is ever copied
-_ARGMAX_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -36,10 +32,12 @@ class MetricReport:
 
 
 def hard_predictions(ds: EvalDataset) -> np.ndarray:
-    """Argmax class per sample; ties go to the lowest index."""
+    """Argmax class per sample; ties go to the lowest index. argmax copies
+    a read-only input, so it takes ``_BLOCK_ROWS`` rows at a time and only
+    one block is ever copied."""
     out = np.empty(len(ds.probs), dtype=np.intp)
-    for i in range(0, len(out), _ARGMAX_ROWS):
-        np.argmax(ds.probs[i : i + _ARGMAX_ROWS], axis=1, out=out[i : i + _ARGMAX_ROWS])
+    for i in range(0, len(out), _BLOCK_ROWS):
+        np.argmax(ds.probs[i : i + _BLOCK_ROWS], axis=1, out=out[i : i + _BLOCK_ROWS])
     return out
 
 
@@ -141,27 +139,26 @@ def _ece(ds: EvalDataset, pred: np.ndarray, bins: int) -> float:
     """``ece`` from the argmax ``pred`` of a nonempty ``ds``, for a checked
     bin count."""
     conf = ds.probs.max(axis=1)
-    correct = pred == ds.labels
     edges = np.linspace(0.0, 1.0, bins + 1)
     idx = np.digitize(conf, edges, right=True)
     idx -= 1
     np.clip(idx, 0, bins - 1, out=idx)
-    # one stable sort lays every bin's members out contiguously, in dataset
-    # order, so each bin's means add the same values in the same order as a
-    # boolean mask over the whole array would
-    order = np.argsort(idx, kind="stable")
+    # a bin's accuracy is its exact count of correct samples over its size.
+    # One stable sort lays every bin's confidences out contiguously, in
+    # dataset order, so each bin's mean adds the same values in the same
+    # order as a boolean mask over the whole array would
+    hits = np.bincount(idx[pred == ds.labels], minlength=bins)
     counts = np.bincount(idx, minlength=bins)
-    del idx  # before the gathers, which are the peak
-    conf, correct = conf[order], correct[order]
+    order = np.argsort(idx, kind="stable")
+    del idx  # before the gather, which is the peak
+    conf = conf[order]
     stops = np.cumsum(counts)
     total = 0.0
     n = len(ds)
     for b in np.flatnonzero(counts):
         n_b = int(counts[b])
-        members = slice(stops[b] - n_b, stops[b])
-        acc_b = correct[members].mean()
-        conf_b = conf[members].mean()
-        total += n_b / n * abs(acc_b - conf_b)
+        conf_b = conf[stops[b] - n_b : stops[b]].mean()
+        total += n_b / n * abs(hits[b] / n_b - conf_b)
     return float(total)
 
 

@@ -48,6 +48,7 @@ from .errors import (
     MalformedHeader,
     NonNumericField,
     RowArityMismatch,
+    ShapeMismatch,
 )
 from .hard import MetricReport
 from .retention import BootstrapSummary, RetentionCurve
@@ -92,12 +93,6 @@ def _atomic_file(path: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _atomic_write(path: str, data: bytes) -> None:
-    """Write the bytes ``data`` to ``path`` through a renamed temp file."""
-    with _atomic_file(path) as fh:
-        fh.write(data)
 
 
 def _quote(field: str) -> str:
@@ -204,8 +199,9 @@ def _parse_bulk(fh, label_base: int) -> EvalDataset | None:
     ``_read_rows`` must decide.
 
     The pass accepts a subset of what ``_read_rows`` accepts and reads it to
-    the same values. It gives up on a header that is not bare
-    ``id,label,p0,...``, on any field ``np.loadtxt`` rejects (``3_0`` and
+    the same values. It reads the header as ``_read_rows`` does, blanks
+    around its fields included (``id, label, p0, ...``), and gives up on a
+    line that is no header, on any field ``np.loadtxt`` rejects (``3_0`` and
     ``1_0`` among them, which ``int``/``float`` accept), on an empty body and
     on a label out of range, so every error message comes from the row
     parser.
@@ -312,8 +308,7 @@ def write_predictions(ds: EvalDataset, path: str) -> None:
     """Emit a dataset in the prediction CSV schema (0-based labels)."""
     k = ds.num_classes
     template = "%s,%d" + ",%.17g" * k + "\n"
-    ids = _id_array(ds.ids)
-    chunks = ((ids[s].tolist(), [ds.labels[s], *ds.probs[s].T]) for s in _chunks(len(ds)))
+    chunks = ((ds.ids[s], [ds.labels[s], *ds.probs[s].T]) for s in _chunks(len(ds)))
     _write_table(path, _expected_header(k), template, chunks)
 
 
@@ -349,6 +344,8 @@ def read_cost_matrix(path: str) -> CostMatrix:
                 raise NonNumericField(
                     f"{path}: line {lineno}: non-numeric cost"
                 ) from None
+    if not parsed:
+        raise ShapeMismatch(f"{path}: empty file")
     try:
         return CostMatrix.from_array(parsed)
     except EvalError as exc:
@@ -374,7 +371,8 @@ def write_report(report, path: str, fmt: str = "json", config: dict | None = Non
     the file is enough to reproduce the computation.
     """
     if fmt == "json":
-        _atomic_write(path, (report_json(report, config) + "\n").encode("utf-8"))
+        with _atomic_file(path) as fh:
+            fh.write((report_json(report, config) + "\n").encode("utf-8"))
     elif fmt == "csv":
         if not isinstance(report, RetentionCurve):
             raise InvalidConfig("csv format applies only to retention curves")
@@ -484,4 +482,5 @@ def render_curve_svg(curves: list[RetentionCurve], path: str) -> None:
         parts.append(_svg_text(lx + 28, ly + 4, c.rule, None))
 
     parts.append("</svg>")
-    _atomic_write(path, ("\n".join(parts) + "\n").encode("utf-8"))
+    with _atomic_file(path) as fh:
+        fh.write(("\n".join(parts) + "\n").encode("utf-8"))

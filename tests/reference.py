@@ -128,3 +128,49 @@ def ref_stream(seed, count, start=0):
         ref_mix64((seed + (start + k + 1) * GAMMA) & MASK64)
         for k in range(count)
     ]
+
+
+def ref_argmax(probs):
+    """The class of the largest probability, the lowest one on a tie."""
+    return max(range(len(probs)), key=lambda j: probs[j])
+
+
+def _ref_cuts(best, labels, preds, k, fractions, metric, costs):
+    """The confusion counts of the first ``ref_retained_count(f, len(best))``
+    samples of the best-first list ``best``, for each fraction f, and the
+    metric of each: ``(counts, values)``."""
+    counts, values = [], []
+    for f in fractions:
+        cm = [[0] * k for _ in range(k)]
+        for i in best[: ref_retained_count(f, len(best))]:
+            cm[labels[i]][preds[i]] += 1
+        counts.append(cm)
+        values.append(ref_qwk(cm) if metric == "qwk" else ref_expected_cost(cm, costs))
+    return counts, values
+
+
+def ref_retention_curve(scores, labels, preds, k, fractions, metric, costs=None):
+    """A retention curve by plain loops: the samples ranked with ``ref_rank``
+    and reversed to best first, then, at each fraction, the confusion counts
+    of the best ``ref_retained_count`` samples and their ``ref_qwk`` or
+    ``ref_expected_cost``. ``preds`` are the argmax classes. Returns
+    ``(counts, values)``, one entry per fraction."""
+    best = ref_rank(scores)[::-1]
+    return _ref_cuts(best, labels, preds, k, fractions, metric, costs)
+
+
+def ref_replicate(seed, r, scores, labels, preds, k, fractions, metric, costs=None):
+    """Bootstrap replicate ``r`` as ``ref_retention_curve`` scores it.
+
+    The replicate holds sample ``v % n`` for each of the n outputs ``v`` of
+    the SplitMix64 stream seeded by output ``r`` of the stream for ``seed``,
+    as often as it was drawn, in dataset order; seed 0 stands for the
+    dataset itself. It is ranked like a dataset of its own, so tied samples,
+    copies included, keep their dataset order."""
+    n = len(scores)
+    draws = list(range(n))
+    if seed != 0:
+        sub = ref_stream(seed, 1, start=r)[0]
+        draws = sorted(v % n for v in ref_stream(sub, n))
+    best = [draws[j] for j in ref_rank([scores[i] for i in draws])][::-1]
+    return _ref_cuts(best, labels, preds, k, fractions, metric, costs)

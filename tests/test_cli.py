@@ -190,6 +190,26 @@ class TestEvaluateCommand:
         assert run(["evaluate", "--input", perfect_file, "--cost", "quadratic",
                     "--output", tmp_path / "r.json"]) == 0
 
+    @pytest.mark.parametrize("command", ["evaluate", "rsc"])
+    @pytest.mark.parametrize("text", [None, "0,x\n1,0\n"], ids=["missing", "malformed"])
+    def test_cost_file_is_read_before_the_input(
+        self, tmp_path, capsys, monkeypatch, command, text
+    ):
+        # a bad cost file fails at once, not after the whole input is read
+        def reader(*args, **kwargs):
+            raise AssertionError("the input was read before the cost file")
+
+        monkeypatch.setattr(cli.io, "read_predictions", reader)
+        cost = tmp_path / "cost.csv"
+        if text is not None:
+            cost.write_text(text)
+        extra = ["--output-prefix", tmp_path / "x"] if command == "rsc" else []
+        rc = run([command, "--input", tmp_path / "in.csv", "--cost", cost, *extra])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cost) in err
+        assert list(tmp_path.iterdir()) == ([] if text is None else [cost])
+
 
 class TestRscCommand:
     def _synth(self, tmp_path, n=200):

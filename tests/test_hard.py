@@ -53,7 +53,7 @@ class TestHardPredictions:
     @pytest.mark.parametrize("block", [1, 7, 1 << 14])
     def test_matches_one_argmax(self, monkeypatch, block):
         ds = generate(SynthConfig(n=1000, k=5, noise=1.5, seed=42))
-        monkeypatch.setattr(hard, "_ARGMAX_ROWS", block)
+        monkeypatch.setattr(hard, "_BLOCK_ROWS", block)
         got = hard_predictions(ds)
         want = np.argmax(ds.probs.copy(), axis=1)
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -62,7 +62,7 @@ class TestHardPredictions:
         # argmax copies a read-only matrix; a validated dataset is read-only
         ds = generate(SynthConfig(n=100_000, k=5, seed=1))
         assert not ds.probs.flags.writeable
-        block = hard._ARGMAX_ROWS * ds.probs.itemsize * ds.num_classes
+        block = hard._BLOCK_ROWS * ds.probs.itemsize * ds.num_classes
         tracemalloc.start()
         try:
             result = hard_predictions(ds)
@@ -229,6 +229,23 @@ class TestEce:
             for p in (probs, np.round(probs, 1) + 0.01):  # untied, then tied
                 ds = make_dataset(p / p.sum(axis=1, keepdims=True), rng.integers(0, k, n))
                 assert ece(ds, bins) == masked(ds, bins)
+
+    @pytest.mark.parametrize(
+        "name, want",
+        [
+            ("synthetic", ["0x1.a885f6b0206b9p-2", "0x1.a885f6b0206bap-2", "0x1.b955fe22fa0dap-2"]),
+            ("tied", ["0x1.3cb300db91d0cp-2", "0x1.3cb300db91d0cp-2", "0x1.3cb300db91d0ep-2"]),
+        ],
+    )
+    def test_frozen_values(self, name, want):
+        # recorded when each bin's accuracy was the mean of its correctness
+        # flags; the exact count over the bin size must give the same bits
+        ds = generate(SynthConfig(n=20_000, k=5, noise=1.2, miscal=1.5, seed=1))
+        if name == "tied":
+            ds = generate(SynthConfig(n=5_000, k=4, noise=1.1, seed=2))
+            p = np.round(ds.probs, 1) + 0.01
+            ds = make_dataset(p / p.sum(axis=1, keepdims=True), ds.labels)
+        assert [ece(ds, bins).hex() for bins in (1, 15, 10**4)] == want
 
     def test_one_sample_per_bin_at_the_ceiling(self):
         # bins 1e-6 wide, confidences 1e-5 apart: every bin holds at most one

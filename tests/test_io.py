@@ -272,6 +272,19 @@ class TestReadPredictions:
         assert not writer.is_alive()
         assert len(got[0]) == n and got == want
 
+    def test_bulk_pass_reads_a_padded_header(self, tmp_path, monkeypatch):
+        # the header's fields are stripped as the row parser strips them, so
+        # "id, label, p0, ..." is read by the bulk pass, over several calls
+        path = tmp_path / "p.csv"
+        n = 3 * ordeval.io._LOADTXT_ROWS + 1
+        write_predictions(generate(SynthConfig(n=n, k=3, seed=4)), str(path))
+        want = _outcome(read_predictions, str(path), 0)
+        body = path.read_bytes().split(b"\n", 1)[1]
+        path.write_bytes(b" id , label, p0,p1 ,  p2\n" + body)
+        monkeypatch.setattr(ordeval.io, "_read_rows", None)  # the bulk pass must read it
+        got = _outcome(read_predictions, str(path), 0)
+        assert len(got[0]) == n and got == want
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_pipe_errors_name_the_pipe_and_line(self, tmp_path):
         # the row parser reads the pipe's copy: it must not wait on the
@@ -525,7 +538,7 @@ class TestCostMatrixFile:
         [
             ("0,1\n-1,0\n", InvalidConfig, "cost matrix entries must be nonnegative"),
             ("0,1,2\n1,0,1\n", ShapeMismatch, "cost matrix must be square, got shape (2, 3)"),
-            ("", ShapeMismatch, "cost matrix must be square, got shape (0,)"),
+            ("", ShapeMismatch, "empty file"),
         ],
         ids=["negative", "non-square", "empty"],
     )

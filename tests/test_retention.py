@@ -35,7 +35,7 @@ from ordeval.retention import (
 )
 
 from helpers import make_dataset, resample_indices
-from reference import ref_rank
+from reference import ref_argmax, ref_rank, ref_replicate, ref_retention_curve
 
 
 def eq3_dataset():
@@ -386,3 +386,70 @@ class TestRetentionKernel:
             bootstrap_aursc(
                 eq3_dataset(), "rps", "qwk", num_replicates=replicates, seed=seed
             )
+
+
+# a grid whose kept counts repeat at every n: 0.5 and 0.4999, and 0.001 and
+# 0.0001, keep the same number of samples, and 1.0 and 0.999 do below n = 500
+REPEATING_GRID = (1.0, 0.999, 0.5, 0.4999, 0.001, 0.0001)
+# (tied, metric, grid, seed, _MIN_CHUNK, replicates per block): a _MIN_CHUNK
+# of 8 turns on the chunked cut locator, which these n leave off, and blocks
+# of 1 or 2 of the 5 replicates leave the last block full or partial
+ORACLE_VARIANTS = [
+    (False, "qwk", DEFAULT_FRACTIONS, 42, None, None),
+    (True, "ec", REPEATING_GRID, -1, 8, 1),
+    (True, "qwk", REPEATING_GRID, 42, 8, 2),
+    (False, "ec", DEFAULT_FRACTIONS, -1, None, 2),
+    (True, "qwk", DEFAULT_FRACTIONS, 0, 8, None),
+]
+ORACLE_NS = (1, 2, 3, 5, 8, 24, 25, 97, 600)
+
+
+class TestRetentionOracle:
+    @pytest.mark.parametrize("n", ORACLE_NS)
+    def test_counts_and_values_match_plain_loops(self, monkeypatch, n):
+        # the kernel's count stacks, captured on their way into qwk and
+        # expected_cost, against tests/reference.py's loops, for the plain
+        # curve (the first call) and every replicate (the calls after it)
+        stacks = []
+        for name in ("qwk", "expected_cost"):
+            metric_fn = getattr(retention, name)
+
+            def captured(stack, *args, metric_fn=metric_fn):
+                stacks.append(stack.copy())
+                return metric_fn(stack, *args)
+
+            monkeypatch.setattr(retention, name, captured)
+        replicates = 5
+        for v, (tied, metric, grid, seed, min_chunk, rows) in enumerate(ORACLE_VARIANTS):
+            k = 2 + (ORACLE_NS.index(n) + v) % 6
+            ds = generate(SynthConfig(n=n, k=k, noise=1.1, seed=100 * n + v))
+            if tied:
+                ds = make_dataset(tenths(ds.probs), ds.labels)
+            cost = CostMatrix.quadratic(k)
+            stacks.clear()
+            with monkeypatch.context() as patch:
+                if min_chunk is not None:
+                    patch.setattr(retention, "_MIN_CHUNK", min_chunk)
+                if rows is not None:
+                    patch.setattr(retention, "_BLOCK_DRAWS", rows * max(n, len(grid) * k * k))
+                results = retention_analysis(
+                    ds, RULES, metric, grid, num_replicates=replicates, seed=seed, cost=cost
+                )
+            blocks = 0 if seed == 0 else -(-replicates // (rows or replicates))
+            assert len(stacks) == 1 + blocks
+            plain = stacks[0][:, 0]
+            reps = np.concatenate(stacks[1:], axis=1) if seed != 0 else None
+            labels = ds.labels.tolist()
+            preds = [ref_argmax(p) for p in ds.probs.tolist()]
+            costs = cost.costs.tolist()
+            for i, (rule, (curve, summary)) in enumerate(zip(RULES, results)):
+                scores = rank_samples(ds, rule)[1].tolist()
+                args = (scores, labels, preds, k, grid, metric, costs)
+                counts, values = ref_retention_curve(*args)
+                assert plain[i].tolist() == counts, (v, rule)
+                assert curve.values == pytest.approx(values, rel=0, abs=1e-12)
+                for r in range(replicates):
+                    counts, values = ref_replicate(seed, r, *args)
+                    if reps is not None:
+                        assert reps[i, r].tolist() == counts, (v, rule, r)
+                    assert summary.replicates[r] == pytest.approx(sum(values), rel=0, abs=1e-12)
