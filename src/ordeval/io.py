@@ -14,19 +14,21 @@ double quotes with its quotes doubled, so it reads back unchanged; every
 other field is written bare. Written files get the mode ``open`` gives a
 new file: 0o666 less the umask.
 A prediction file is opened once, in binary; one that cannot seek, such
-as a pipe, is first copied to an anonymous temp file. ``np.loadtxt`` parses
-it a block of rows at a time from the open handle, taking only the lines
-each block needs, and writes each block straight into the dataset's arrays,
-which are sized from a count of the file's lines. Any file that pass does
-not accept is parsed again from its start, row by row with ``csv.reader``,
-which either reads it or names the error. Readers accept a
-UTF-8 byte order mark, CRLF line ends and blank lines, and report errors
-with the line number as it appears in the file.
+as a pipe, is first copied to an anonymous temp file. Its header is its
+first CSV record, which may be quoted, padded or preceded by blank lines.
+Its rows fill arrays sized from a count of its lines, a block at a time,
+from ``np.loadtxt`` calls on the open handle. A file that source declines
+(a field such as ``0_3``, a label out of range) is read again from its
+start, and its ``csv.reader`` records fill the same arrays or name the
+fault. Readers accept a UTF-8 byte order mark, CRLF line ends and blank
+lines, and report errors, a byte that is not UTF-8 among them, with the
+line number as it appears in the file.
 Reals are written with 17 significant digits, which round-trips float64
 exactly.
 """
 
 import csv
+import itertools
 import json
 import os
 import re
@@ -41,6 +43,7 @@ import numpy as np
 
 from .data import CostMatrix, EvalDataset, _Built, _id_array, validate_dataset
 from .errors import (
+    EmptyDataset,
     EvalError,
     GridMismatch,
     InvalidConfig,
@@ -131,27 +134,40 @@ def _write_table(path: str, header: list, template: str, chunks) -> None:
             fh.write("".join(map(template.__mod__, zip(*fields))).encode("utf-8"))
 
 
-def _records(fh):
-    """Non-empty CSV records, each with the file line it starts on."""
+def _records(fh, path: str):
+    """Non-empty CSV records in the text file ``fh``, each with the file
+    line it starts on. A byte that is not UTF-8, or a record the tokenizer
+    rejects, raises an EvalError naming ``path`` and the file line."""
     reader = csv.reader(fh)
     start = 1
-    for row in reader:
-        if row:
-            yield start, row
-        start = reader.line_num + 1
+    try:
+        for row in reader:
+            if row:
+                yield start, row
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise EvalError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise EvalError(f"{path}: {_undecodable(fh.buffer)}") from None
+
+
+def _undecodable(raw) -> str:
+    """Where the binary file ``raw`` first holds a byte that is not UTF-8,
+    with lines counted as ``_line_count`` counts them. The text reader
+    decodes 8 KB at a time, so the line it fails on may lie before it."""
+    raw.seek(0)
+    lineno = 1
+    for line in raw:  # split at line feeds only
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno += line.count(b"\r", 0, exc.start)  # carriage returns end lines too
+            return f"line {lineno}: byte 0x{line[exc.start]:02x} is not UTF-8"
+        lineno += 1 + line.count(b"\r") - line.count(b"\r\n")
 
 
 def _expected_header(k: int) -> list[str]:
     return ["id", "label"] + [f"p{i}" for i in range(k)]
-
-
-def _header_classes(fields: list[str]) -> int | None:
-    """K for a prediction header ``id,label,p0,...,p{K-1}`` (fields may be
-    padded with blanks), or None when ``fields`` is not one."""
-    k = len(fields) - 2
-    if k < 2 or [field.strip() for field in fields] != _expected_header(k):
-        return None
-    return k
 
 
 def read_predictions(path: str, label_base: int = 0) -> EvalDataset:
@@ -163,27 +179,34 @@ def read_predictions(path: str, label_base: int = 0) -> EvalDataset:
     """
     if label_base not in (0, 1):
         raise InvalidConfig(f"label_base must be 0 or 1, got {label_base}")
+    with _open_text(path) as fh:
+        ds = _read(fh, path, label_base, _loadtxt_blocks)
+        if ds is None:
+            ds = _read(fh, path, label_base, _row_blocks)
+    return validate_dataset(ds)
+
+
+@contextmanager
+def _open_text(path: str):
+    """The file at ``path`` as seekable text, its BOM dropped and its line
+    ends kept as they are. A file that cannot seek, such as a pipe, is first
+    copied to an anonymous temp file, so it can be read again."""
     with ExitStack() as stack:
         raw = stack.enter_context(open(path, "rb"))
-        if not raw.seekable():  # a pipe: copy it, so both parsers can read it
+        if not raw.seekable():
             spool = stack.enter_context(tempfile.TemporaryFile())
             shutil.copyfileobj(raw, spool)
             spool.seek(0)
             raw = spool
-        # the BOM dropped, line ends kept as they are
-        fh = stack.enter_context(TextIOWrapper(raw, "utf-8-sig", newline=""))
-        ds = _parse_bulk(fh, label_base)
-        if ds is None:
-            fh.seek(0)
-            ds = _read_rows(fh, path, label_base)
-    return validate_dataset(ds)
+        yield stack.enter_context(TextIOWrapper(raw, "utf-8-sig", newline=""))
 
 
 def _line_count(raw) -> int:
-    """Lines in the binary file ``raw`` from where it stands: its line feeds,
-    its carriage returns not followed by one, and a last line with no line
-    end. A CRLF split between two reads counts twice, so the count is an
-    upper bound."""
+    """Lines in the binary file ``raw``, read from its start: its line
+    feeds, its carriage returns not followed by one, and a last line with
+    no line end. A CRLF split between two reads counts twice, so the count
+    is an upper bound."""
+    raw.seek(0)
     count, last = 0, b"\n"
     while chunk := raw.read(_READ_BYTES):
         count += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
@@ -193,115 +216,119 @@ def _line_count(raw) -> int:
     return count + (last not in b"\r\n")
 
 
-def _parse_bulk(fh, label_base: int) -> EvalDataset | None:
-    """The unvalidated dataset in the seekable text file ``fh``, read from
-    its start by ``np.loadtxt`` a block of rows at a time, or None when
-    ``_read_rows`` must decide.
+def _read(fh, path: str, label_base: int, blocks) -> EvalDataset | None:
+    """The unvalidated dataset in the seekable text file ``fh``, or None
+    when the source ``blocks`` declines the file.
 
-    The pass accepts a subset of what ``_read_rows`` accepts and reads it to
-    the same values. It reads the header as ``_read_rows`` does, blanks
-    around its fields included (``id, label, p0, ...``), and gives up on a
-    line that is no header, on any field ``np.loadtxt`` rejects (``3_0`` and
-    ``1_0`` among them, which ``int``/``float`` accept), on an empty body and
-    on a label out of range, so every error message comes from the row
-    parser.
-
-    The dataset's arrays are allocated once, for as many rows as the file
-    has lines after its header, filled by ``np.loadtxt`` calls of at most
-    ``_LOADTXT_ROWS`` rows each, and cut to the rows read; each call's ids
-    are hashed while they are still ``str``. A call takes from the handle's
-    line iterator only the lines its rows span, quoted line breaks
-    included, so no row is ever split between two calls; the first call
-    that finds no row marks the end of the file.
+    The header is the first CSV record; its fields may be quoted or padded.
+    Arrays sized from the file's line count are filled from the
+    (ids, labels, probs) blocks that ``blocks(fh, records, k, label_base,
+    path)`` yields for the rows after it, each block's ids hashed while they
+    are ``str``, then cut to the rows read.
     """
-    bound = _line_count(fh.buffer) - 1
+    bound = _line_count(fh.buffer)
     fh.seek(0)
-    k = _header_classes(fh.readline().rstrip("\r\n").split(","))
-    if k is None or bound < 1:
-        return None
-    dtype = np.dtype([("id", object), ("label", np.int64), ("p", np.float64, (k,))])
+    records = _records(fh, path)
+    lineno, header = next(records, (1, None))
+    if header is None:
+        raise MalformedHeader(f"{path}: empty file")
+    names = [field.strip() for field in header]
+    k = len(names) - 2
+    if k < 2 or names != _expected_header(k):
+        raise MalformedHeader(
+            f"{path}: line {lineno}: expected header 'id,label,p0,...', got {','.join(names)!r}"
+        )
     ids = np.empty(bound, dtype=np.dtypes.StringDType())
     hashes = np.empty(bound, dtype=np.int64)
     labels = np.empty(bound, dtype=np.int64)
     probs = np.empty((bound, k))
     m = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-        # numpy releases that still read an int field such as "2.7" as a
-        # truncated float do so under a DeprecationWarning: refuse them
-        warnings.simplefilter("error", DeprecationWarning)
-        while True:
-            try:
+    for block in blocks(fh, records, k, label_base, path):
+        if block is None:
+            return None
+        block_ids, block_labels, block_probs = block
+        lo, m = m, m + len(block_ids)
+        hashes[lo:m] = np.fromiter(map(hash, block_ids), np.int64, m - lo)
+        ids[lo:m] = block_ids
+        labels[lo:m] = block_labels
+        probs[lo:m] = block_probs
+    if m == 0:
+        raise EmptyDataset(f"{path}: no rows after the header")
+    for a in (ids, hashes, labels):  # the header, blank lines, quoted line breaks
+        a.resize(m, refcheck=False)
+    probs.resize((m, k), refcheck=False)
+    labels -= label_base
+    return _Built(k, ids, labels, probs, hashes)
+
+
+def _loadtxt_blocks(fh, records, k: int, label_base: int, path: str):
+    """The rows after the header, from ``np.loadtxt`` calls of at most
+    ``_LOADTXT_ROWS`` rows each on ``fh``, or a None that declines the file.
+
+    It reads a subset of what ``_row_blocks`` reads, to the same values, and
+    declines a field ``np.loadtxt`` rejects (``3_0`` and ``1_0``, which
+    ``int``/``float`` accept), a label out of range and an empty body, so
+    every error comes from ``_row_blocks``. A call takes from the handle's
+    line iterator only the lines its rows span, quoted line breaks included;
+    a later call that finds no row marks the end of the file.
+    """
+    dtype = np.dtype([("id", object), ("label", np.int64), ("p", np.float64, (k,))])
+    for call in itertools.count():
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                # numpy releases that still read an int field such as "2.7" as a
+                # truncated float do so under a DeprecationWarning: refuse them
+                warnings.simplefilter("error", DeprecationWarning)
                 rows = np.loadtxt(
                     fh, dtype=dtype, delimiter=",", quotechar='"', comments=None,
                     ndmin=1, max_rows=_LOADTXT_ROWS,
                 )
-            except (ValueError, DeprecationWarning):
-                return None
-            if len(rows) == 0:
-                break
-            lo, m = m, m + len(rows)
-            hashes[lo:m] = np.fromiter(map(hash, rows["id"].tolist()), np.int64, m - lo)
-            ids[lo:m] = rows["id"]
-            labels[lo:m] = rows["label"]
-            probs[lo:m] = rows["p"]
-    if m == 0:
-        return None
-    if m < bound:  # blank lines or quoted line breaks: give back the rest
-        for a in (ids, hashes, labels):
-            a.resize(m, refcheck=False)
-        probs.resize((m, k), refcheck=False)
-    labels -= label_base
-    if labels.min() < 0 or labels.max() >= k:
-        return None
-    return _Built(k, ids, labels, probs, hashes)
+        except (ValueError, DeprecationWarning):
+            break
+        if call and len(rows) == 0:
+            return
+        labels = rows["label"]
+        if len(rows) == 0 or labels.min() < label_base or labels.max() >= k + label_base:
+            break
+        yield rows["id"].tolist(), labels, rows["p"]
+    yield None
 
 
-def _read_rows(fh, path: str, label_base: int) -> EvalDataset:
-    """The unvalidated dataset in the text file ``fh``, read from where it
-    stands one ``csv.reader`` record at a time: slower than ``_parse_bulk``,
-    but it reads every file the format allows and, naming ``path``, the
-    file line of the first fault in any other."""
-    ids, labels, probs = [], [], []
-    records = _records(fh)
-    first = next(records, None)
-    if first is None:
-        raise MalformedHeader(f"{path}: empty file")
-    lineno, header = first
-    k = _header_classes(header)
-    if k is None:
-        raise MalformedHeader(
-            f"{path}: line {lineno}: expected header 'id,label,p0,...', "
-            f"got {','.join(field.strip() for field in header)!r}"
-        )
-    for lineno, row in records:
-        if len(row) != k + 2:
-            raise RowArityMismatch(
-                f"{path}: line {lineno}: expected {k + 2} fields, got {len(row)}"
-            )
-        try:
-            label = int(row[1])
-        except ValueError:
-            raise NonNumericField(
-                f"{path}: line {lineno}: label {row[1]!r} is not an integer"
-            ) from None
-        if not label_base <= label < k + label_base:
-            raise LabelOutOfRange(
-                f"{path}: line {lineno}: label {row[1]!r} outside "
-                f"{label_base}..{k - 1 + label_base}"
-            )
-        ids.append(row[0])
-        labels.append(label)
-        try:
-            probs.extend(map(float, row[2:]))
-        except ValueError:
-            raise NonNumericField(
-                f"{path}: line {lineno}: non-numeric probability"
-            ) from None
-
-    labels = np.array(labels, dtype=np.int64) - label_base
-    probs = np.array(probs, dtype=np.float64).reshape(len(ids), k)
-    return EvalDataset(k, tuple(ids), labels, probs)
+def _row_blocks(fh, records, k: int, label_base: int, path: str):
+    """The rows after the header, ``_LOADTXT_ROWS`` ``records`` at a time,
+    their fields converted by ``int`` and ``float``: slower than
+    ``_loadtxt_blocks``, but it reads every file the format allows and,
+    naming ``path``, the file line of the first fault in any other."""
+    while True:
+        ids, labels, probs = [], [], []
+        for lineno, row in itertools.islice(records, _LOADTXT_ROWS):
+            if len(row) != k + 2:
+                raise RowArityMismatch(
+                    f"{path}: line {lineno}: expected {k + 2} fields, got {len(row)}"
+                )
+            try:
+                label = int(row[1])
+            except ValueError:
+                raise NonNumericField(
+                    f"{path}: line {lineno}: label {row[1]!r} is not an integer"
+                ) from None
+            if not label_base <= label < k + label_base:
+                raise LabelOutOfRange(
+                    f"{path}: line {lineno}: label {row[1]!r} outside "
+                    f"{label_base}..{k - 1 + label_base}"
+                )
+            try:
+                probs.append([float(v) for v in row[2:]])
+            except ValueError:
+                raise NonNumericField(
+                    f"{path}: line {lineno}: non-numeric probability"
+                ) from None
+            ids.append(row[0])
+            labels.append(label)
+        if not ids:
+            return
+        yield ids, labels, probs
 
 
 def write_predictions(ds: EvalDataset, path: str) -> None:
@@ -330,8 +357,8 @@ def read_cost_matrix(path: str) -> CostMatrix:
     every error names the file."""
     parsed = []
     width = None
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        for lineno, row in _records(fh):
+    with _open_text(path) as fh:
+        for lineno, row in _records(fh, path):
             if width is None:
                 width = len(row)
             elif len(row) != width:

@@ -134,6 +134,42 @@ class TestScoreCommand:
         assert "FileNotFoundError" in capsys.readouterr().err
 
 
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("command", ["score", "evaluate"])
+    def test_header_only_file_names_the_file(self, tmp_path, capsys, command):
+        f = tmp_path / "p.csv"
+        f.write_text("id,label,p0,p1\n\n")
+        extra = ["--rule", "rps", "--output", tmp_path / "s.csv"] if command == "score" else []
+        assert run([command, "--input", f, *extra]) == 1
+        assert capsys.readouterr().err == f"error: EmptyDataset: {f}: no rows after the header\n"
+
+    @pytest.mark.parametrize(
+        "bad, text, message",
+        [
+            # a cp1252 export: the text reader decodes 8 KB at a time, so it
+            # fails on an earlier line than the one holding the byte
+            ("input", "id,label,p0,p1\n" + "".join(f"r{i:03},0,0.25,0.75\n" for i in range(599))
+             + "caf\xe9,0,1.0,0.0\n",
+             "line 601: byte 0xe9 is not UTF-8"),
+            ("cost", "0,1\r\n1,0\r\n\xe9\r\n", "line 3: byte 0xe9 is not UTF-8"),
+            ("cost", "0,1\r1,0\r\xe9\r", "line 3: byte 0xe9 is not UTF-8"),
+            # a file the bulk pass declines, so the row source tokenizes it
+            ("input", "id,label,p0,p1\na,0_1,0.0,1.0\n" + "x" * 131_073 + ",0,1.0,0.0\n",
+             "line 3: field larger than field limit (131072)"),
+        ],
+        ids=["cp1252-input", "cp1252-cost-crlf", "cp1252-cost-cr", "long-field"],
+    )
+    def test_undecodable_or_untokenizable_file_names_the_file_and_line(
+        self, tmp_path, capsys, bad, text, message
+    ):
+        files = {"input": tmp_path / "p.csv", "cost": tmp_path / "c.csv"}
+        files["input"].write_text("id,label,p0,p1\na,0,1.0,0.0\nb,1,0.0,1.0\n")
+        files["cost"].write_text("0,1\n1,0\n")
+        files[bad].write_bytes(text.encode("cp1252"))
+        assert run(["evaluate", "--input", files["input"], "--cost", files["cost"]]) == 1
+        assert capsys.readouterr().err == f"error: EvalError: {files[bad]}: {message}\n"
+
+
 class TestEvaluateCommand:
     def test_perfect_file(self, perfect_file, tmp_path):
         out = tmp_path / "report.json"

@@ -13,6 +13,7 @@ from io import StringIO
 import numpy as np
 import pytest
 
+import ordeval.data
 import ordeval.io
 
 from ordeval import (
@@ -43,7 +44,7 @@ from ordeval.errors import (
 )
 from ordeval.cli import main
 from ordeval.data import validate_dataset
-from ordeval.io import _parse_bulk, _read_rows, write_scores
+from ordeval.io import _loadtxt_blocks, _read, _row_blocks, write_scores
 from ordeval.retention import rank_samples
 
 # ids that need quoting, or that a careless reader would trim
@@ -57,7 +58,7 @@ PARSER_CORPUS = {
     "bom": ("\ufeff" + K2 + "a,0,1.0,0.0\n", 0, True),
     "crlf": ("id,label,p0,p1\r\na,0,1.0,0.0\r\nb,1,0.0,1.0\r\n", 0, True),
     "blank-lines": (K2 + "\na,0,1.0,0.0\n\r\nb,1,0.0,1.0\n\n\n", 0, True),
-    "blank-before-header": ("\n" + K2 + "a,0,1.0,0.0\n", 0, False),
+    "blank-before-header": ("\n" + K2 + "a,0,1.0,0.0\n", 0, True),
     "quoted-comma": (K2 + '"a,b",0,1.0,0.0\n', 0, True),
     "doubled-quote": (K2 + '"say ""hi""",0,1.0,0.0\n', 0, True),
     "quoted-crlf": (K2 + '"two\r\nlines",0,1.0,0.0\nb,1,0.0,1.0\n', 0, True),
@@ -78,7 +79,7 @@ PARSER_CORPUS = {
     "prob-inf": (K2 + "a,0,inf,0.0\n", 0, True),
     "header-only": (K2, 0, False),
     "header-spaces": ("id, label ,p0,p1\na,0,1.0,0.0\n", 0, True),
-    "quoted-header": ('"id",label,p0,p1\na,0,1.0,0.0\n', 0, False),
+    "quoted-header": ('"id",label,p0,p1\na,0,1.0,0.0\n', 0, True),
     "one-row": (K2 + "a,1,0.0,1.0", 0, True),
     "wrong-arity": (K2 + "a,0,1.0,0.0\nb,1,0.0\n", 0, False),
     "label-zero-base-one": (K2 + "a,1,1.0,0.0\nb,0,0.0,1.0\n", 1, False),
@@ -99,10 +100,10 @@ BLOCK_EDGE_CORPUS = {
 
 
 def _row_parse(path, label_base):
-    """``_read_rows`` on the file at ``path``, validated as
+    """``_row_blocks`` on the file at ``path``, validated as
     ``read_predictions`` validates what it reads."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        return validate_dataset(_read_rows(fh, path, label_base))
+        return validate_dataset(_read(fh, path, label_base, _row_blocks))
 
 
 def _outcome(read, path, label_base):
@@ -116,13 +117,16 @@ def _outcome(read, path, label_base):
 
 def _random_file(rng):
     """A small prediction file built from fields that quote, pad, break lines
-    or spell numbers in ways the two parsers might treat differently."""
+    or spell numbers in ways the two parsers might treat differently. Its
+    header may be quoted or padded, follow blank lines, or end the file."""
     k = rng.choice([2, 3])
     eol = rng.choice(["\n", "\r\n", "\r"])
     chars = ["a", "b", ",", '"', " ", "\n", "\r", "#", "é", "\t"]
     spellings = ["0", "1", " 1", "+1", "1.0", " 0.5 ", "1_0", "nan", "", '"1"', ".5"]
-    lines = ["id,label," + ",".join(f"p{i}" for i in range(k))]
-    for _ in range(rng.randint(0, 5)):
+    names = ["id", "label", *(f"p{i}" for i in range(k))]
+    header = ",".join(rng.choice([name, f'"{name}"', f" {name} ", f'" {name}"']) for name in names)
+    lines = [""] * rng.choice([0, 0, 0, 1, 2]) + [header]
+    for _ in range(rng.randint(0, 5)):  # 0: a header-only body
         sid = "".join(rng.choice(chars) for _ in range(rng.randint(0, 4)))
         if rng.random() < 0.5:
             sid = '"' + sid.replace('"', '""') + '"'
@@ -224,7 +228,7 @@ class TestReadPredictions:
             _row_parse, str(path), label_base
         )
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            assert (_parse_bulk(fh, label_base) is not None) == bulk
+            assert (_read(fh, str(path), label_base, _loadtxt_blocks) is not None) == bulk
 
     def test_bulk_pass_matches_row_parser_on_random_files(self, tmp_path):
         rng = random.Random(7)
@@ -249,7 +253,7 @@ class TestReadPredictions:
         for rows in (1, 2, 3, 5):
             monkeypatch.setattr(ordeval.io, "_LOADTXT_ROWS", rows)
             with open(path, newline="", encoding="utf-8-sig") as fh:
-                assert _parse_bulk(fh, 0) is not None, rows
+                assert _read(fh, str(path), 0, _loadtxt_blocks) is not None, rows
             assert _outcome(read_predictions, str(path), 0) == want, rows
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -260,7 +264,7 @@ class TestReadPredictions:
         n = 3 * ordeval.io._LOADTXT_ROWS + 1
         write_predictions(generate(SynthConfig(n=n, k=3, seed=4)), str(path))
         want = _outcome(read_predictions, str(path), 0)
-        monkeypatch.setattr(ordeval.io, "_read_rows", None)  # the bulk pass must read it
+        monkeypatch.setattr(ordeval.io, "_row_blocks", None)  # the bulk pass must read it
         fifo = tmp_path / "pipe.csv"
         os.mkfifo(fifo)
         writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
@@ -272,6 +276,54 @@ class TestReadPredictions:
         assert not writer.is_alive()
         assert len(got[0]) == n and got == want
 
+    @pytest.mark.parametrize(
+        "style", ["r-write-csv", "quote-all", "quote-nonnumeric-crlf", "blank-before-header"]
+    )
+    def test_bulk_pass_reads_quoted_headers(self, tmp_path, monkeypatch, style):
+        # R's write.csv(row.names = FALSE) and csv's QUOTE_ALL and
+        # QUOTE_NONNUMERIC quote the header, which the bulk pass reads, over
+        # several calls, to the values of the same file written bare
+        path = tmp_path / "p.csv"
+        n = 3 * ordeval.io._LOADTXT_ROWS + 1
+        ds = generate(SynthConfig(n=n, k=3, seed=4))
+        write_predictions(ds, str(path))
+        want = _outcome(read_predictions, str(path), 0)
+        bare = path.read_text()
+        header = ["id", "label", "p0", "p1", "p2"]
+        if style == "r-write-csv":
+            text = ",".join(f'"{name}"' for name in header) + "\n" + "".join(
+                '"' + line.replace(",", '",', 1) + "\n" for line in bare.splitlines()[1:]
+            )
+        elif style == "blank-before-header":
+            text = "\n\r\n" + bare
+        else:
+            buf = StringIO()
+            quoting = csv.QUOTE_ALL if style == "quote-all" else csv.QUOTE_NONNUMERIC
+            writer = csv.writer(buf, quoting=quoting)  # CRLF line ends
+            writer.writerow(header)
+            writer.writerows(
+                (sid, label, *p)
+                for sid, label, p in zip(ds.ids, ds.labels.tolist(), ds.probs.tolist())
+            )
+            text = buf.getvalue()
+        path.write_bytes(text.encode("utf-8"))
+        monkeypatch.setattr(ordeval.io, "_row_blocks", None)  # the bulk pass must read it
+        got = _outcome(read_predictions, str(path), 0)
+        assert len(got[0]) == n and got == want
+
+    def test_file_datasets_are_validated_in_place(self, tmp_path, monkeypatch):
+        # whichever source reads a file, the reader builds the dataset's
+        # arrays: validation's copy path, which casts a caller's ids, is
+        # never taken for one
+        def refuse(ids):
+            raise AssertionError("a dataset read from a file took the copy path")
+
+        monkeypatch.setattr(ordeval.data, "_cast_ids", refuse)
+        f = tmp_path / "p.csv"
+        for label in ("3", "0_3"):  # read by the bulk pass, declined by it
+            f.write_text(K4 + "a,1" + ROW4 + f"b,{label}" + ROW4)
+            assert read_predictions(str(f)).labels.tolist() == [1, 3]
+
     def test_bulk_pass_reads_a_padded_header(self, tmp_path, monkeypatch):
         # the header's fields are stripped as the row parser strips them, so
         # "id, label, p0, ..." is read by the bulk pass, over several calls
@@ -281,7 +333,7 @@ class TestReadPredictions:
         want = _outcome(read_predictions, str(path), 0)
         body = path.read_bytes().split(b"\n", 1)[1]
         path.write_bytes(b" id , label, p0,p1 ,  p2\n" + body)
-        monkeypatch.setattr(ordeval.io, "_read_rows", None)  # the bulk pass must read it
+        monkeypatch.setattr(ordeval.io, "_row_blocks", None)  # the bulk pass must read it
         got = _outcome(read_predictions, str(path), 0)
         assert len(got[0]) == n and got == want
 
@@ -330,7 +382,7 @@ class TestReadPredictions:
         f = tmp_path / "p.csv"
         f.write_text(K4 + "a,0" + ROW4)
         with open(f, newline="", encoding="utf-8-sig") as fh:
-            assert _parse_bulk(fh, 0) is None
+            assert _read(fh, str(f), 0, _loadtxt_blocks) is None
 
     def test_label_out_of_range_quotes_the_file(self, tmp_path):
         f = tmp_path / "p.csv"
@@ -478,6 +530,27 @@ class TestMemory:
         assert ds.ids[10] == '5"x' and len(ds) == self.N
         assert peak <= self._resident(ds) + self.ALLOWANCE
 
+    @pytest.mark.parametrize("style", ["label-0_3", "r-write-csv"])
+    def test_declined_or_quoted_file_holds_little_beyond_the_dataset(self, tmp_path, style):
+        # a label np.loadtxt rejects sends the file to the row source, and R
+        # quotes the header and the ids: either way the rows fill the
+        # dataset's arrays a block at a time
+        path = tmp_path / "p.csv"
+        write_predictions(generate(SynthConfig(n=self.N, k=5, noise=1.2, miscal=1.5, seed=1)),
+                          str(path))
+        lines = path.read_bytes().split(b"\n")
+        if style == "label-0_3":
+            sid, label, rest = lines[11].split(b",", 2)  # file line 12
+            lines[11] = b",".join([sid, b"0_" + label, rest])
+        else:
+            lines = [b",".join(b'"%s"' % name for name in lines[0].split(b","))] + [
+                b'"' + line.replace(b",", b'",', 1) for line in lines[1:] if line
+            ]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        ds, _, peak = _traced(read_predictions, str(path))
+        assert len(ds) == self.N and ds.ids[10] == "s000011"
+        assert peak <= self._resident(ds) + self.ALLOWANCE
+
     def test_metric_report_holds_little_beyond_the_dataset(self):
         ds = generate(SynthConfig(n=self.N, k=5, noise=1.2, miscal=1.5, seed=1))
         assert _traced(metric_report, ds)[2] <= self.ALLOWANCE
@@ -547,6 +620,21 @@ class TestCostMatrixFile:
         f.write_text(text)
         with pytest.raises(error, match="^" + re.escape(f"{f}: {message}") + "$"):
             read_cost_matrix(str(f))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_with_a_bad_byte_names_the_pipe_and_line(self, tmp_path):
+        # the line of a byte that is not UTF-8 is found by reading the file
+        # again, so a pipe is read through a copy, as a prediction file is
+        fifo = tmp_path / "cost.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(b"0,1\n\xe9,0\n",), daemon=True)
+        writer.start()
+        try:
+            with pytest.raises(EvalError, match="^" + re.escape(f"{fifo}: line 2: byte 0xe9")):
+                read_cost_matrix(str(fifo))
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
 
     def test_non_numeric(self, tmp_path):
         f = tmp_path / "c.csv"
