@@ -9,11 +9,16 @@ Subcommands:
 
 Every run is deterministic given its flags and inputs; outputs carry no
 timestamps, and the effective configuration is echoed into JSON outputs.
-Failures exit with status 1 and a one-line message naming the error.
+The exit status is 0 on success; 1 on any failure, a stdout that cannot be
+written included, with a one-line message naming the error; and 2 on a
+usage error. ``run``, the program entry, ends the process without the
+interpreter's teardown once every output file is in place and stdout and
+stderr are flushed; ``main`` only returns the status.
 """
 
 import argparse
 import math
+import os
 import sys
 
 from . import io
@@ -258,14 +263,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(exc: Exception) -> int:
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
+    """Run one command; return its exit status. A usage error raises
+    argparse's ``SystemExit``."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (EvalError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc)
+
+
+def run() -> None:
+    """The program entry: ``main()``, then the end of the process.
+
+    Every output file is closed and renamed into place before ``main``
+    returns, so once stdout and stderr are flushed the process ends with
+    ``os._exit``, skipping the interpreter's teardown: clearing the modules
+    and full garbage collections over the objects NumPy leaves behind. It
+    also skips ``atexit`` handlers. A stdout that cannot take the flush
+    fails the run like any other write. An exception, argparse's
+    ``SystemExit`` among them, leaves through the interpreter as usual.
+    """
+    status = main()
+    try:
+        if sys.stdout is not None:  # None when the process starts with fd 1 closed
+            sys.stdout.flush()
+    except OSError as exc:
+        status = status or _fail(exc)  # a run that failed has said why
+    sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

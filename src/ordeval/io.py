@@ -267,10 +267,11 @@ def _loadtxt_blocks(fh, records, k: int, label_base: int, path: str):
 
     It reads a subset of what ``_row_blocks`` reads, to the same values, and
     declines a field ``np.loadtxt`` rejects (``3_0`` and ``1_0``, which
-    ``int``/``float`` accept), a label out of range and an empty body, so
-    every error comes from ``_row_blocks``. A call takes from the handle's
-    line iterator only the lines its rows span, quoted line breaks included;
-    a later call that finds no row marks the end of the file.
+    ``int``/``float`` accept), an id longer than ``csv``'s field limit, a
+    label out of range and an empty body, so every error comes from
+    ``_row_blocks``. A call takes from the handle's line iterator only the
+    lines its rows span, quoted line breaks included; a later call that
+    finds no row marks the end of the file.
     """
     dtype = np.dtype([("id", object), ("label", np.int64), ("p", np.float64, (k,))])
     for call in itertools.count():
@@ -291,7 +292,10 @@ def _loadtxt_blocks(fh, records, k: int, label_base: int, path: str):
         labels = rows["label"]
         if len(rows) == 0 or labels.min() < label_base or labels.max() >= k + label_base:
             break
-        yield rows["id"].tolist(), labels, rows["p"]
+        ids = rows["id"].tolist()
+        if max(map(len, ids)) > csv.field_size_limit():
+            break
+        yield ids, labels, rows["p"]
     yield None
 
 

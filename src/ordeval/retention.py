@@ -190,12 +190,14 @@ def retention_analysis(
     fractions = check_fractions(fractions)
     if cost is None:
         cost = CostMatrix.linear(ds.num_classes)
+    n, k = len(ds), ds.num_classes
     # best first, ties latest first, so a cut keeps what dropping the worst
     # in dataset order keeps; contiguous, as a reversed view makes every
-    # gather through it several times slower
-    bests = [rank_samples(ds, rule)[0][::-1].copy() for rule in rules]
-    n, k = len(ds), ds.num_classes
-    cell = _cells(ds, hard_predictions(ds))
+    # gather through it several times slower. Every rule keeps its ranking
+    # and b copies of its cells, so both take the narrowest type that fits
+    index = np.int32 if n < 2**31 else np.intp
+    bests = [rank_samples(ds, rule)[0][::-1].astype(index) for rule in rules]
+    cell = _cells(ds, hard_predictions(ds)).astype(np.min_scalar_type(k * k - 1))
     kept = [retained_count(f, n) for f in reversed(fractions)]
     cuts = len(kept) * k * k
     # Replicate r of a block is row r of its draws, offset by r curves: cut s
@@ -216,8 +218,10 @@ def retention_analysis(
     chunk_starts = np.arange(0, b * n, width)
     offsets = np.arange(width)
     row_starts = np.arange(0, m_max * width, width)
-    totals = np.zeros(len(chunk_starts) + 1, dtype=np.int64)
-    prefix = np.zeros(m_max * width + 1, dtype=np.int64)
+    # copy counts are float64, as the weighted bincount takes them, so it
+    # converts none; their sums stay exact below 2**53
+    totals = np.zeros(len(chunk_starts) + 1)
+    prefix = np.zeros(m_max * width + 1)
 
     def locate(w: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
         """For each of the first ``m`` cuts, how many samples of ``w`` it
@@ -225,7 +229,7 @@ def retention_analysis(
         searchsorted(ends[1:], cut, "right")`` and ``ends[full]`` with
         ``ends = [0, cumsum(w)]``."""
         if not chunked:
-            ends = np.zeros(len(w) + 1, dtype=np.int64)
+            ends = np.zeros(len(w) + 1)
             np.cumsum(w, out=ends[1:])
             full = np.searchsorted(ends[1:], cut_at[:m], side="right")
             return full, ends[full]
@@ -283,14 +287,14 @@ def retention_analysis(
             curves(w, cells, rows, out)
         return qwk(stack) if metric == "qwk" else expected_cost(stack, cost)
 
-    ones = np.ones(n, dtype=np.int64)
+    ones = np.ones(n)
     plain = score([ones] * len(tiled), 1)[:, 0]
 
     # the draws and each rule's copy counts go to buffers made once, like
     # the count buffer: fresh (replicates, n) arrays per block page-fault
     # whenever malloc has returned their pages to the system in between
     space = np.empty((2, max_rows, n), dtype=np.uint64)
-    weight = np.empty((max_rows, n), dtype=np.int64)
+    weight = np.empty((max_rows, n))
 
     # every rule's AURSC per replicate, a block of replicates at a time;
     # seed 0: every replicate is the unresampled dataset
@@ -300,6 +304,7 @@ def retention_analysis(
         draws = _rng.resample_block(seed, r0, rows, n, out=space)
         draws += np.arange(0, rows * n, n)[:, None]
         copies = np.bincount(draws.ravel(), minlength=rows * n).reshape(rows, n)
+        copies = copies.astype(np.float64)  # once a block, not once a rule
         # mode="clip": with the default "raise", take buffers its output
         weights = (
             copies.take(best, axis=1, out=weight[:rows], mode="clip").ravel() for best in bests

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -153,11 +156,15 @@ class TestUnreadableFiles:
              "line 601: byte 0xe9 is not UTF-8"),
             ("cost", "0,1\r\n1,0\r\n\xe9\r\n", "line 3: byte 0xe9 is not UTF-8"),
             ("cost", "0,1\r1,0\r\xe9\r", "line 3: byte 0xe9 is not UTF-8"),
-            # a file the bulk pass declines, so the row source tokenizes it
+            # an id csv.reader rejects, in a file the bulk pass declines for
+            # its 0_1 label or for the id itself
             ("input", "id,label,p0,p1\na,0_1,0.0,1.0\n" + "x" * 131_073 + ",0,1.0,0.0\n",
              "line 3: field larger than field limit (131072)"),
+            ("input", "id,label,p0,p1\na,1,0.0,1.0\n" + "x" * 131_073 + ",0,1.0,0.0\n",
+             "line 3: field larger than field limit (131072)"),
         ],
-        ids=["cp1252-input", "cp1252-cost-crlf", "cp1252-cost-cr", "long-field"],
+        ids=["cp1252-input", "cp1252-cost-crlf", "cp1252-cost-cr", "long-field",
+             "long-field-plain-labels"],
     )
     def test_undecodable_or_untokenizable_file_names_the_file_and_line(
         self, tmp_path, capsys, bad, text, message
@@ -404,7 +411,63 @@ class TestRscCommand:
         assert counts == {"rule": 4, "draw": blocks, "qwk": 1 + blocks}
 
 
-DEMO_OUTPUT = Path(__file__).resolve().parent.parent / "demos" / "output"
+ROOT = Path(__file__).resolve().parent.parent
+DEMO_OUTPUT = ROOT / "demos" / "output"
+
+
+def program(*argv, stdout=subprocess.PIPE):
+    """``python -m ordeval.cli *argv`` in a fresh interpreter, with stdout
+    block-buffered as it is on a pipe or a file."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, "-m", "ordeval.cli", *map(str, argv)],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+    )
+
+
+class TestProgramEntry:
+    """``cli.run`` ends the process without the interpreter's teardown:
+    stdout must still arrive whole, and every exit status stay as
+    documented."""
+
+    def test_evaluate_json_arrives_whole_through_a_pipe(self, perfect_file, capsys):
+        assert run(["evaluate", "--input", perfect_file]) == 0
+        printed = capsys.readouterr().out
+        child = program("evaluate", "--input", perfect_file)
+        assert (child.returncode, child.stdout, child.stderr) == (0, printed, "")
+        assert json.loads(child.stdout)["type"] == "metric_report"
+
+    def test_missing_input_exits_1_with_one_error_line(self, tmp_path):
+        child = program("evaluate", "--input", tmp_path / "missing.csv")
+        assert (child.returncode, child.stdout) == (1, "")
+        assert child.stderr.startswith("error: FileNotFoundError: ")
+        assert child.stderr.count("\n") == 1
+
+    def test_usage_error_exits_2(self):
+        child = program("evaluate")
+        assert child.returncode == 2
+        assert "the following arguments are required: --input" in child.stderr
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /dev/full")
+    def test_unwritable_stdout_exits_1_with_one_error_line(self, tmp_path):
+        # the files are in place before the summary table fails to reach
+        # stdout, at the flush before the process ends
+        data = tmp_path / "p.csv"
+        assert run(["synth", "--n", 200, "--k", 3, "--output", data]) == 0
+        with open("/dev/full", "w") as full:
+            child = program("rsc", "--input", data, "--bootstrap", 5,
+                            "--output-prefix", tmp_path / "r", stdout=full)
+        assert child.returncode == 1
+        assert child.stderr.startswith("error: OSError: [Errno 28] ")
+        assert child.stderr.count("\n") == 1
+        assert len(list(tmp_path.glob("r_*"))) == 9
+        assert not list(tmp_path.glob(".tmp-*~"))
+
+    def test_console_script_is_the_program_entry(self):
+        # a string match, as tomllib needs Python 3.11
+        pyproject = (ROOT / "pyproject.toml").read_text()
+        assert '\n[project.scripts]\nordeval = "ordeval.cli:run"\n' in pyproject
 
 
 class TestDemoGoldenOutputs:

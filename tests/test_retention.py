@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import tracemalloc
 
@@ -58,6 +59,17 @@ def one_hot_dataset(labels, preds, k):
     probs = np.zeros((n, k))
     probs[np.arange(n), preds] = 1.0
     return make_dataset(probs, labels, k=k)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """The ``tracemalloc`` peak of ``fn(*args, **kwargs)``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def signed_zeros():
@@ -352,13 +364,19 @@ class TestRetentionKernel:
         # 4 x 819 x 20 x 7 x 7 count stack (26 MB) and peak near 100 MB in
         # qwk; blocks capped at 16384 // (fractions * K * K) stay small
         ds = generate(SynthConfig(n=20, k=7, seed=1))
-        tracemalloc.start()
-        try:
-            retention_analysis(ds, RULES, "qwk", num_replicates=2000, seed=42)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(retention_analysis, ds, RULES, "qwk", num_replicates=2000, seed=42)
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_working_set_per_sample(self, seed):
+        # at 20k x 5 with 4 rules the kernel peaks near 80 bytes a sample
+        # (57 without replicates): 4-byte rankings, 1-byte cells, and
+        # float64 copy counts the weighted bincount takes as they are.
+        # int64 rankings, cells and copy counts took 131 (107)
+        n = 20_000
+        ds = generate(SynthConfig(n=n, k=5, noise=1.2, miscal=1.5, seed=1))
+        peak = traced_peak(retention_analysis, ds, RULES, "qwk", num_replicates=3, seed=seed)
+        assert peak < 100 * n
 
     @pytest.mark.parametrize("seed", [0, 5])
     @pytest.mark.parametrize("metric", ["qwk", "ec"])
