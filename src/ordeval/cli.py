@@ -9,14 +9,15 @@ Subcommands:
 
 Every run is deterministic given its flags and inputs; outputs carry no
 timestamps, and the effective configuration is echoed into JSON outputs.
-The exit status is 0 on success; 1 on any failure, a stdout that cannot be
-written included, with a one-line message naming the error; and 2 on a
-usage error. ``run``, the program entry, ends the process without the
-interpreter's teardown once every output file is in place and stdout and
-stderr are flushed; ``main`` only returns the status.
+The exit status is 0 on success; 1 on any failure, a stdout that is closed
+or cannot be written included, with a one-line message naming the error;
+and 2 on a usage error. ``run``, the program entry, ends the process
+without the interpreter's teardown once every output file is in place and
+stdout and stderr are flushed; ``main`` only returns the status.
 """
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -98,6 +99,7 @@ def cmd_score(args) -> int:
     ds = io.read_predictions(args.input, label_base=args.label_base)
     order, scores = rank_samples(ds, args.rule)
     io.write_scores(ds, order, scores, args.output)
+    _check_stdout()
     print(f"worst samples by {args.rule}:")
     for i in order[:5]:
         sid = ds.ids[i]
@@ -125,6 +127,7 @@ def cmd_evaluate(args) -> int:
     if args.output:
         io.write_report(report, args.output, config=config)
     else:
+        _check_stdout()
         print(io.report_json(report, config))
     return 0
 
@@ -172,6 +175,7 @@ def cmd_rsc(args) -> int:
     io.render_curve_svg([curve for curve, _ in results], f"{args.output_prefix}_curves.svg")
 
     header = f"AURSC-{args.metric} (R={args.bootstrap}, seed={args.seed})"
+    _check_stdout()
     print(f"{'rule':<8}  {'aursc':>10}  {header}")
     for curve, summary in results:
         print(
@@ -263,8 +267,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_stdout() -> None:
+    """Fail a command that has output to print when the process has no
+    stdout: started with fd 1 closed, ``sys.stdout`` is None, and ``print``
+    would drop the output without a word."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, "stdout is closed")
+
+
 def _fail(exc: Exception) -> int:
-    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    if sys.stderr is not None:  # else print(file=None) would write to stdout
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
     return 1
 
 
@@ -295,7 +308,8 @@ def run() -> None:
             sys.stdout.flush()
     except OSError as exc:
         status = status or _fail(exc)  # a run that failed has said why
-    sys.stderr.flush()
+    if sys.stderr is not None:  # None when the process starts with fd 2 closed
+        sys.stderr.flush()
     os._exit(status)
 
 

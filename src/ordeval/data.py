@@ -7,13 +7,18 @@ Every per-sample computation in the package works on these arrays directly.
 Validated ids are one ``np.dtypes.StringDType`` array behind a read-only
 sequence of ``str``. Everything is immutable after validation, so datasets
 can be shared freely across threads.
+
+``_build`` is the only code that allocates a dataset's arrays. The file
+reader, the generator and ``validate_dataset``, copying a caller's dataset,
+each hand it blocks of rows, and validation then checks and freezes the
+arrays it built in place.
 """
 
 import operator
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -24,6 +29,7 @@ from .errors import (
     LabelOutOfRange,
     NegativeProbability,
     NonFiniteProbability,
+    NonNumericField,
     ShapeMismatch,
     SumOutOfTolerance,
 )
@@ -101,15 +107,10 @@ class EvalDataset:
 
 
 class _Built(EvalDataset):
-    """A dataset whose arrays the package has just built and nobody else
-    holds: ``ids`` is a StringDType array and ``hashes`` the ``hash`` of
-    every id, taken while it was still a ``str``. Validation checks and
-    freezes these arrays in place instead of copying them. (A plain
+    """A dataset that ``_build`` has just made, whose arrays nobody else
+    holds: validation checks and freezes them in place. ``ids`` is a
+    StringDType array and ``hashes`` the ``hash`` of every id. (A plain
     subclass: a dataclass would cost every import most of a millisecond.)"""
-
-    def __init__(self, num_classes, ids, labels, probs, hashes):
-        super().__init__(num_classes, ids, labels, probs)
-        object.__setattr__(self, "hashes", hashes)  # the parent is frozen
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -123,25 +124,66 @@ def _id_array(ids) -> Sequence:
     return ids._array if isinstance(ids, _Ids) else ids
 
 
-def _cast_ids(ids) -> tuple[np.ndarray, np.ndarray]:
-    """A caller's ids as a StringDType array, and their hashes, taken before
-    the cast. The first id that is not a ``str``, or that holds a lone
-    surrogate, which UTF-8 and so StringDType cannot encode, is rejected by
-    its position."""
-    if not all(map(isinstance, ids, repeat(str))):
-        bad, sid = next((i, s) for i, s in enumerate(ids) if not isinstance(s, str))
-        raise InvalidConfig(
-            f"sample {bad} has id {sid!r} of type {type(sid).__name__}; ids must be str"
-        )
-    hashes = np.fromiter(map(hash, ids), np.int64, len(ids))
+def _build(k: int, bound: int, blocks) -> _Built | None:
+    """The only code that allocates a dataset's arrays: a dataset of ``k``
+    classes in arrays sized for ``bound`` rows, filled from the (ids,
+    labels, probs) ``blocks`` and cut to the rows they gave, or None as soon
+    as a block is None. Each block's ids are hashed while they are ``str``.
+    """
+    ids = np.empty(bound, dtype=np.dtypes.StringDType())
+    hashes = np.empty(bound, dtype=np.int64)
+    labels = np.empty(bound, dtype=np.int64)
+    probs = np.empty((bound, k))
+    m = 0
+    for block in blocks:
+        if block is None:
+            return None
+        lo, m = m, m + len(block[0])
+        hashes[lo:m] = np.fromiter(map(hash, block[0]), np.int64, m - lo)
+        try:
+            ids[lo:m], labels[lo:m], probs[lo:m] = block
+        except UnicodeEncodeError:  # a lone surrogate, which UTF-8 cannot encode
+            surrogate = re.compile("[\ud800-\udfff]").search
+            bad, sid = next((i, s) for i, s in enumerate(block[0], lo) if surrogate(s))
+            msg = f"sample {bad} has id {sid!r}, which holds a lone surrogate"
+            raise InvalidConfig(msg) from None
+    for a in (ids, hashes, labels, probs):
+        a.resize((m, *a.shape[1:]), refcheck=False)
+    ds = _Built(k, ids, labels, probs)
+    object.__setattr__(ds, "hashes", hashes)  # the parent is frozen
+    return ds
+
+
+def _is_label(v) -> bool:
+    """Whether ``v`` is an integer that an int64 holds exactly: ``int``
+    gives it back unchanged (2.0, but not 2.7, NaN or ``"1"``)."""
     try:
-        return np.array(ids, dtype=np.dtypes.StringDType()), hashes
-    except UnicodeEncodeError:
-        surrogate = re.compile("[\ud800-\udfff]").search
-        bad, sid = next((i, s) for i, s in enumerate(ids) if surrogate(s))
-        raise InvalidConfig(
-            f"sample {bad} has id {sid!r}, which holds a lone surrogate"
-        ) from None
+        return int(v) == v and -(2**63) <= v < 2**63
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _copied(ids, labels: np.ndarray, probs: np.ndarray):
+    """A caller's dataset as ``_build`` blocks of ``_BLOCK_ROWS`` rows. The
+    first id that is not a ``str`` is rejected by its position, and the
+    first label that is not an int64 value (2.7, NaN, ``"1"``) by its
+    sample id, quoted as given."""
+    ids = iter(ids)
+    for lo in range(0, len(labels), _BLOCK_ROWS):
+        block = list(islice(ids, _BLOCK_ROWS))
+        if not all(map(isinstance, block, repeat(str))):
+            bad, sid = next((i, s) for i, s in enumerate(block, lo) if not isinstance(s, str))
+            kind = type(sid).__name__
+            raise InvalidConfig(f"sample {bad} has id {sid!r} of type {kind}; ids must be str")
+        rows = slice(lo, lo + len(block))
+        if labels.dtype.kind not in "biu":
+            given = labels[rows].tolist()
+            bad = next((i for i, v in enumerate(given) if not _is_label(v)), None)
+            if bad is not None:
+                raise NonNumericField(
+                    f"sample {block[bad]!r} has label {given[bad]!r}, which is not an int64"
+                )
+        yield block, labels[rows], probs[rows]
 
 
 def _check_unique(ids, hashes: np.ndarray) -> None:
@@ -182,8 +224,9 @@ def validate_dataset(raw: EvalDataset) -> EvalDataset:
     """Check every dataset invariant and return the canonicalized dataset.
 
     Probability rows within SUM_TOLERANCE of summing to 1 are renormalized;
-    anything worse is rejected. Labels must be valid class indices and ids
-    unique ``str`` that UTF-8 can encode. The returned arrays are read-only,
+    anything worse is rejected. Labels must be integers that index a class
+    (2.0 counts as 2; 2.7, NaN and ``"1"`` are rejected) and ids unique
+    ``str`` that UTF-8 can encode. The returned arrays are read-only,
     and validating an already validated dataset returns identical values
     (the renormalization trigger sits far above the residual left by
     renormalization itself). The caller's arrays are copied, never changed
@@ -195,18 +238,20 @@ def validate_dataset(raw: EvalDataset) -> EvalDataset:
     n = len(raw.ids)
     if n == 0:
         raise EmptyDataset("dataset has no samples")
-    built = isinstance(raw, _Built)
-    if built:
-        probs, labels = raw.probs, raw.labels
-    else:
-        probs = np.array(raw.probs, dtype=np.float64)
-        labels = np.array(raw.labels, dtype=np.int64)
-    if probs.shape != (n, k):
-        raise ShapeMismatch(
-            f"probability matrix has shape {probs.shape}, expected {(n, k)}"
-        )
-    if labels.shape != (n,):
-        raise ShapeMismatch(f"labels have shape {labels.shape}, expected {(n,)}")
+    ds = raw
+    if not isinstance(raw, _Built):
+        probs = np.asarray(raw.probs, dtype=np.float64)
+        labels = np.asarray(raw.labels)
+        if labels.dtype.kind not in "biuf":  # each label as given, for _copied to check
+            labels = np.asarray(raw.labels, dtype=object)
+        if probs.shape != (n, k):
+            raise ShapeMismatch(
+                f"probability matrix has shape {probs.shape}, expected {(n, k)}"
+            )
+        if labels.shape != (n,):
+            raise ShapeMismatch(f"labels have shape {labels.shape}, expected {(n,)}")
+        ds = _build(k, n, _copied(raw.ids, labels, probs))
+    probs, labels = ds.probs, ds.labels
 
     # a block of rows at a time, so no check holds a temporary as long as
     # the dataset; a block that fails any check hands over to the whole-
@@ -229,13 +274,9 @@ def validate_dataset(raw: EvalDataset) -> EvalDataset:
         )
     if isinstance(raw.ids, _Ids):  # validated before: unique str
         ids = raw.ids
-    elif built:
-        ids = _Ids(_freeze(raw.ids))
-        _check_unique(ids, raw.hashes)
     else:
-        array, hashes = _cast_ids(raw.ids)
-        _check_unique(raw.ids, hashes)
-        ids = _Ids(_freeze(array))
+        _check_unique(raw.ids, ds.hashes)  # the ids that were hashed
+        ids = _Ids(_freeze(ds.ids))
 
     return EvalDataset(k, ids, _freeze(labels), _freeze(probs))
 

@@ -16,13 +16,14 @@ new file: 0o666 less the umask.
 A prediction file is opened once, in binary; one that cannot seek, such
 as a pipe, is first copied to an anonymous temp file. Its header is its
 first CSV record, which may be quoted, padded or preceded by blank lines.
-Its rows fill arrays sized from a count of its lines, a block at a time,
-from ``np.loadtxt`` calls on the open handle. A file that source declines
-(a field such as ``0_3``, a label out of range) is read again from its
-start, and its ``csv.reader`` records fill the same arrays or name the
-fault. Readers accept a UTF-8 byte order mark, CRLF line ends and blank
-lines, and report errors, a byte that is not UTF-8 among them, with the
-line number as it appears in the file.
+``data._build`` fills the dataset's arrays, sized from a count of its
+lines, a block of rows at a time, from ``np.loadtxt`` calls on the open
+handle. A file that source declines (a field such as ``0_3``, a label out
+of range) is read again from its start, and ``data._build`` fills new
+arrays from its ``csv.reader`` records, or they name the fault. Readers
+accept a UTF-8 byte order mark, CRLF line ends and blank lines, and report
+errors, a byte that is not UTF-8 among them, with the line number as it
+appears in the file.
 Reals are written with 17 significant digits, which round-trips float64
 exactly.
 """
@@ -41,7 +42,7 @@ from io import TextIOWrapper
 
 import numpy as np
 
-from .data import CostMatrix, EvalDataset, _Built, _id_array, validate_dataset
+from .data import CostMatrix, EvalDataset, _build, _id_array, validate_dataset
 from .errors import (
     EmptyDataset,
     EvalError,
@@ -221,10 +222,9 @@ def _read(fh, path: str, label_base: int, blocks) -> EvalDataset | None:
     when the source ``blocks`` declines the file.
 
     The header is the first CSV record; its fields may be quoted or padded.
-    Arrays sized from the file's line count are filled from the
+    ``data._build`` fills arrays sized from the file's line count with the
     (ids, labels, probs) blocks that ``blocks(fh, records, k, label_base,
-    path)`` yields for the rows after it, each block's ids hashed while they
-    are ``str``, then cut to the rows read.
+    path)`` yields for the rows after it.
     """
     bound = _line_count(fh.buffer)
     fh.seek(0)
@@ -238,27 +238,13 @@ def _read(fh, path: str, label_base: int, blocks) -> EvalDataset | None:
         raise MalformedHeader(
             f"{path}: line {lineno}: expected header 'id,label,p0,...', got {','.join(names)!r}"
         )
-    ids = np.empty(bound, dtype=np.dtypes.StringDType())
-    hashes = np.empty(bound, dtype=np.int64)
-    labels = np.empty(bound, dtype=np.int64)
-    probs = np.empty((bound, k))
-    m = 0
-    for block in blocks(fh, records, k, label_base, path):
-        if block is None:
-            return None
-        block_ids, block_labels, block_probs = block
-        lo, m = m, m + len(block_ids)
-        hashes[lo:m] = np.fromiter(map(hash, block_ids), np.int64, m - lo)
-        ids[lo:m] = block_ids
-        labels[lo:m] = block_labels
-        probs[lo:m] = block_probs
-    if m == 0:
+    ds = _build(k, bound, blocks(fh, records, k, label_base, path))
+    if ds is None:
+        return None
+    if len(ds) == 0:
         raise EmptyDataset(f"{path}: no rows after the header")
-    for a in (ids, hashes, labels):  # the header, blank lines, quoted line breaks
-        a.resize(m, refcheck=False)
-    probs.resize((m, k), refcheck=False)
-    labels -= label_base
-    return _Built(k, ids, labels, probs, hashes)
+    ds.labels[:] -= label_base
+    return ds
 
 
 def _loadtxt_blocks(fh, records, k: int, label_base: int, path: str):
@@ -348,7 +334,7 @@ def write_scores(ds: EvalDataset, order: np.ndarray, scores: np.ndarray, path: s
     sample in ``order``; scores use Python's shortest round-trip repr. Each
     chunk of rows is gathered through its piece of ``order``."""
     ids = _id_array(ds.ids)
-    # one id at a time: a StringDType gather and its tolist() take longer
+    # one id at a time: gathering a chunk of the id array and its tolist() take longer
     chunks = (
         ([ids[i] for i in s.tolist()], [ds.labels[s], ds.probs[s].argmax(axis=1), scores[s]])
         for s in _chunks(len(order), order)

@@ -21,7 +21,9 @@ distance structure while leaving every order-insensitive quantity --
 per-sample Brier and log scores, accuracy -- unchanged.
 
 Generation is counter-based: every draw is a pure function of (seed, sample
-index), so output never depends on evaluation order.
+index), so output never depends on evaluation order. Samples are made a
+block at a time, and ``data._build`` fills the dataset's arrays with them,
+as it does for the file reader.
 """
 
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .data import EvalDataset, _Built, validate_dataset
+from .data import EvalDataset, _build, validate_dataset
 from .errors import InvalidConfig
 
 MODES = ("ordinal", "shuffled")
@@ -120,10 +122,12 @@ def _class_permutation(seed: int, n: int, k: int) -> np.ndarray:
         attempt += 1
 
 
-def _rows(cfg: SynthConfig, subs: np.ndarray, perm) -> tuple[np.ndarray, np.ndarray]:
-    """The labels and probabilities of the samples whose substream seeds are
-    ``subs``; ``perm`` relabels the classes in shuffled mode."""
-    m, k = len(subs), cfg.k
+def _rows(cfg: SynthConfig, lo: int, perm) -> tuple[list, np.ndarray, np.ndarray]:
+    """The ``_BLOCK_ROWS`` samples from ``lo`` on, or those left, as an (ids,
+    labels, probs) block; ``perm`` relabels the classes in shuffled mode."""
+    hi = min(cfg.n, lo + _BLOCK_ROWS)
+    subs = _rng.stream(cfg.seed, hi - lo, start=lo)
+    m, k = hi - lo, cfg.k
     labels = _rng.integers_mod(_rng.substream_column(subs, 0), k)
     if cfg.noise == 0.0:
         probs = np.zeros((m, k))
@@ -153,27 +157,17 @@ def _rows(cfg: SynthConfig, subs: np.ndarray, perm) -> tuple[np.ndarray, np.ndar
     if perm is not None:
         probs = probs[:, np.argsort(perm)]  # new column perm[j] holds old column j
         labels = perm[labels]
-    return labels, probs
+    return list(map("s%06d".__mod__, range(lo + 1, hi + 1))), labels, probs
 
 
 def generate(cfg: SynthConfig) -> EvalDataset:
     """Build a validated dataset of ``cfg.n`` synthetic predictions.
 
-    Samples are made ``_BLOCK_ROWS`` at a time straight into the dataset's
-    arrays; every draw depends only on (seed, sample index), so the result
-    does not depend on the block size.
+    ``data._build`` fills the dataset's arrays with samples made
+    ``_BLOCK_ROWS`` at a time; every draw depends only on (seed, sample
+    index), so the result does not depend on the block size.
     """
     _check_config(cfg)
-    n, k = cfg.n, cfg.k
-    perm = _class_permutation(cfg.seed, n, k) if cfg.mode == "shuffled" else None
-    ids = np.empty(n, dtype=np.dtypes.StringDType())
-    hashes = np.empty(n, dtype=np.int64)
-    labels = np.empty(n, dtype=np.int64)
-    probs = np.empty((n, k))
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(n, lo + _BLOCK_ROWS)
-        labels[lo:hi], probs[lo:hi] = _rows(cfg, _rng.stream(cfg.seed, hi - lo, start=lo), perm)
-        names = list(map("s%06d".__mod__, range(lo + 1, hi + 1)))
-        hashes[lo:hi] = np.fromiter(map(hash, names), np.int64, hi - lo)
-        ids[lo:hi] = names
-    return validate_dataset(_Built(k, ids, labels, probs, hashes))
+    perm = _class_permutation(cfg.seed, cfg.n, cfg.k) if cfg.mode == "shuffled" else None
+    blocks = (_rows(cfg, lo, perm) for lo in range(0, cfg.n, _BLOCK_ROWS))
+    return validate_dataset(_build(cfg.k, cfg.n, blocks))

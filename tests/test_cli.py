@@ -415,15 +415,21 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMO_OUTPUT = ROOT / "demos" / "output"
 
 
-def program(*argv, stdout=subprocess.PIPE):
+def program(*argv, stdout=subprocess.PIPE, closed=None):
     """``python -m ordeval.cli *argv`` in a fresh interpreter, with stdout
-    block-buffered as it is on a pipe or a file."""
+    block-buffered as it is on a pipe or a file, and the file descriptor
+    ``closed``, when given, closed before it starts."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
         [sys.executable, "-m", "ordeval.cli", *map(str, argv)],
         stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        preexec_fn=None if closed is None else lambda: os.close(closed),
     )
+
+
+# closing a descriptor between fork and exec needs preexec_fn
+closes_fds = pytest.mark.skipif(os.name != "posix", reason="needs POSIX fork and exec")
 
 
 class TestProgramEntry:
@@ -463,6 +469,36 @@ class TestProgramEntry:
         assert child.stderr.count("\n") == 1
         assert len(list(tmp_path.glob("r_*"))) == 9
         assert not list(tmp_path.glob(".tmp-*~"))
+
+    @closes_fds
+    @pytest.mark.parametrize("command", [
+        ["evaluate"], ["score", "--rule", "rps", "--output", "s.csv"],
+        ["rsc", "--bootstrap", 5, "--output-prefix", "r"],
+    ])
+    def test_closed_stdout_fails_a_command_that_prints(self, perfect_file, tmp_path, command):
+        # started with fd 1 closed, sys.stdout is None and print drops the
+        # output: a command whose output is lost must not exit 0
+        cmd, *flags = command
+        flags = [tmp_path / f if f in ("s.csv", "r") else f for f in flags]
+        child = program(cmd, "--input", perfect_file, *flags, stdout=None, closed=1)
+        assert child.returncode == 1
+        assert child.stderr == "error: OSError: [Errno 9] stdout is closed\n"
+
+    @closes_fds
+    def test_closed_stdout_passes_a_command_that_prints_nothing(self, tmp_path):
+        out = tmp_path / "p.csv"
+        child = program("synth", "--n", 20, "--k", 3, "--output", out, stdout=None, closed=1)
+        assert (child.returncode, child.stderr) == (0, "")
+        child = program("evaluate", "--input", out, "--output", tmp_path / "e.json",
+                        stdout=None, closed=1)
+        assert (child.returncode, child.stderr) == (0, "")
+        assert json.loads((tmp_path / "e.json").read_text())["type"] == "metric_report"
+
+    @closes_fds
+    def test_closed_stderr_fails_a_failing_run_with_status_1(self, tmp_path):
+        # the error line has nowhere to go, and must not go to stdout
+        child = program("evaluate", "--input", tmp_path / "missing.csv", closed=2)
+        assert (child.returncode, child.stdout, child.stderr) == (1, "", "")
 
     def test_console_script_is_the_program_entry(self):
         # a string match, as tomllib needs Python 3.11

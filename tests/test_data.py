@@ -11,11 +11,13 @@ from ordeval.errors import (
     LabelOutOfRange,
     NegativeProbability,
     NonFiniteProbability,
+    NonNumericField,
     ShapeMismatch,
     SumOutOfTolerance,
 )
 
 from helpers import make_dataset, random_prob_matrix
+from ordeval.data import _BLOCK_ROWS
 from ordeval.scoring import _cumulative_diffs
 from reference import ref_cumulative
 
@@ -97,6 +99,35 @@ class TestValidation:
         # a lone surrogate is a str that UTF-8, and so StringDType, cannot hold
         with pytest.raises(InvalidConfig, match=r"^sample 2 has id '\\ud800', which holds a lone surrogate$"):
             make_dataset(np.full((3, 2), 0.5), [0] * 3, ids=("a", "b", "\ud800"))
+
+    @pytest.mark.parametrize("label", [2.7, np.nan, np.inf, "1", None, 2**70])
+    def test_rejects_a_label_that_is_not_an_integer(self, label):
+        # EvalDataset itself: make_dataset casts the labels to int64
+        raw = EvalDataset(3, ["a", "b"], [0, label], np.full((2, 3), 1 / 3))
+        want = f"^sample 'b' has label {re.escape(repr(label))}, which is not an int64$"
+        with pytest.raises(NonNumericField, match=want):
+            validate_dataset(raw)
+
+    def test_accepts_integer_valued_float_labels(self):
+        for labels in ([2.0, 0.0], np.array([2.0, 0.0]), [np.int64(2), 0.0]):
+            ds = validate_dataset(EvalDataset(3, ["a", "b"], labels, np.full((2, 3), 1 / 3)))
+            assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [2, 0]
+
+    def test_id_faults_are_placed_across_a_block_boundary(self):
+        n = _BLOCK_ROWS + 2
+        ids = [f"x{i}" for i in range(n)]
+        probs, labels = np.full((n, 2), 0.5), np.zeros(n, dtype=np.int64)
+        ids[-1] = "\ud800"  # row _BLOCK_ROWS + 1, in the second block
+        lone = rf"^sample {_BLOCK_ROWS + 1} has id '\\ud800', which holds a lone surrogate$"
+        with pytest.raises(InvalidConfig, match=lone):
+            validate_dataset(EvalDataset(2, ids, labels, probs))
+        ids[-1] = 7
+        not_str = f"^sample {_BLOCK_ROWS + 1} has id 7 of type int;"
+        with pytest.raises(InvalidConfig, match=not_str):
+            validate_dataset(EvalDataset(2, ids, labels, probs))
+        ids[-1] = "x3"  # its first copy is in the first block
+        with pytest.raises(DuplicateId, match="^duplicate sample id 'x3'$"):
+            validate_dataset(EvalDataset(2, ids, labels, probs))
 
     def test_ids_are_a_read_only_sequence_of_str(self):
         ids = ("a", "é" * 20, "c,d", "")

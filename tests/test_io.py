@@ -312,17 +312,23 @@ class TestReadPredictions:
         assert len(got[0]) == n and got == want
 
     def test_file_datasets_are_validated_in_place(self, tmp_path, monkeypatch):
-        # whichever source reads a file, the reader builds the dataset's
-        # arrays: validation's copy path, which casts a caller's ids, is
-        # never taken for one
-        def refuse(ids):
-            raise AssertionError("a dataset read from a file took the copy path")
+        # whichever source reads a file, validation checks and freezes the
+        # arrays data._build filled for it instead of copying them
+        built = []
 
-        monkeypatch.setattr(ordeval.data, "_cast_ids", refuse)
+        def spy(*args):
+            built.append(ordeval.data._build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(ordeval.io, "_build", spy)
         f = tmp_path / "p.csv"
-        for label in ("3", "0_3"):  # read by the bulk pass, declined by it
+        for label, calls in (("3", 1), ("0_3", 2)):  # read by the bulk pass, declined by it
+            built.clear()
             f.write_text(K4 + "a,1" + ROW4 + f"b,{label}" + ROW4)
-            assert read_predictions(str(f)).labels.tolist() == [1, 3]
+            ds = read_predictions(str(f))
+            assert ds.labels.tolist() == [1, 3] and len(built) == calls
+            assert np.shares_memory(ds.probs, built[-1].probs)
+            assert np.shares_memory(ds.labels, built[-1].labels)
 
     def test_bulk_pass_reads_a_padded_header(self, tmp_path, monkeypatch):
         # the header's fields are stripped as the row parser strips them, so
