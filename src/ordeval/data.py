@@ -8,10 +8,10 @@ Validated ids are one ``np.dtypes.StringDType`` array behind a read-only
 sequence of ``str``. Everything is immutable after validation, so datasets
 can be shared freely across threads.
 
-``_build`` is the only code that allocates a dataset's arrays. The file
-reader, the generator and ``validate_dataset``, copying a caller's dataset,
-each hand it blocks of rows, and validation then checks and freezes the
-arrays it built in place.
+``_build`` is the only code that makes a dataset. The file reader, the
+generator and ``validate_dataset``, copying a caller's dataset, each hand it
+blocks of rows; it fills its arrays with them, then checks and freezes those
+arrays in place, and returns only validated datasets.
 """
 
 import operator
@@ -106,13 +106,6 @@ class EvalDataset:
         return len(self.ids)
 
 
-class _Built(EvalDataset):
-    """A dataset that ``_build`` has just made, whose arrays nobody else
-    holds: validation checks and freezes them in place. ``ids`` is a
-    StringDType array and ``hashes`` the ``hash`` of every id. (A plain
-    subclass: a dataclass would cost every import most of a millisecond.)"""
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -124,11 +117,16 @@ def _id_array(ids) -> Sequence:
     return ids._array if isinstance(ids, _Ids) else ids
 
 
-def _build(k: int, bound: int, blocks) -> _Built | None:
-    """The only code that allocates a dataset's arrays: a dataset of ``k``
-    classes in arrays sized for ``bound`` rows, filled from the (ids,
-    labels, probs) ``blocks`` and cut to the rows they gave, or None as soon
-    as a block is None. Each block's ids are hashed while they are ``str``.
+def _build(k: int, bound: int, blocks) -> EvalDataset | None:
+    """The only code that makes a validated dataset: one of ``k`` classes
+    in arrays sized for ``bound`` rows, filled from the (ids, labels, probs)
+    ``blocks``, cut to the rows they gave, then checked and frozen in place.
+    None as soon as a block is None.
+
+    Every block's ids must be plain ``str``, so the hash of each is the hash
+    of the id as stored; errors quote the ids as stored. Probability rows
+    within SUM_TOLERANCE of summing to 1 are renormalized, and anything
+    worse is rejected; labels must index a class and ids be unique.
     """
     ids = np.empty(bound, dtype=np.dtypes.StringDType())
     hashes = np.empty(bound, dtype=np.int64)
@@ -149,9 +147,29 @@ def _build(k: int, bound: int, blocks) -> _Built | None:
             raise InvalidConfig(msg) from None
     for a in (ids, hashes, labels, probs):
         a.resize((m, *a.shape[1:]), refcheck=False)
-    ds = _Built(k, ids, labels, probs)
-    object.__setattr__(ds, "hashes", hashes)  # the parent is frozen
-    return ds
+    ids = _Ids(_freeze(ids))
+
+    # a block of rows at a time, so no check holds a temporary as long as
+    # the dataset; a block that fails any check hands over to the whole-
+    # array checks, which raise the error for the first fault in check order
+    for lo in range(0, m, _BLOCK_ROWS):
+        block = probs[lo : lo + _BLOCK_ROWS]
+        sums = block.sum(axis=1)
+        off = np.abs(sums - 1.0)
+        valid = np.isfinite(block).all() and (block >= 0.0).all()
+        if not (valid and (off <= SUM_TOLERANCE).all()):
+            _reject_probs(ids, probs)
+        renorm = off > _RENORM_TRIGGER
+        if np.any(renorm):
+            block[renorm] /= sums[renorm, None]
+
+    if np.any(labels < 0) or np.any(labels >= k):
+        bad = int(np.argwhere((labels < 0) | (labels >= k))[0, 0])
+        raise LabelOutOfRange(
+            f"sample {ids[bad]!r} has label {labels[bad]}, valid range 0..{k - 1}"
+        )
+    _check_unique(ids, hashes)
+    return EvalDataset(k, ids, _freeze(labels), _freeze(probs))
 
 
 def _is_label(v) -> bool:
@@ -164,10 +182,11 @@ def _is_label(v) -> bool:
 
 
 def _copied(ids, labels: np.ndarray, probs: np.ndarray):
-    """A caller's dataset as ``_build`` blocks of ``_BLOCK_ROWS`` rows. The
-    first id that is not a ``str`` is rejected by its position, and the
-    first label that is not an int64 value (2.7, NaN, ``"1"``) by its
-    sample id, quoted as given."""
+    """A caller's dataset as ``_build`` blocks of ``_BLOCK_ROWS`` rows, each
+    id as a plain ``str``. The first id that is not a ``str`` is rejected by
+    its position, and the first label that is not an int64 value (2.7, NaN,
+    2**64 - 1, ``"1"``) by its sample id, quoted as given. A numeric label
+    array is checked by its cast to int64, an object array label by label."""
     ids = iter(ids)
     for lo in range(0, len(labels), _BLOCK_ROWS):
         block = list(islice(ids, _BLOCK_ROWS))
@@ -175,18 +194,22 @@ def _copied(ids, labels: np.ndarray, probs: np.ndarray):
             bad, sid = next((i, s) for i, s in enumerate(block, lo) if not isinstance(s, str))
             kind = type(sid).__name__
             raise InvalidConfig(f"sample {bad} has id {sid!r} of type {kind}; ids must be str")
-        rows = slice(lo, lo + len(block))
-        if labels.dtype.kind not in "biu":
-            given = labels[rows].tolist()
+        block = list(map(str.__str__, block))  # plain str, whatever a subclass's hash or repr
+        given = labels[lo : lo + len(block)]
+        if given.dtype == object:
             bad = next((i for i, v in enumerate(given) if not _is_label(v)), None)
-            if bad is not None:
-                raise NonNumericField(
-                    f"sample {block[bad]!r} has label {given[bad]!r}, which is not an int64"
-                )
-        yield block, labels[rows], probs[rows]
+        else:
+            with np.errstate(invalid="ignore", over="ignore"):
+                exact = given.astype(np.int64) == given
+            bad = None if exact.all() else int(np.argmin(exact))
+        if bad is not None:
+            raise NonNumericField(
+                f"sample {block[bad]!r} has label {given.tolist()[bad]!r}, which is not an int64"
+            )
+        yield block, given, probs[lo : lo + len(block)]
 
 
-def _check_unique(ids, hashes: np.ndarray) -> None:
+def _check_unique(ids: _Ids, hashes: np.ndarray) -> None:
     """Reject the first id, in dataset order, that repeats an earlier one.
 
     Equal ids have equal hashes, so only ids whose hashes repeat in the
@@ -205,7 +228,7 @@ def _check_unique(ids, hashes: np.ndarray) -> None:
             seen.add(sid)
 
 
-def _reject_probs(ids, probs: np.ndarray) -> None:
+def _reject_probs(ids: _Ids, probs: np.ndarray) -> None:
     """Raise the error for the first probability check that ``probs`` fails:
     non-finite entries, then negative ones, then the row whose sum is
     farthest from 1 beyond SUM_TOLERANCE."""
@@ -217,7 +240,7 @@ def _reject_probs(ids, probs: np.ndarray) -> None:
         raise NegativeProbability(f"negative probability in sample {ids[bad]!r}")
     sums = probs.sum(axis=1)
     bad = int(np.argmax(np.abs(sums - 1.0)))
-    raise SumOutOfTolerance(f"sample {ids[bad]!r} probabilities sum to {sums[bad]!r}")
+    raise SumOutOfTolerance(f"sample {ids[bad]!r} probabilities sum to {sums[bad].item()!r}")
 
 
 def validate_dataset(raw: EvalDataset) -> EvalDataset:
@@ -229,8 +252,8 @@ def validate_dataset(raw: EvalDataset) -> EvalDataset:
     ``str`` that UTF-8 can encode. The returned arrays are read-only,
     and validating an already validated dataset returns identical values
     (the renormalization trigger sits far above the residual left by
-    renormalization itself). The caller's arrays are copied, never changed
-    or frozen.
+    renormalization itself) and its own ids. The caller's arrays are copied,
+    by ``_build``, never changed or frozen.
     """
     k = raw.num_classes
     if k < 2:
@@ -238,47 +261,18 @@ def validate_dataset(raw: EvalDataset) -> EvalDataset:
     n = len(raw.ids)
     if n == 0:
         raise EmptyDataset("dataset has no samples")
-    ds = raw
-    if not isinstance(raw, _Built):
-        probs = np.asarray(raw.probs, dtype=np.float64)
-        labels = np.asarray(raw.labels)
-        if labels.dtype.kind not in "biuf":  # each label as given, for _copied to check
-            labels = np.asarray(raw.labels, dtype=object)
-        if probs.shape != (n, k):
-            raise ShapeMismatch(
-                f"probability matrix has shape {probs.shape}, expected {(n, k)}"
-            )
-        if labels.shape != (n,):
-            raise ShapeMismatch(f"labels have shape {labels.shape}, expected {(n,)}")
-        ds = _build(k, n, _copied(raw.ids, labels, probs))
-    probs, labels = ds.probs, ds.labels
-
-    # a block of rows at a time, so no check holds a temporary as long as
-    # the dataset; a block that fails any check hands over to the whole-
-    # array checks, which raise the error for the first fault in check order
-    for lo in range(0, n, _BLOCK_ROWS):
-        block = probs[lo : lo + _BLOCK_ROWS]
-        sums = block.sum(axis=1)
-        off = np.abs(sums - 1.0)
-        valid = np.isfinite(block).all() and (block >= 0.0).all()
-        if not (valid and (off <= SUM_TOLERANCE).all()):
-            _reject_probs(raw.ids, probs)
-        renorm = off > _RENORM_TRIGGER
-        if np.any(renorm):
-            block[renorm] /= sums[renorm, None]
-
-    if np.any(labels < 0) or np.any(labels >= k):
-        bad = int(np.argwhere((labels < 0) | (labels >= k))[0, 0])
-        raise LabelOutOfRange(
-            f"sample {raw.ids[bad]!r} has label {labels[bad]}, valid range 0..{k - 1}"
-        )
-    if isinstance(raw.ids, _Ids):  # validated before: unique str
-        ids = raw.ids
-    else:
-        _check_unique(raw.ids, ds.hashes)  # the ids that were hashed
-        ids = _Ids(_freeze(ds.ids))
-
-    return EvalDataset(k, ids, _freeze(labels), _freeze(probs))
+    probs = np.asarray(raw.probs, dtype=np.float64)
+    labels = np.asarray(raw.labels)
+    if labels.dtype.kind not in "biuf":  # each label as given, for _copied to check
+        labels = np.asarray(raw.labels, dtype=object)
+    if probs.shape != (n, k):
+        raise ShapeMismatch(f"probability matrix has shape {probs.shape}, expected {(n, k)}")
+    if labels.shape != (n,):
+        raise ShapeMismatch(f"labels have shape {labels.shape}, expected {(n,)}")
+    ds = _build(k, n, _copied(raw.ids, labels, probs))
+    if isinstance(raw.ids, _Ids):  # validated before
+        return EvalDataset(k, raw.ids, ds.labels, ds.probs)
+    return ds
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,10 @@ as a pipe, is first copied to an anonymous temp file. Its header is its
 first CSV record, which may be quoted, padded or preceded by blank lines.
 ``data._build`` fills the dataset's arrays, sized from a count of its
 lines, a block of rows at a time, from ``np.loadtxt`` calls on the open
-handle. A file that source declines (a field such as ``0_3``, a label out
-of range) is read again from its start, and ``data._build`` fills new
-arrays from its ``csv.reader`` records, or they name the fault. Readers
+handle, and returns them validated. A file that source declines (a field
+such as ``0_3``, a label out of range) is read again from its start, and
+``data._build`` fills new arrays from its ``csv.reader`` records, or they
+name the fault. Each source makes labels 0-based as it parses them. Readers
 accept a UTF-8 byte order mark, CRLF line ends and blank lines, and report
 errors, a byte that is not UTF-8 among them, with the line number as it
 appears in the file.
@@ -42,7 +43,7 @@ from io import TextIOWrapper
 
 import numpy as np
 
-from .data import CostMatrix, EvalDataset, _build, _id_array, validate_dataset
+from .data import CostMatrix, EvalDataset, _build, _id_array
 from .errors import (
     EmptyDataset,
     EvalError,
@@ -182,9 +183,7 @@ def read_predictions(path: str, label_base: int = 0) -> EvalDataset:
         raise InvalidConfig(f"label_base must be 0 or 1, got {label_base}")
     with _open_text(path) as fh:
         ds = _read(fh, path, label_base, _loadtxt_blocks)
-        if ds is None:
-            ds = _read(fh, path, label_base, _row_blocks)
-    return validate_dataset(ds)
+        return ds if ds is not None else _read(fh, path, label_base, _row_blocks)
 
 
 @contextmanager
@@ -218,13 +217,13 @@ def _line_count(raw) -> int:
 
 
 def _read(fh, path: str, label_base: int, blocks) -> EvalDataset | None:
-    """The unvalidated dataset in the seekable text file ``fh``, or None
+    """The validated dataset in the seekable text file ``fh``, or None
     when the source ``blocks`` declines the file.
 
     The header is the first CSV record; its fields may be quoted or padded.
     ``data._build`` fills arrays sized from the file's line count with the
-    (ids, labels, probs) blocks that ``blocks(fh, records, k, label_base,
-    path)`` yields for the rows after it.
+    (ids, 0-based labels, probs) blocks that ``blocks(fh, records, k,
+    label_base, path)`` yields for the rows after it, and validates them.
     """
     bound = _line_count(fh.buffer)
     fh.seek(0)
@@ -238,13 +237,7 @@ def _read(fh, path: str, label_base: int, blocks) -> EvalDataset | None:
         raise MalformedHeader(
             f"{path}: line {lineno}: expected header 'id,label,p0,...', got {','.join(names)!r}"
         )
-    ds = _build(k, bound, blocks(fh, records, k, label_base, path))
-    if ds is None:
-        return None
-    if len(ds) == 0:
-        raise EmptyDataset(f"{path}: no rows after the header")
-    ds.labels[:] -= label_base
-    return ds
+    return _build(k, bound, blocks(fh, records, k, label_base, path))
 
 
 def _loadtxt_blocks(fh, records, k: int, label_base: int, path: str):
@@ -275,8 +268,8 @@ def _loadtxt_blocks(fh, records, k: int, label_base: int, path: str):
             break
         if call and len(rows) == 0:
             return
-        labels = rows["label"]
-        if len(rows) == 0 or labels.min() < label_base or labels.max() >= k + label_base:
+        labels = rows["label"] - label_base
+        if len(rows) == 0 or labels.min() < 0 or labels.max() >= k:
             break
         ids = rows["id"].tolist()
         if max(map(len, ids)) > csv.field_size_limit():
@@ -289,8 +282,9 @@ def _row_blocks(fh, records, k: int, label_base: int, path: str):
     """The rows after the header, ``_LOADTXT_ROWS`` ``records`` at a time,
     their fields converted by ``int`` and ``float``: slower than
     ``_loadtxt_blocks``, but it reads every file the format allows and,
-    naming ``path``, the file line of the first fault in any other."""
-    while True:
+    naming ``path``, the file line of the first fault in any other, or
+    that there is no row."""
+    for call in itertools.count():
         ids, labels, probs = [], [], []
         for lineno, row in itertools.islice(records, _LOADTXT_ROWS):
             if len(row) != k + 2:
@@ -315,8 +309,10 @@ def _row_blocks(fh, records, k: int, label_base: int, path: str):
                     f"{path}: line {lineno}: non-numeric probability"
                 ) from None
             ids.append(row[0])
-            labels.append(label)
+            labels.append(label - label_base)
         if not ids:
+            if call == 0:
+                raise EmptyDataset(f"{path}: no rows after the header")
             return
         yield ids, labels, probs
 

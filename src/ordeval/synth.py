@@ -22,8 +22,8 @@ per-sample Brier and log scores, accuracy -- unchanged.
 
 Generation is counter-based: every draw is a pure function of (seed, sample
 index), so output never depends on evaluation order. Samples are made a
-block at a time, and ``data._build`` fills the dataset's arrays with them,
-as it does for the file reader.
+block at a time, and ``data._build`` fills the dataset's arrays with them
+and validates them, as it does for the file reader.
 """
 
 from dataclasses import dataclass
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .data import EvalDataset, _build, validate_dataset
+from .data import EvalDataset, _build
 from .errors import InvalidConfig
 
 MODES = ("ordinal", "shuffled")
@@ -170,4 +170,4 @@ def generate(cfg: SynthConfig) -> EvalDataset:
     _check_config(cfg)
     perm = _class_permutation(cfg.seed, cfg.n, cfg.k) if cfg.mode == "shuffled" else None
     blocks = (_rows(cfg, lo, perm) for lo in range(0, cfg.n, _BLOCK_ROWS))
-    return validate_dataset(_build(cfg.k, cfg.n, blocks))
+    return _build(cfg.k, cfg.n, blocks)

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+import ordeval.data
 from ordeval import CostMatrix, EvalDataset, validate_dataset
 from ordeval.errors import (
     DuplicateId,
@@ -65,17 +66,21 @@ class TestValidation:
         with pytest.raises(DuplicateId):
             make_dataset([[1.0, 0.0], [0.0, 1.0]], [0, 1], ids=("a", "a"))
 
-    def test_duplicate_check_compares_ids_whose_hashes_collide(self):
-        class Clash(str):
-            def __hash__(self):
-                return 7
+    def test_duplicate_check_compares_ids_whose_hashes_collide(self, monkeypatch):
+        # every id hashes alike, so only comparing the ids tells them apart
+        hashed = []
 
-        unique = tuple(map(Clash, "abcde"))
+        def clash(sid):
+            hashed.append(sid)
+            return 7
+
+        monkeypatch.setattr(ordeval.data, "hash", clash, raising=False)
+        unique = tuple("abcde")
         assert make_dataset(np.full((5, 2), 0.5), [0] * 5, ids=unique).ids == unique
+        assert hashed[:5] == list(unique)
         # "c" repeats first in dataset order, though "a" repeats too
-        repeated = tuple(map(Clash, "abcdca"))
         with pytest.raises(DuplicateId, match="^duplicate sample id 'c'$"):
-            make_dataset(np.full((6, 2), 0.5), [0] * 6, ids=repeated)
+            make_dataset(np.full((6, 2), 0.5), [0] * 6, ids=tuple("abcdca"))
 
     def test_leaves_the_callers_arrays_as_they_were(self):
         probs = np.array([[0.5, 0.5000004, 0.0], [0.25, 0.75, 0.0]])

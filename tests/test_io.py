@@ -43,7 +43,6 @@ from ordeval.errors import (
     ShapeMismatch,
 )
 from ordeval.cli import main
-from ordeval.data import validate_dataset
 from ordeval.io import _loadtxt_blocks, _read, _row_blocks, write_scores
 from ordeval.retention import rank_samples
 
@@ -100,10 +99,9 @@ BLOCK_EDGE_CORPUS = {
 
 
 def _row_parse(path, label_base):
-    """``_row_blocks`` on the file at ``path``, validated as
-    ``read_predictions`` validates what it reads."""
+    """The dataset ``_row_blocks`` reads from the file at ``path``."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        return validate_dataset(_read(fh, path, label_base, _row_blocks))
+        return _read(fh, path, label_base, _row_blocks)
 
 
 def _outcome(read, path, label_base):
@@ -220,15 +218,20 @@ class TestReadPredictions:
             read_predictions(str(f))
 
     @pytest.mark.parametrize("name", list(PARSER_CORPUS))
-    def test_bulk_pass_matches_row_parser(self, tmp_path, name):
+    def test_bulk_pass_matches_row_parser(self, tmp_path, monkeypatch, name):
         text, label_base, bulk = PARSER_CORPUS[name]
         path = tmp_path / "p.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert _outcome(read_predictions, str(path), label_base) == _outcome(
-            _row_parse, str(path), label_base
-        )
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            assert (_read(fh, str(path), label_base, _loadtxt_blocks) is not None) == bulk
+        want = _outcome(_row_parse, str(path), label_base)
+        declined = []  # the bulk pass read the file unless the row source ran
+
+        def row_blocks(*args):
+            declined.append(True)
+            return _row_blocks(*args)
+
+        monkeypatch.setattr(ordeval.io, "_row_blocks", row_blocks)
+        assert _outcome(read_predictions, str(path), label_base) == want
+        assert (not declined) == bulk
 
     def test_bulk_pass_matches_row_parser_on_random_files(self, tmp_path):
         rng = random.Random(7)
