@@ -31,6 +31,7 @@ from .retention import (
     DEFAULT_SEED,
     MAX_FRACTIONS,
     MAX_REPLICATES,
+    METRICS,
     check_bootstrap,
     check_fractions,
     check_metric,
@@ -38,7 +39,7 @@ from .retention import (
     retention_analysis,
 )
 from .scoring import RULES, _rule_fn
-from .synth import MAX_CELLS, SynthConfig, generate
+from .synth import MAX_CELLS, MODES, SynthConfig, generate
 
 DEFAULT_FRACTION_SPEC = "1.0:0.05:0.05"
 MAX_THREADS = 64  # --threads is accepted for compatibility and changes nothing
@@ -88,7 +89,7 @@ def _resolve_cost(choice: str, cost: CostMatrix | None, num_classes: int) -> Cos
 def _parse_rules(spec: str) -> list[str]:
     rules = list(dict.fromkeys(r.strip() for r in spec.split(",") if r.strip()))
     if not rules:
-        raise UnknownRule("no rules given")
+        raise UnknownRule(f"no rules given in {spec!r}")
     for r in rules:
         _rule_fn(r)  # raises UnknownRule before any output is written
     return rules
@@ -215,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "score", parents=[dataset], help="per-sample scores under one rule, worst first"
     )
-    p.add_argument("--rule", required=True, help="brier | log | rps | sa_rps")
+    p.add_argument("--rule", required=True, help=" | ".join(RULES))
     p.add_argument("--output", required=True, help="scores CSV to write")
     p.set_defaults(func=cmd_score)
 
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         "rsc", parents=[dataset, costed], help="retention curves with bootstrapped AURSC"
     )
     p.add_argument("--rules", default=",".join(RULES), help="comma-separated rule list")
-    p.add_argument("--metric", default="qwk", help="qwk | ec")
+    p.add_argument("--metric", default="qwk", help=" | ".join(METRICS))
     p.add_argument(
         "--fractions",
         default=DEFAULT_FRACTION_SPEC,
@@ -259,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="class count")
     p.add_argument("--noise", type=float, default=1.0)
     p.add_argument("--miscal", type=float, default=1.0)
-    p.add_argument("--mode", default="ordinal", help="ordinal | shuffled")
+    p.add_argument("--mode", default="ordinal", help=" | ".join(MODES))
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--output", required=True, help="prediction CSV to write")
     p.set_defaults(func=cmd_synth)

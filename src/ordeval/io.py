@@ -89,7 +89,10 @@ def _atomic_file(path: str):
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
     # O_EXCL: never open an existing file or follow a planted link
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-    fd = os.open(tmp, flags, 0o666)
+    try:
+        fd = os.open(tmp, flags, 0o666)
+    except OSError as exc:  # a missing directory, say: name the output, not its temp file
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh

@@ -177,6 +177,28 @@ class TestUnreadableFiles:
         assert capsys.readouterr().err == f"error: EvalError: {files[bad]}: {message}\n"
 
 
+class TestUnwritableOutputs:
+    @pytest.mark.parametrize("command", ["synth", "score", "evaluate", "rsc"])
+    def test_a_missing_directory_is_named_by_the_output(
+        self, perfect_file, tmp_path, capsys, command
+    ):
+        # the temp file would be made in the missing directory: the error
+        # names the output as given, and no temp file is left anywhere
+        out = tmp_path / "missing" / "out"
+        argv = {
+            "synth": ["synth", "--n", 10, "--k", 3, "--output", out],
+            "score": ["score", "--input", perfect_file, "--rule", "rps", "--output", out],
+            "evaluate": ["evaluate", "--input", perfect_file, "--output", out],
+            "rsc": ["rsc", "--input", perfect_file, "--bootstrap", 2, "--output-prefix", out],
+        }[command]
+        assert run(argv) == 1
+        first = f"{out}_brier_curve.csv" if command == "rsc" else str(out)
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileNotFoundError: [Errno 2] ")
+        assert err.endswith(f": {first!r}\n") and ".tmp-" not in err
+        assert list(tmp_path.rglob("*")) == [perfect_file]
+
+
 class TestEvaluateCommand:
     def test_perfect_file(self, perfect_file, tmp_path):
         out = tmp_path / "report.json"
@@ -232,6 +254,13 @@ class TestEvaluateCommand:
     def test_quadratic_cost(self, perfect_file, tmp_path):
         assert run(["evaluate", "--input", perfect_file, "--cost", "quadratic",
                     "--output", tmp_path / "r.json"]) == 0
+
+    def test_cost_csv_for_another_class_count(self, perfect_file, tmp_path, capsys):
+        cost = tmp_path / "cost.csv"
+        cost.write_text("0,1\n1,0\n")
+        assert run(["evaluate", "--input", perfect_file, "--cost", cost]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: InvalidConfig: cost matrix is 2x2, dataset has 3 classes\n"
 
     @pytest.mark.parametrize("command", ["evaluate", "rsc"])
     @pytest.mark.parametrize("text", [None, "0,x\n1,0\n"], ids=["missing", "malformed"])
@@ -328,6 +357,8 @@ class TestRscCommand:
         ("rsc", "--bootstrap", MAX_REPLICATES + 1, "InvalidConfig"),
         ("rsc", "--metric", "bogus", "UnknownMetric"),
         ("score", "--rule", "bogus", "UnknownRule"),
+        ("rsc", "--fractions", "1.0:0.5", "InvalidConfig"),
+        ("rsc", "--rules", ",", "UnknownRule"),
         ("evaluate", "--bins", 0, "ZeroBins"),
         ("evaluate", "--bins", 2 * MAX_ECE_BINS, "InvalidConfig"),
     ]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ordeval.data
+
 from ordeval import CostMatrix, EvalDataset, validate_dataset
 from ordeval.errors import (
     DuplicateId,
@@ -105,18 +106,50 @@ class TestValidation:
         with pytest.raises(InvalidConfig, match=r"^sample 2 has id '\\ud800', which holds a lone surrogate$"):
             make_dataset(np.full((3, 2), 0.5), [0] * 3, ids=("a", "b", "\ud800"))
 
-    @pytest.mark.parametrize("label", [2.7, np.nan, np.inf, "1", None, 2**70])
+    @pytest.mark.parametrize(
+        "label",
+        [
+            2.7, np.nan, np.inf, "1", None, 2**70,
+            pytest.param(np.uint64(2**63), id="uint64-2**63"),
+            pytest.param(np.uint64(2**64 - 1), id="uint64-2**64-1"),
+            pytest.param(np.float64(2**63), id="float64-2**63"),
+            pytest.param(np.float64(-np.inf), id="float64--inf"),
+        ],
+    )
     def test_rejects_a_label_that_is_not_an_integer(self, label):
-        # EvalDataset itself: make_dataset casts the labels to int64
-        raw = EvalDataset(3, ["a", "b"], [0, label], np.full((2, 3), 1 / 3))
-        want = f"^sample 'b' has label {re.escape(repr(label))}, which is not an int64$"
+        # EvalDataset itself: make_dataset casts the labels to int64. A NumPy
+        # label goes in an array of its dtype, and is quoted as a plain value
+        labels, shown = [0, label], label
+        if isinstance(label, np.generic):
+            labels, shown = np.array(labels, dtype=label.dtype), label.item()
+        raw = EvalDataset(3, ["a", "b"], labels, np.full((2, 3), 1 / 3))
+        want = f"^sample 'b' has label {re.escape(repr(shown))}, which is not an int64$"
         with pytest.raises(NonNumericField, match=want):
             validate_dataset(raw)
 
     def test_accepts_integer_valued_float_labels(self):
-        for labels in ([2.0, 0.0], np.array([2.0, 0.0]), [np.int64(2), 0.0]):
+        for labels in ([2.0, 0.0], np.array([2.0, 0.0]), [np.int64(2), 0.0], np.uint64([2, 0])):
             ds = validate_dataset(EvalDataset(3, ["a", "b"], labels, np.full((2, 3), 1 / 3)))
             assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [2, 0]
+
+    @pytest.mark.parametrize(
+        "probs, labels, ids, error, message",
+        [
+            ([[0.5, 0.6]], [0], ["a"], SumOutOfTolerance, "sample 'a' probabilities sum to 1.1"),
+            ([[np.nan, 1.0]], [0], ["a"], NonFiniteProbability, "non-finite probability in sample 'a'"),
+            ([[-0.5, 1.5]], [0], ["a"], NegativeProbability, "negative probability in sample 'a'"),
+            ([[0.5, 0.5]], [2], ["a"], LabelOutOfRange, "sample 'a' has label 2, valid range 0..1"),
+            ([[0.5, 0.5]] * 2, [0, 2.5], ["a", "b"], NonNumericField,
+             "sample 'b' has label 2.5, which is not an int64"),
+            ([[0.5, 0.5]] * 2, [0, 1], ["a", "a"], DuplicateId, "duplicate sample id 'a'"),
+        ],
+        ids=["sum", "non-finite", "negative", "label-range", "label-real", "duplicate"],
+    )
+    def test_errors_quote_plain_values(self, probs, labels, ids, error, message):
+        # ids as a NumPy string array, whose items repr as np.str_('a')
+        raw = EvalDataset(2, np.array(ids), np.array(labels), np.array(probs))
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            validate_dataset(raw)
 
     def test_id_faults_are_placed_across_a_block_boundary(self):
         n = _BLOCK_ROWS + 2
@@ -159,6 +192,8 @@ class TestValidation:
             make_dataset([[1.0]], [0], k=1)
         with pytest.raises(ShapeMismatch):
             validate_dataset(EvalDataset(3, ("a",), np.array([0]), np.ones((1, 2)) / 2))
+        with pytest.raises(ShapeMismatch, match=r"^labels have shape \(1, 1\), expected \(1,\)$"):
+            validate_dataset(EvalDataset(2, ("a",), np.array([[0]]), np.ones((1, 2)) / 2))
 
     def test_idempotent_bit_for_bit(self):
         rng = np.random.default_rng(11)
@@ -239,3 +274,7 @@ class TestCostMatrix:
             CostMatrix.from_array([[0, -1], [1, 0]])
         with pytest.raises(InvalidConfig):
             CostMatrix.from_array([[0.5, 1], [1, 0]])
+        with pytest.raises(ShapeMismatch, match="^cost matrix needs at least 2 classes$"):
+            CostMatrix.from_array([[0.0]])
+        with pytest.raises(InvalidConfig, match="^cost matrix contains non-finite entries$"):
+            CostMatrix.from_array([[0, np.inf], [1, 0]])

@@ -43,7 +43,7 @@ from ordeval.errors import (
     ShapeMismatch,
 )
 from ordeval.cli import main
-from ordeval.io import _loadtxt_blocks, _read, _row_blocks, write_scores
+from ordeval.io import _loadtxt_blocks, _read, _row_blocks, report_json, write_scores
 from ordeval.retention import rank_samples
 
 # ids that need quoting, or that a careless reader would trim
@@ -621,8 +621,9 @@ class TestCostMatrixFile:
             ("0,1\n-1,0\n", InvalidConfig, "cost matrix entries must be nonnegative"),
             ("0,1,2\n1,0,1\n", ShapeMismatch, "cost matrix must be square, got shape (2, 3)"),
             ("", ShapeMismatch, "empty file"),
+            ("0,1\n1\n", RowArityMismatch, "line 2: expected 2 fields, got 1"),
         ],
-        ids=["negative", "non-square", "empty"],
+        ids=["negative", "non-square", "empty", "short-row"],
     )
     def test_errors_name_the_file(self, tmp_path, text, error, message):
         f = tmp_path / "c.csv"
@@ -710,6 +711,10 @@ class TestWriteReport:
         payload = json.loads(path.read_text())
         assert payload["fractions"] == list(curve.fractions)
         assert payload["aursc"] == curve.aursc
+
+    def test_json_only_for_reports(self):
+        with pytest.raises(InvalidConfig, match="^cannot serialize report of type dict$"):
+            report_json({"accuracy": 1.0})
 
     def test_csv_only_for_curves(self, tmp_path):
         summary = BootstrapSummary(1.0, 0.0, (1.0,), 0, 1)
