@@ -190,11 +190,12 @@ def _copied(ids, labels: np.ndarray, probs: np.ndarray):
     ids = iter(ids)
     for lo in range(0, len(labels), _BLOCK_ROWS):
         block = list(islice(ids, _BLOCK_ROWS))
-        if not all(map(isinstance, block, repeat(str))):
-            bad, sid = next((i, s) for i, s in enumerate(block, lo) if not isinstance(s, str))
-            kind = type(sid).__name__
-            raise InvalidConfig(f"sample {bad} has id {sid!r} of type {kind}; ids must be str")
-        block = list(map(str.__str__, block))  # plain str, whatever a subclass's hash or repr
+        if {*map(type, block)} != {str}:  # a str subclass hashes and quotes as it likes
+            if not all(map(isinstance, block, repeat(str))):
+                bad, sid = next((i, s) for i, s in enumerate(block, lo) if not isinstance(s, str))
+                kind = type(sid).__name__
+                raise InvalidConfig(f"sample {bad} has id {sid!r} of type {kind}; ids must be str")
+            block = list(map(str.__str__, block))
         given = labels[lo : lo + len(block)]
         if given.dtype == object:
             bad = next((i for i, v in enumerate(given) if not _is_label(v)), None)

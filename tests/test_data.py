@@ -67,6 +67,13 @@ class TestValidation:
         with pytest.raises(DuplicateId):
             make_dataset([[1.0, 0.0], [0.0, 1.0]], [0, 1], ids=("a", "a"))
 
+        class Own(str):  # hashes unlike the plain str it is stored as
+            def __hash__(self):
+                return 7
+
+        with pytest.raises(DuplicateId, match="^duplicate sample id 'a'$"):
+            make_dataset([[1.0, 0.0], [0.0, 1.0]], [0, 1], ids=(Own("a"), "a"))
+
     def test_duplicate_check_compares_ids_whose_hashes_collide(self, monkeypatch):
         # every id hashes alike, so only comparing the ids tells them apart
         hashed = []
