@@ -14,6 +14,11 @@ or cannot be written included, with a one-line message naming the error;
 and 2 on a usage error. ``run``, the program entry, ends the process
 without the interpreter's teardown once every output file is in place and
 stdout and stderr are flushed; ``main`` only returns the status.
+
+Each command checks its flags, then that its first output's directory
+exists, before it reads its input or generates data. Only ``synth`` loads
+the generator: ``SynthConfig`` and ``generate`` are imported here when
+first named.
 """
 
 import argparse
@@ -23,7 +28,7 @@ import os
 import sys
 
 from . import io
-from .data import CostMatrix
+from .data import MAX_CELLS, MODES, CostMatrix
 from .errors import EvalError, InvalidConfig, UnknownRule
 from .hard import DEFAULT_ECE_BINS, MAX_ECE_BINS, check_bins, metric_report
 from .retention import (
@@ -39,7 +44,6 @@ from .retention import (
     retention_analysis,
 )
 from .scoring import RULES, _rule_fn
-from .synth import MAX_CELLS, MODES, SynthConfig, generate
 
 DEFAULT_FRACTION_SPEC = "1.0:0.05:0.05"
 MAX_THREADS = 64  # --threads is accepted for compatibility and changes nothing
@@ -97,6 +101,7 @@ def _parse_rules(spec: str) -> list[str]:
 
 def cmd_score(args) -> int:
     _rule_fn(args.rule)  # raises UnknownRule before the input is read
+    io._check_output_dir(args.output)
     ds = io.read_predictions(args.input, label_base=args.label_base)
     order, scores = rank_samples(ds, args.rule)
     io.write_scores(ds, order, scores, args.output)
@@ -115,6 +120,8 @@ def cmd_score(args) -> int:
 
 def cmd_evaluate(args) -> int:
     check_bins(args.bins)
+    if args.output:
+        io._check_output_dir(args.output)
     cost = _read_cost(args.cost)
     ds = io.read_predictions(args.input, label_base=args.label_base)
     cost = _resolve_cost(args.cost, cost, ds.num_classes)
@@ -140,6 +147,7 @@ def cmd_rsc(args) -> int:
     if not 1 <= args.threads <= MAX_THREADS:
         raise InvalidConfig(f"threads must be 1 to {MAX_THREADS}, got {args.threads}")
     check_metric(args.metric)
+    io._check_output_dir(f"{args.output_prefix}_{rules[0]}_curve.csv")
     cost = _read_cost(args.cost)
     ds = io.read_predictions(args.input, label_base=args.label_base)
     cost = _resolve_cost(args.cost, cost, ds.num_classes)
@@ -187,7 +195,9 @@ def cmd_rsc(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = SynthConfig(
+    io._check_output_dir(args.output)
+    cli = sys.modules[__name__]  # SynthConfig and generate, as __getattr__ loads them
+    cfg = cli.SynthConfig(
         n=args.n,
         k=args.k,
         noise=args.noise,
@@ -195,9 +205,20 @@ def cmd_synth(args) -> int:
         mode=args.mode,
         seed=args.seed,
     )
-    ds = generate(cfg)
+    ds = cli.generate(cfg)
     io.write_predictions(ds, args.output)
     return 0
+
+
+def __getattr__(name):
+    """``SynthConfig`` or ``generate``, imported from ``synth`` when first
+    named, so that no other command loads the generator."""
+    if name not in ("SynthConfig", "generate"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import synth
+
+    globals()[name] = value = getattr(synth, name)
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,6 +8,10 @@ Validated ids are one ``np.dtypes.StringDType`` array behind a read-only
 sequence of ``str``. Everything is immutable after validation, so datasets
 can be shared freely across threads.
 
+``EvalDataset``, ``CostMatrix`` and the package's report and config types
+are ``_Record`` classes: immutable records whose fields are their
+``__slots__``, and which take no code generation to define at import.
+
 ``_build`` is the only code that makes a dataset. The file reader, the
 generator and ``validate_dataset``, copying a caller's dataset, each hand it
 blocks of rows; it fills its arrays with them, then checks and freezes those
@@ -17,7 +21,6 @@ arrays in place, and returns only validated datasets.
 import operator
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import islice, repeat
 
 import numpy as np
@@ -45,6 +48,69 @@ _RENORM_TRIGGER = 1e-12
 # iteration walk a dataset a block at a time: the per-block numpy calls
 # vanish in the total, and a block's temporaries stay under a few megabytes
 _BLOCK_ROWS = 1 << 14
+
+# The generator's modes and size bound, here so that the CLI's help can
+# name them without loading ``synth``. n * k at most MAX_CELLS: the
+# dataset's own arrays grow with it, so a larger size is rejected before
+# allocating.
+MODES = ("ordinal", "shuffled")
+MAX_CELLS = 5 * 10**7
+
+
+class _Record:
+    """An immutable record whose fields are its class's ``__slots__``.
+
+    Fields are given by position or keyword, and ``_defaults`` supplies
+    those left out; a missing, unknown or repeated field raises TypeError.
+    Setting or deleting a field raises AttributeError. ``==`` compares two
+    records of one class field by field, ``hash`` is the hash of the tuple
+    of fields, ``repr`` reads ``Name(field=value, ...)``, and ``pickle`` and
+    ``copy`` rebuild a record from its fields.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__name__, self.__slots__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
+        values = dict(zip(fields, args))
+        for field in kwargs:
+            if field not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
+            if field in values:
+                raise TypeError(f"{name}() got multiple values for argument {field!r}")
+        values = {**self._defaults, **values, **kwargs}
+        missing = [field for field in fields if field not in values]
+        if missing:
+            raise TypeError(f"{name}() missing arguments: {', '.join(map(repr, missing))}")
+        for field in fields:
+            object.__setattr__(self, field, values[field])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self.__slots__)
+
+    def __setattr__(self, field, value):
+        raise AttributeError(f"cannot assign to field {field!r}")
+
+    def __delattr__(self, field):
+        raise AttributeError(f"cannot delete field {field!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class _Ids(Sequence):
@@ -87,20 +153,17 @@ class _Ids(Sequence):
         return f"ids({self._array!r})"
 
 
-@dataclass(frozen=True)
-class EvalDataset:
+class EvalDataset(_Record):
     """An ordered set of labeled probabilistic predictions over K classes.
 
-    ``ids`` is a sequence of N ``str``, ``labels`` has shape (N,), ``probs``
-    shape (N, K). Sample order is significant: later tie-breaks fall back to
-    position in this list. A validated dataset's ``ids[i]`` is a ``str`` and
-    a slice of its ids a tuple.
+    ``num_classes`` is K, ``ids`` a sequence of N ``str``, ``labels`` an
+    array of shape (N,), ``probs`` one of shape (N, K). Sample order is
+    significant: later tie-breaks fall back to position in this list. A
+    validated dataset's ``ids[i]`` is a ``str`` and a slice of its ids a
+    tuple.
     """
 
-    num_classes: int
-    ids: Sequence
-    labels: np.ndarray
-    probs: np.ndarray
+    __slots__ = ("num_classes", "ids", "labels", "probs")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -276,15 +339,14 @@ def validate_dataset(raw: EvalDataset) -> EvalDataset:
     return ds
 
 
-@dataclass(frozen=True)
-class CostMatrix:
+class CostMatrix(_Record):
     """K x K misclassification costs: nonnegative, zero diagonal.
 
-    ``costs[t][p]`` is the penalty for predicting class p when the truth
-    is class t.
+    ``costs[t][p]``, an array, is the penalty for predicting class p when
+    the truth is class t.
     """
 
-    costs: np.ndarray
+    __slots__ = ("costs",)
 
     @property
     def num_classes(self) -> int:

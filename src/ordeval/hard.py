@@ -6,11 +6,9 @@ weighted kappa and expected cost are the headline ordinal metrics; accuracy
 and ECE provide context.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data import _BLOCK_ROWS, CostMatrix, EvalDataset
+from .data import _BLOCK_ROWS, CostMatrix, EvalDataset, _Record
 from .errors import EmptyDataset, InvalidConfig, ShapeMismatch, ZeroBins
 from .scoring import RULES
 
@@ -18,17 +16,13 @@ DEFAULT_ECE_BINS = 15
 MAX_ECE_BINS = 10**6  # bin edges are allocated up front, so more is rejected
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    """Headline metrics for one dataset; ``mean_scores`` maps each rule
-    identifier to the rule's mean over the samples."""
+class MetricReport(_Record):
+    """Headline metrics for one dataset: the floats ``accuracy``, ``qwk``,
+    ``expected_cost`` and ``ece``, the sample count ``n``, and
+    ``mean_scores``, a dict from each rule identifier to the rule's mean
+    over the samples."""
 
-    accuracy: float
-    qwk: float
-    expected_cost: float
-    ece: float
-    n: int
-    mean_scores: dict
+    __slots__ = ("accuracy", "qwk", "expected_cost", "ece", "n", "mean_scores")
 
 
 def hard_predictions(ds: EvalDataset) -> np.ndarray:

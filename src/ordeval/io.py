@@ -30,6 +30,7 @@ exactly.
 """
 
 import csv
+import errno
 import itertools
 import json
 import os
@@ -38,7 +39,6 @@ import shutil
 import tempfile
 import warnings
 from contextlib import ExitStack, contextmanager
-from dataclasses import asdict
 from io import TextIOWrapper
 
 import numpy as np
@@ -76,6 +76,16 @@ _READ_BYTES = 1 << 16
 # rows per np.loadtxt call: a call's rows take about 0.13 MB at K = 5, and
 # the per-call overhead vanishes in the parse
 _LOADTXT_ROWS = 1024
+
+
+def _check_output_dir(path: str) -> None:
+    """Raise the error ``_atomic_file(path)`` raises when the directory
+    ``path`` goes in is missing or is not a directory, so that a command
+    fails before it reads or makes anything."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)  # FileNotFoundError for ENOENT
 
 
 @contextmanager
@@ -374,7 +384,8 @@ def report_json(report, config: dict | None = None) -> str:
     tag = _REPORT_TYPES.get(type(report))
     if tag is None:
         raise InvalidConfig(f"cannot serialize report of type {type(report).__name__}")
-    payload = {"type": tag, **asdict(report)}
+    payload = {"type": tag}
+    payload.update((field, getattr(report, field)) for field in report.__slots__)
     if config is not None:
         payload["config"] = config
     return json.dumps(payload, indent=2)

@@ -41,12 +41,11 @@ any number of rules on one dataset:
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _rng
-from .data import CostMatrix, EvalDataset
+from .data import CostMatrix, EvalDataset, _Record
 from .errors import (
     EmptyDataset,
     EmptyFractionList,
@@ -77,26 +76,20 @@ _BLOCK_DRAWS = 1 << 14
 _MIN_CHUNK = 24
 
 
-@dataclass(frozen=True)
-class RetentionCurve:
-    """Metric values on progressively smaller best-scored subsets."""
+class RetentionCurve(_Record):
+    """Metric values on progressively smaller best-scored subsets: the
+    names ``rule`` and ``metric``, the tuples ``fractions`` and ``values``,
+    and their float ``aursc``."""
 
-    rule: str
-    metric: str
-    fractions: tuple
-    values: tuple
-    aursc: float
+    __slots__ = ("rule", "metric", "fractions", "values", "aursc")
 
 
-@dataclass(frozen=True)
-class BootstrapSummary:
-    """AURSC over bootstrap replicates: mean, population std, raw values."""
+class BootstrapSummary(_Record):
+    """AURSC over bootstrap replicates: the float ``mean`` and population
+    ``std`` of the tuple of raw ``replicates``, with the ``seed`` and
+    ``num_replicates`` that drew them."""
 
-    mean: float
-    std: float
-    replicates: tuple
-    seed: int
-    num_replicates: int
+    __slots__ = ("mean", "std", "replicates", "seed", "num_replicates")
 
 
 def retained_count(fraction: float, n: int) -> int:
@@ -309,8 +302,8 @@ def retention_analysis(
         weights = (
             copies.take(best, axis=1, out=weight[:rows], mode="clip").ravel() for best in bests
         )
-        for values, out in zip(score(weights, rows), aurscs):
-            out.extend(float(row.sum()) for row in values)
+        for sums, out in zip(score(weights, rows).sum(axis=-1).tolist(), aurscs):
+            out.extend(sums)
 
     results = []
     for rule, values, reps in zip(rules, plain, aurscs):

@@ -26,19 +26,11 @@ block at a time, and ``data._build`` fills the dataset's arrays with them
 and validates them, as it does for the file reader.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _rng
-from .data import EvalDataset, _build
+from .data import MAX_CELLS, MODES, EvalDataset, _build, _Record
 from .errors import InvalidConfig
-
-MODES = ("ordinal", "shuffled")
-
-# n * k at most this: the dataset's own arrays grow with it, so a larger size
-# is rejected before allocating
-MAX_CELLS = 5 * 10**7
 
 # samples per block: a block's draws and temporaries take about 70 bytes a
 # sample and class, under a megabyte at K = 5, and smaller blocks run slower
@@ -53,9 +45,10 @@ _LOBE_MASS_CAP = 0.6  # lobe mass up to min(0.85, 0.6 * noise) ...
 _LOBE_MASS_LO = 0.6  # ... drawn from the top 40% of that range
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    """Generator settings.
+class SynthConfig(_Record):
+    """Generator settings: ``n`` samples of ``k`` classes, and ``noise``,
+    ``miscal``, ``mode`` (one of MODES) and ``seed``, which default to 1.0,
+    1.0, "ordinal" and 42.
 
     ``noise`` controls how widely predicted mass spreads around the true
     class and how much of it confusion lobes divert (0 = exact one-hots).
@@ -63,12 +56,8 @@ class SynthConfig:
     changing the argmax, pushing stated confidence away from accuracy.
     """
 
-    n: int
-    k: int
-    noise: float = 1.0
-    miscal: float = 1.0
-    mode: str = "ordinal"
-    seed: int = 42
+    __slots__ = ("n", "k", "noise", "miscal", "mode", "seed")
+    _defaults = {"noise": 1.0, "miscal": 1.0, "mode": "ordinal", "seed": 42}
 
 
 def _check_config(cfg: SynthConfig) -> None:

@@ -198,6 +198,28 @@ class TestUnwritableOutputs:
         assert err.endswith(f": {first!r}\n") and ".tmp-" not in err
         assert list(tmp_path.rglob("*")) == [perfect_file]
 
+    @pytest.mark.parametrize("command", ["synth", "score", "evaluate", "rsc"])
+    def test_a_missing_directory_fails_before_any_work(
+        self, perfect_file, tmp_path, capsys, monkeypatch, command
+    ):
+        # neither the input nor the generator is touched: the directory is
+        # checked before the run's work, not at its first write
+        def spy(*args, **kwargs):
+            raise AssertionError("the command began its work before checking its output")
+
+        monkeypatch.setattr(cli.io, "read_predictions", spy)
+        monkeypatch.setattr(cli, "generate", spy)
+        out = tmp_path / "missing" / "out"
+        argv = {
+            "synth": ["synth", "--n", 10, "--k", 3, "--output", out],
+            "score": ["score", "--input", perfect_file, "--rule", "rps", "--output", out],
+            "evaluate": ["evaluate", "--input", perfect_file, "--output", out],
+            "rsc": ["rsc", "--input", perfect_file, "--rules", "rps,log", "--output-prefix", out],
+        }[command]
+        assert run(argv) == 1
+        first = f"{out}_rps_curve.csv" if command == "rsc" else str(out)
+        assert capsys.readouterr().err.endswith(f"No such file or directory: {first!r}\n")
+
 
 class TestEvaluateCommand:
     def test_perfect_file(self, perfect_file, tmp_path):

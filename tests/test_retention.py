@@ -310,6 +310,27 @@ def tied_or_untied(tied, n=120, seed=21):
 
 
 class TestRetentionKernel:
+    @pytest.mark.parametrize("points", [7, 9, 128, 129])
+    def test_replicate_aurscs_are_the_sums_of_their_curves(self, monkeypatch, points):
+        # each replicate's AURSC equals float(curve.sum()) of its own curve,
+        # bit for bit, though a block's sums are taken in one call
+        curves = []
+
+        def captured(stack, qwk=retention.qwk):
+            values = qwk(stack)
+            curves.append(values.copy())
+            return values
+
+        ds = generate(SynthConfig(n=300, k=5, noise=1.2, seed=points))
+        grid = np.linspace(1.0, 0.05, points)
+        monkeypatch.setattr(retention, "qwk", captured)
+        monkeypatch.setattr(retention, "_BLOCK_DRAWS", 5 * max(len(ds), points * 25))
+        results = retention_analysis(ds, RULES, "qwk", grid, num_replicates=12, seed=3)
+        assert len(curves) == 1 + 3  # the plain curves, then blocks of 5, 5 and 2
+        replicates = np.concatenate(curves[1:], axis=1)  # (rules, replicates, fractions)
+        for (_, summary), values in zip(results, replicates):
+            assert summary.replicates == tuple(float(row.sum()) for row in values)
+
     @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
     @pytest.mark.parametrize(
         "draws",
