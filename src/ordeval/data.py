@@ -18,6 +18,7 @@ blocks of rows; it fills its arrays with them, then checks and freezes those
 arrays in place, and returns only validated datasets.
 """
 
+import inspect
 import operator
 import re
 from collections.abc import Sequence
@@ -61,32 +62,28 @@ class _Record:
     """An immutable record whose fields are its class's ``__slots__``.
 
     Fields are given by position or keyword, and ``_defaults`` supplies
-    those left out; a missing, unknown or repeated field raises TypeError.
-    Setting or deleting a field raises AttributeError. ``==`` compares two
-    records of one class field by field, ``hash`` is the hash of the tuple
-    of fields, ``repr`` reads ``Name(field=value, ...)``, and ``pickle`` and
-    ``copy`` rebuild a record from its fields.
+    those left out, as the class's ``__signature__`` binds them; a missing,
+    unknown or repeated field raises TypeError. Setting or deleting a field
+    raises AttributeError. ``==`` compares two records of one class field
+    by field, ``hash`` is the hash of the tuple of fields, ``repr`` reads
+    ``Name(field=value, ...)``, and ``pickle`` and ``copy`` rebuild a record
+    from its fields.
     """
 
     __slots__ = ()
     _defaults = {}
 
+    def __init_subclass__(cls):
+        kind, empty = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty
+        cls.__signature__ = inspect.Signature(
+            [inspect.Parameter(f, kind, default=cls._defaults.get(f, empty)) for f in cls.__slots__]
+        )
+
     def __init__(self, *args, **kwargs):
-        name, fields = type(self).__name__, self.__slots__
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
-        values = dict(zip(fields, args))
-        for field in kwargs:
-            if field not in fields:
-                raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
-            if field in values:
-                raise TypeError(f"{name}() got multiple values for argument {field!r}")
-        values = {**self._defaults, **values, **kwargs}
-        missing = [field for field in fields if field not in values]
-        if missing:
-            raise TypeError(f"{name}() missing arguments: {', '.join(map(repr, missing))}")
-        for field in fields:
-            object.__setattr__(self, field, values[field])
+        bound = self.__signature__.bind(*args, **kwargs)
+        bound.apply_defaults()
+        for field, value in bound.arguments.items():
+            object.__setattr__(self, field, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, field) for field in self.__slots__)

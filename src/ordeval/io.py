@@ -3,9 +3,12 @@
 The interchange format for predictions is a plain CSV with header
 ``id,label,p0,p1,...,p{K-1}`` and one row per sample; K is inferred from the
 header. Reports go out as JSON (always carrying the configuration that
-produced them) or, for retention curves, as two-column CSV. All writes go to
-a temp file in the target directory and are renamed into place, so a failed
-run never leaves a truncated output.
+produced them) or, for retention curves, as two-column CSV. A report's JSON
+object holds a ``type`` tag, the record's fields in the order of its
+``__slots__``, then ``config``. All writes go to a temp file in the target
+directory and are renamed into place, so a failed run never leaves a
+truncated output; ``_check_output_dir`` lets a command fail, as the write
+would, before it starts its work.
 
 Every CSV is streamed to its temp file in chunks of rows, each formatted
 with one ``%`` template per file, so no writer holds the whole file. An id

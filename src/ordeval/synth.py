@@ -46,9 +46,8 @@ _LOBE_MASS_LO = 0.6  # ... drawn from the top 40% of that range
 
 
 class SynthConfig(_Record):
-    """Generator settings: ``n`` samples of ``k`` classes, and ``noise``,
-    ``miscal``, ``mode`` (one of MODES) and ``seed``, which default to 1.0,
-    1.0, "ordinal" and 42.
+    """Generator settings: ``n`` samples of ``k`` classes, ``noise``,
+    ``miscal``, ``mode`` (one of MODES) and ``seed``.
 
     ``noise`` controls how widely predicted mass spreads around the true
     class and how much of it confusion lobes divert (0 = exact one-hots).
