@@ -38,8 +38,6 @@ import itertools
 import json
 import os
 import re
-import shutil
-import tempfile
 import warnings
 from contextlib import ExitStack, contextmanager
 from io import TextIOWrapper
@@ -210,6 +208,11 @@ def _open_text(path: str):
     with ExitStack() as stack:
         raw = stack.enter_context(open(path, "rb"))
         if not raw.seekable():
+            # only a pipe needs these, and importing them costs every process
+            # several milliseconds of start-up
+            import shutil
+            import tempfile
+
             spool = stack.enter_context(tempfile.TemporaryFile())
             shutil.copyfileobj(raw, spool)
             spool.seek(0)
