@@ -177,37 +177,46 @@ def _id_array(ids) -> Sequence:
     return ids._array if isinstance(ids, _Ids) else ids
 
 
-def _build(k: int, bound: int, blocks) -> EvalDataset | None:
+def _build(k: int, bound: int, blocks, ids: _Ids | None = None) -> EvalDataset | None:
     """The only code that makes a validated dataset: one of ``k`` classes
     in arrays sized for ``bound`` rows, filled from the (ids, labels, probs)
     ``blocks``, cut to the rows they gave, then checked and frozen in place.
     None as soon as a block is None.
 
     Every block's ids must be plain ``str``, so the hash of each is the hash
-    of the id as stored; errors quote the ids as stored. Probability rows
-    within SUM_TOLERANCE of summing to 1 are renormalized, and anything
-    worse is rejected; labels must index a class and ids be unique.
+    of the id as stored; errors quote the ids as stored. Given ``ids``, the
+    validated ids of a dataset validated before, the blocks give None for
+    their ids and the dataset keeps ``ids``, neither copied nor hashed
+    again. Probability rows within SUM_TOLERANCE of summing to 1 are
+    renormalized, and anything worse is rejected; labels must index a class
+    and ids be unique.
     """
-    ids = np.empty(bound, dtype=np.dtypes.StringDType())
-    hashes = np.empty(bound, dtype=np.int64)
+    fresh = ids is None
+    if fresh:
+        ids = np.empty(bound, dtype=np.dtypes.StringDType())
+        hashes = np.empty(bound, dtype=np.int64)
     labels = np.empty(bound, dtype=np.int64)
     probs = np.empty((bound, k))
     m = 0
     for block in blocks:
         if block is None:
             return None
-        lo, m = m, m + len(block[0])
-        hashes[lo:m] = np.fromiter(map(hash, block[0]), np.int64, m - lo)
-        try:
-            ids[lo:m], labels[lo:m], probs[lo:m] = block
-        except UnicodeEncodeError:  # a lone surrogate, which UTF-8 cannot encode
-            surrogate = re.compile("[\ud800-\udfff]").search
-            bad, sid = next((i, s) for i, s in enumerate(block[0], lo) if surrogate(s))
-            msg = f"sample {bad} has id {sid!r}, which holds a lone surrogate"
-            raise InvalidConfig(msg) from None
-    for a in (ids, hashes, labels, probs):
+        names, *values = block
+        lo, m = m, m + len(values[0])
+        if fresh:
+            hashes[lo:m] = np.fromiter(map(hash, names), np.int64, m - lo)
+            try:
+                ids[lo:m] = names
+            except UnicodeEncodeError:  # a lone surrogate, which UTF-8 cannot encode
+                surrogate = re.compile("[\ud800-\udfff]").search
+                bad, sid = next((i, s) for i, s in enumerate(names, lo) if surrogate(s))
+                msg = f"sample {bad} has id {sid!r}, which holds a lone surrogate"
+                raise InvalidConfig(msg) from None
+        labels[lo:m], probs[lo:m] = values
+    for a in (ids, hashes, labels, probs) if fresh else (labels, probs):
         a.resize((m, *a.shape[1:]), refcheck=False)
-    ids = _Ids(_freeze(ids))
+    if fresh:
+        ids = _Ids(_freeze(ids))
 
     # a block of rows at a time, so no check holds a temporary as long as
     # the dataset; a block that fails any check hands over to the whole-
@@ -228,7 +237,8 @@ def _build(k: int, bound: int, blocks) -> EvalDataset | None:
         raise LabelOutOfRange(
             f"sample {ids[bad]!r} has label {labels[bad]}, valid range 0..{k - 1}"
         )
-    _check_unique(ids, hashes)
+    if fresh:
+        _check_unique(ids, hashes)
     return EvalDataset(k, ids, _freeze(labels), _freeze(probs))
 
 
@@ -243,20 +253,23 @@ def _is_label(v) -> bool:
 
 def _copied(ids, labels: np.ndarray, probs: np.ndarray):
     """A caller's dataset as ``_build`` blocks of ``_BLOCK_ROWS`` rows, each
-    id as a plain ``str``. The first id that is not a ``str`` is rejected by
-    its position, and the first label that is not an int64 value (2.7, NaN,
+    id as a plain ``str``, or None for every block's ids when ``ids`` are
+    validated ids. The first id that is not a ``str`` is rejected by its
+    position, and the first label that is not an int64 value (2.7, NaN,
     2**64 - 1, ``"1"``) by its sample id, quoted as given. A numeric label
     array is checked by its cast to int64, an object array label by label."""
-    ids = iter(ids)
+    known = isinstance(ids, _Ids)
+    names = iter(ids)
     for lo in range(0, len(labels), _BLOCK_ROWS):
-        block = list(islice(ids, _BLOCK_ROWS))
-        if {*map(type, block)} != {str}:  # a str subclass hashes and quotes as it likes
+        given = labels[lo : lo + _BLOCK_ROWS]
+        block = None if known else list(islice(names, _BLOCK_ROWS))
+        # a str subclass hashes and quotes as it likes
+        if not known and {*map(type, block)} != {str}:
             if not all(map(isinstance, block, repeat(str))):
                 bad, sid = next((i, s) for i, s in enumerate(block, lo) if not isinstance(s, str))
                 kind = type(sid).__name__
                 raise InvalidConfig(f"sample {bad} has id {sid!r} of type {kind}; ids must be str")
             block = list(map(str.__str__, block))
-        given = labels[lo : lo + len(block)]
         if given.dtype == object:
             bad = next((i for i, v in enumerate(given) if not _is_label(v)), None)
         else:
@@ -264,10 +277,11 @@ def _copied(ids, labels: np.ndarray, probs: np.ndarray):
                 exact = given.astype(np.int64) == given
             bad = None if exact.all() else int(np.argmin(exact))
         if bad is not None:
+            sid = ids[lo + bad] if known else block[bad]
             raise NonNumericField(
-                f"sample {block[bad]!r} has label {given.tolist()[bad]!r}, which is not an int64"
+                f"sample {sid!r} has label {given.tolist()[bad]!r}, which is not an int64"
             )
-        yield block, given, probs[lo : lo + len(block)]
+        yield block, given, probs[lo : lo + len(given)]
 
 
 def _check_unique(ids: _Ids, hashes: np.ndarray) -> None:
@@ -313,8 +327,9 @@ def validate_dataset(raw: EvalDataset) -> EvalDataset:
     ``str`` that UTF-8 can encode. The returned arrays are read-only,
     and validating an already validated dataset returns identical values
     (the renormalization trigger sits far above the residual left by
-    renormalization itself) and its own ids. The caller's arrays are copied,
-    by ``_build``, never changed or frozen.
+    renormalization itself) and its own ids, neither copied nor hashed
+    again. The caller's arrays are copied, by ``_build``, never changed or
+    frozen.
     """
     k = raw.num_classes
     if k < 2:
@@ -330,10 +345,8 @@ def validate_dataset(raw: EvalDataset) -> EvalDataset:
         raise ShapeMismatch(f"probability matrix has shape {probs.shape}, expected {(n, k)}")
     if labels.shape != (n,):
         raise ShapeMismatch(f"labels have shape {labels.shape}, expected {(n,)}")
-    ds = _build(k, n, _copied(raw.ids, labels, probs))
-    if isinstance(raw.ids, _Ids):  # validated before
-        return EvalDataset(k, raw.ids, ds.labels, ds.probs)
-    return ds
+    known = raw.ids if isinstance(raw.ids, _Ids) else None  # validated before
+    return _build(k, n, _copied(raw.ids, labels, probs), ids=known)
 
 
 class CostMatrix(_Record):

@@ -35,23 +35,34 @@ def hard_predictions(ds: EvalDataset) -> np.ndarray:
     return out
 
 
-def _cells(ds: EvalDataset, pred: np.ndarray) -> np.ndarray:
+def _cells(labels: np.ndarray, pred: np.ndarray, k: int) -> np.ndarray:
     """Each sample's cell of the raveled K x K confusion matrix, given its
-    argmax ``pred``: label * K + pred, so that counts[t][p] is cell t * K + p."""
-    return ds.labels * ds.num_classes + pred
+    ``labels`` and argmax ``pred``: label * K + pred, so that counts[t][p]
+    is cell t * K + p."""
+    return labels * k + pred
 
 
 def confusion(ds: EvalDataset) -> np.ndarray:
     """K x K confusion counts, counts[t][p], summing to len(ds)."""
-    return _confusion(ds, hard_predictions(ds))
+    return _tally(ds)[0]
 
 
-def _confusion(ds: EvalDataset, pred: np.ndarray) -> np.ndarray:
-    """``confusion`` from the argmax ``pred`` of ``ds``."""
+def _tally(ds: EvalDataset) -> tuple[np.ndarray, np.ndarray]:
+    """``confusion(ds)`` and every sample's correct flag (argmax equals
+    label), from one argmax pass of ``_BLOCK_ROWS`` rows at a time: a block
+    adds its integer counts and writes its flags, so the one vector as long
+    as the dataset is the flags, a byte a sample."""
     if len(ds) == 0:
         raise EmptyDataset("cannot build a confusion matrix from no samples")
     k = ds.num_classes
-    return np.bincount(_cells(ds, pred), minlength=k * k).reshape(k, k)
+    counts = np.zeros(k * k, dtype=np.intp)
+    hits = np.empty(len(ds), dtype=bool)
+    for lo in range(0, len(hits), _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        pred = np.argmax(ds.probs[rows], axis=1)
+        counts += np.bincount(_cells(ds.labels[rows], pred, k), minlength=k * k)
+        np.equal(pred, ds.labels[rows], out=hits[rows])
+    return counts.reshape(k, k), hits
 
 
 def _check_counts(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,33 +137,40 @@ def ece(ds: EvalDataset, bins: int = DEFAULT_ECE_BINS) -> float:
     if len(ds) == 0:
         raise EmptyDataset("cannot compute ECE on no samples")
     check_bins(bins)
-    return _ece(ds, hard_predictions(ds), bins)
+    return _ece(ds, _tally(ds)[1], bins)
 
 
-def _ece(ds: EvalDataset, pred: np.ndarray, bins: int) -> float:
-    """``ece`` from the argmax ``pred`` of a nonempty ``ds``, for a checked
-    bin count."""
+def _ece(ds: EvalDataset, hits: np.ndarray, bins: int) -> float:
+    """``ece`` from the correct flags ``hits`` of a nonempty ``ds``, for a
+    checked bin count.
+
+    Each sample's bin index takes the narrowest type that holds bins - 1,
+    filled a block of rows at a time. One stable sort of the indices lists
+    every bin's samples together, in dataset order, and each nonempty bin's
+    mean confidence is taken from its own gather through that order: it adds
+    the same values in the same order as a boolean mask over the whole
+    array would, with no sorted copy of every confidence.
+    """
     conf = ds.probs.max(axis=1)
     edges = np.linspace(0.0, 1.0, bins + 1)
-    idx = np.digitize(conf, edges, right=True)
-    idx -= 1
-    np.clip(idx, 0, bins - 1, out=idx)
-    # a bin's accuracy is its exact count of correct samples over its size.
-    # One stable sort lays every bin's confidences out contiguously, in
-    # dataset order, so each bin's mean adds the same values in the same
-    # order as a boolean mask over the whole array would
-    hits = np.bincount(idx[pred == ds.labels], minlength=bins)
+    idx = np.empty(len(conf), dtype=np.min_scalar_type(bins - 1))
+    for lo in range(0, len(idx), _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        block = np.digitize(conf[rows], edges, right=True)
+        block -= 1
+        idx[rows] = np.clip(block, 0, bins - 1, out=block)
+    # a bin's accuracy is its exact count of correct samples over its size
     counts = np.bincount(idx, minlength=bins)
+    correct = np.bincount(idx[hits], minlength=bins)
     order = np.argsort(idx, kind="stable")
-    del idx  # before the gather, which is the peak
-    conf = conf[order]
+    del idx  # before the gathers
     stops = np.cumsum(counts)
     total = 0.0
     n = len(ds)
     for b in np.flatnonzero(counts):
         n_b = int(counts[b])
-        conf_b = conf[stops[b] - n_b : stops[b]].mean()
-        total += n_b / n * abs(hits[b] / n_b - conf_b)
+        conf_b = conf[order[stops[b] - n_b : stops[b]]].mean()
+        total += n_b / n * abs(correct[b] / n_b - conf_b)
     return float(total)
 
 
@@ -161,18 +179,19 @@ def metric_report(
 ) -> MetricReport:
     """Accuracy, QWK, expected cost, ECE and the mean of every scoring rule.
 
-    ``cost`` defaults to the linear-distance matrix.
+    ``cost`` defaults to the linear-distance matrix. One argmax pass, a
+    block of rows at a time, gives the confusion matrix and the correct
+    flags that ECE takes; no argmax vector is kept.
     """
     check_bins(bins)
-    pred = hard_predictions(ds)  # one argmax for the confusion matrix and ECE
-    cm = _confusion(ds, pred)
+    cm, hits = _tally(ds)
     if cost is None:
         cost = CostMatrix.linear(ds.num_classes)
     return MetricReport(
         accuracy=accuracy(cm),
         qwk=qwk(cm),
         expected_cost=expected_cost(cm, cost),
-        ece=_ece(ds, pred, bins),
+        ece=_ece(ds, hits, bins),
         n=len(ds),
         mean_scores={
             rule: float(fn(ds.probs, ds.labels).mean()) for rule, fn in RULES.items()

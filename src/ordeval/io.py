@@ -114,6 +114,18 @@ def _atomic_file(path: str):
         raise
 
 
+@contextmanager
+def _naming(path: str):
+    """Raise an EvalError from the block with ``path`` before its message,
+    unless the message already starts with it."""
+    try:
+        yield
+    except EvalError as exc:
+        if str(exc).startswith(f"{path}: "):
+            raise
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def _quote(field: str) -> str:
     """``field`` as a CSV field: in double quotes, with its quotes doubled,
     when it holds a comma, a quote or a line break; bare otherwise."""
@@ -191,7 +203,9 @@ def read_predictions(path: str, label_base: int = 0) -> EvalDataset:
 
     ``label_base`` is 0 or 1 depending on how the file indexes classes;
     labels are shifted to 0-based internally. Errors carry 1-based line
-    numbers and quote fields as the file spells them.
+    numbers and quote fields as the file spells them. The checks made once
+    the rows are read (sums, signs, finiteness, duplicate ids) name the file
+    but not the line.
     """
     if label_base not in (0, 1):
         raise InvalidConfig(f"label_base must be 0 or 1, got {label_base}")
@@ -256,7 +270,8 @@ def _read(fh, path: str, label_base: int, blocks) -> EvalDataset | None:
         raise MalformedHeader(
             f"{path}: line {lineno}: expected header 'id,label,p0,...', got {','.join(names)!r}"
         )
-    return _build(k, bound, blocks(fh, records, k, label_base, path))
+    with _naming(path):  # the checks _build makes once the rows are read
+        return _build(k, bound, blocks(fh, records, k, label_base, path))
 
 
 def _loadtxt_blocks(fh, records, k: int, label_base: int, path: str):
@@ -378,10 +393,8 @@ def read_cost_matrix(path: str) -> CostMatrix:
                 ) from None
     if not parsed:
         raise ShapeMismatch(f"{path}: empty file")
-    try:
+    with _naming(path):
         return CostMatrix.from_array(parsed)
-    except EvalError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
 
 
 def report_json(report, config: dict | None = None) -> str:

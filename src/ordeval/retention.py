@@ -45,7 +45,7 @@ import math
 import numpy as np
 
 from . import _rng
-from .data import CostMatrix, EvalDataset, _Record
+from .data import _BLOCK_ROWS, CostMatrix, EvalDataset, _Record
 from .errors import (
     EmptyDataset,
     EmptyFractionList,
@@ -129,18 +129,25 @@ def rank_samples(ds: EvalDataset, rule: str) -> tuple[np.ndarray, np.ndarray]:
     negatively oriented, so descending score = ascending quality. Ties keep
     their dataset order.
 
-    The keys are sorted with numpy's default (unstable, faster) sort. Only
-    one order sorts keys that are all distinct, so that result stands unless
-    two adjacent sorted keys compare equal (``-0.0 == 0.0`` among them);
-    then the keys are sorted again with the stable sort.
+    The keys are the scores themselves, negated in place and negated back
+    once sorted, which is exact (``0.0`` stays ``0.0``), and sorted with
+    numpy's default (unstable, faster) sort. Only one order sorts keys that
+    are all distinct, so that result stands unless two adjacent sorted keys
+    compare equal (``-0.0 == 0.0`` among them), which a block of the order
+    at a time looks for; then the keys are sorted again with the stable
+    sort.
     """
     if len(ds) == 0:
         raise EmptyDataset("cannot rank an empty dataset")
     scores = _rule_fn(rule)(ds.probs, ds.labels)
-    order = np.argsort(-scores)
-    ranked = scores[order]
-    if np.any(ranked[1:] == ranked[:-1]):
-        order = np.argsort(-scores, kind="stable")
+    keys = np.negative(scores, out=scores)
+    order = np.argsort(keys)
+    for lo in range(0, len(order) - 1, _BLOCK_ROWS):
+        ranked = keys[order[lo : lo + _BLOCK_ROWS + 1]]
+        if np.any(ranked[1:] == ranked[:-1]):
+            order = np.argsort(keys, kind="stable")
+            break
+    np.negative(keys, out=scores)
     return order, scores
 
 
@@ -190,7 +197,7 @@ def retention_analysis(
     # and b copies of its cells, so both take the narrowest type that fits
     index = np.int32 if n < 2**31 else np.intp
     bests = [rank_samples(ds, rule)[0][::-1].astype(index) for rule in rules]
-    cell = _cells(ds, hard_predictions(ds)).astype(np.min_scalar_type(k * k - 1))
+    cell = _cells(ds.labels, hard_predictions(ds), k).astype(np.min_scalar_type(k * k - 1))
     kept = [retained_count(f, n) for f in reversed(fractions)]
     cuts = len(kept) * k * k
     # Replicate r of a block is row r of its draws, offset by r curves: cut s
@@ -280,8 +287,8 @@ def retention_analysis(
             curves(w, cells, rows, out)
         return qwk(stack) if metric == "qwk" else expected_cost(stack, cost)
 
-    ones = np.ones(n)
-    plain = score([ones] * len(tiled), 1)[:, 0]
+    # every sample counted once; the vector of ones goes before the replicates
+    plain = score([np.ones(n)] * len(tiled), 1)[:, 0]
 
     # the draws and each rule's copy counts go to buffers made once, like
     # the count buffer: fresh (replicates, n) arrays per block page-fault

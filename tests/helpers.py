@@ -1,5 +1,8 @@
 """Shared test helpers."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 
 from ordeval import EvalDataset, _rng, validate_dataset
@@ -25,3 +28,17 @@ def random_prob_matrix(rng, n, k):
 def resample_indices(seed, replicate, n):
     """Index draws for one bootstrap replicate: one row of ``_rng.resample_block``."""
     return _rng.resample_block(seed, replicate, 1, n)[0]
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` under ``tracemalloc``: the peak of the call,
+    the bytes still held when it returns, and its result. Only what the call
+    allocates counts; the arguments were made before tracing started."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, held, result

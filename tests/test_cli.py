@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +13,8 @@ from ordeval.cli import MAX_THREADS, main
 from ordeval.errors import InvalidConfig
 from ordeval.hard import MAX_ECE_BINS
 from ordeval.retention import MAX_FRACTIONS, MAX_REPLICATES
+
+from helpers import traced_peak
 
 
 def run(argv):
@@ -61,12 +62,7 @@ class TestSynthCommand:
 
     @pytest.mark.parametrize("n, k", [(10**13, 5), (10, 10**11)])
     def test_oversized_data_fails_before_allocating(self, tmp_path, capsys, n, k):
-        tracemalloc.start()
-        try:
-            rc = run(["synth", "--n", n, "--k", k, "--output", tmp_path / "x.csv"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _, rc = traced_peak(run, ["synth", "--n", n, "--k", k, "--output", tmp_path / "x.csv"])
         assert rc == 1 and peak < 256 * 1024
         assert capsys.readouterr().err.startswith("error: InvalidConfig:")
         assert list(tmp_path.iterdir()) == []
@@ -175,6 +171,27 @@ class TestUnreadableFiles:
         files[bad].write_bytes(text.encode("cp1252"))
         assert run(["evaluate", "--input", files["input"], "--cost", files["cost"]]) == 1
         assert capsys.readouterr().err == f"error: EvalError: {files[bad]}: {message}\n"
+
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("a,0,0.5,0.6\n", "SumOutOfTolerance: {f}: sample 'a' probabilities sum to 1.1"),
+            ("a,0_0,0.5,0.6\n", "SumOutOfTolerance: {f}: sample 'a' probabilities sum to 1.1"),
+            ("a,0,-0.5,1.5\n", "NegativeProbability: {f}: negative probability in sample 'a'"),
+            ("a,0,nan,1.0\n", "NonFiniteProbability: {f}: non-finite probability in sample 'a'"),
+            ("a,0,0.5,0.5\nb,2,0.5,0.5\n", "LabelOutOfRange: {f}: line 3: label '2' outside 0..1"),
+            ("a,0,0.5,0.5\na,1,0.5,0.5\n", "DuplicateId: {f}: duplicate sample id 'a'"),
+        ],
+        ids=["sum", "sum-row-source", "negative", "non-finite", "label-range", "duplicate"],
+    )
+    def test_validation_errors_name_the_file_once(self, tmp_path, capsys, rows, message):
+        # the checks made once the rows are read name the file too; the
+        # label's own message, which names it with the line, is left as it is
+        f = tmp_path / "p.csv"
+        f.write_text("id,label,p0,p1\n" + rows)
+        assert run(["evaluate", "--input", f]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(f=f)}\n"
 
 
 class TestUnwritableOutputs:
@@ -421,13 +438,8 @@ class TestRscCommand:
             raise AssertionError("grid built before its size was checked")
 
         monkeypatch.setattr(cli, "round", built, raising=False)
-        tracemalloc.start()
-        try:
-            rc = run(["rsc", "--input", tmp_path / "missing.csv", "--fractions", spec,
-                      "--output-prefix", tmp_path / "x"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _, rc = traced_peak(run, ["rsc", "--input", tmp_path / "missing.csv",
+                                        "--fractions", spec, "--output-prefix", tmp_path / "x"])
         assert rc == 1 and peak < 256 * 1024
         assert capsys.readouterr().err.startswith("error: InvalidConfig:")
         assert list(tmp_path.iterdir()) == []

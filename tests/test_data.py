@@ -5,7 +5,7 @@ import pytest
 
 import ordeval.data
 
-from ordeval import CostMatrix, EvalDataset, validate_dataset
+from ordeval import CostMatrix, EvalDataset, SynthConfig, generate, validate_dataset
 from ordeval.errors import (
     DuplicateId,
     EmptyDataset,
@@ -18,7 +18,7 @@ from ordeval.errors import (
     SumOutOfTolerance,
 )
 
-from helpers import make_dataset, random_prob_matrix
+from helpers import make_dataset, random_prob_matrix, traced_peak
 from ordeval.data import _BLOCK_ROWS
 from ordeval.scoring import _cumulative_diffs
 from reference import ref_cumulative
@@ -211,6 +211,36 @@ class TestValidation:
         twice = validate_dataset(once)
         assert np.array_equal(once.probs, twice.probs)
         assert np.array_equal(once.labels, twice.labels)
+
+    def test_revalidating_keeps_the_ids_without_copying_or_hashing_them(self):
+        # the labels and probabilities are copied and checked again; the
+        # validated ids are kept as they are, where a copy and its hashes
+        # took 24 more bytes a row
+        ds = generate(SynthConfig(n=200_000, k=5, noise=1.2, miscal=1.5, seed=1))
+        peak, _, again = traced_peak(validate_dataset, ds)
+        assert again.ids is ds.ids
+        assert again.labels.tobytes() == ds.labels.tobytes()
+        assert again.probs.tobytes() == ds.probs.tobytes()
+        block = _BLOCK_ROWS * ds.num_classes * ds.probs.itemsize
+        assert peak < ds.probs.nbytes + ds.labels.nbytes + block
+
+    @pytest.mark.parametrize(
+        "fault, error, message",
+        [
+            ("sum", SumOutOfTolerance, "sample 'b' probabilities sum to 1.1"),
+            ("label", LabelOutOfRange, "sample 'b' has label 2, valid range 0..1"),
+            ("real", NonNumericField, "sample 'b' has label 0.5, which is not an int64"),
+        ],
+    )
+    def test_revalidating_validated_ids_still_checks_the_rest(self, fault, error, message):
+        ds = make_dataset(np.full((3, 2), 0.5), [0, 1, 0], ids=("a", "b", "c"))
+        probs, labels = ds.probs.copy(), ds.labels.tolist()
+        if fault == "sum":
+            probs[1] = [0.5, 0.6]
+        else:
+            labels[1] = 2 if fault == "label" else 0.5
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            validate_dataset(EvalDataset(2, ds.ids, np.array(labels), probs))
 
     def test_renormalization_preserves_argmax(self):
         rng = np.random.default_rng(12)

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,7 @@ from ordeval import hard
 from ordeval.errors import EmptyDataset, InvalidConfig, ShapeMismatch, ZeroBins
 from ordeval.hard import MAX_ECE_BINS, hard_predictions
 
-from helpers import make_dataset, random_prob_matrix
+from helpers import make_dataset, random_prob_matrix, traced_peak
 from reference import ref_ece, ref_expected_cost, ref_qwk
 
 
@@ -63,12 +61,7 @@ class TestHardPredictions:
         ds = generate(SynthConfig(n=100_000, k=5, seed=1))
         assert not ds.probs.flags.writeable
         block = hard._BLOCK_ROWS * ds.probs.itemsize * ds.num_classes
-        tracemalloc.start()
-        try:
-            result = hard_predictions(ds)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _, result = traced_peak(hard_predictions, ds)
         assert peak < result.nbytes + block + 4096  # + slice and array headers
 
 
@@ -312,15 +305,15 @@ class TestMetricReport:
         ds = generate(SynthConfig(n=3000, k=5, noise=1.2, miscal=1.5, seed=3))
         cost = CostMatrix.quadratic(5)
         cm = confusion(ds)
-        calls = []
+        calls, tally = [], hard._tally
 
         def counted(data):
             calls.append(data)
-            return hard_predictions(data)
+            return tally(data)
 
-        monkeypatch.setattr(hard, "hard_predictions", counted)
+        monkeypatch.setattr(hard, "_tally", counted)
         r = metric_report(ds, cost=cost, bins=7)
-        assert len(calls) == 1  # one argmax serves the confusion matrix and ECE
+        assert len(calls) == 1  # one argmax pass serves the confusion matrix and ECE
         monkeypatch.undo()
         assert r.accuracy == accuracy(cm) and r.qwk == qwk(cm)
         assert r.expected_cost == expected_cost(cm, cost)

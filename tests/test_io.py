@@ -1,12 +1,10 @@
 import csv
-import gc
 import json
 import os
 import random
 import re
 import stat
 import threading
-import tracemalloc
 import warnings
 from io import StringIO
 
@@ -45,6 +43,8 @@ from ordeval.errors import (
 from ordeval.cli import main
 from ordeval.io import _loadtxt_blocks, _read, _row_blocks, report_json, write_scores
 from ordeval.retention import rank_samples
+
+from helpers import traced_peak
 
 # ids that need quoting, or that a careless reader would trim
 ADVERSARIAL_IDS = ("a,b", 'say "hi"', " padded", "two\nlines", "a\rb")
@@ -467,26 +467,14 @@ class TestRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
-def _traced(fn, *args):
-    """``fn(*args)``, the bytes its result holds and the peak of the call,
-    both as ``tracemalloc`` counts them."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, held, peak
-
-
 class TestMemory:
     # the tables are streamed a chunk at a time; files are parsed, datasets
     # generated and rules scored a block of rows at a time into the
     # dataset's own arrays, which validation checks in place
 
     # at 50k x 5 rows: a block's temporaries, plus the few 8-byte-a-row
-    # vectors (0.4 MB each) that the ranking and ECE sort
+    # vectors (0.4 MB each) that the ranking (the scores and their order)
+    # and ECE (the confidences and their order by bin) keep
     ALLOWANCE = 2_500_000
     N = 50_000
 
@@ -502,28 +490,28 @@ class TestMemory:
         peaks = []
         for n in (4096, 20480):
             ds = generate(SynthConfig(n=n, k=5, noise=1.2, miscal=1.5, seed=1))
-            peaks.append(_traced(write_predictions, ds, str(tmp_path / f"{n}.csv"))[2])
+            peaks.append(traced_peak(write_predictions, ds, str(tmp_path / f"{n}.csv"))[0])
         assert peaks[1] <= 1.1 * peaks[0]
 
     def test_generate_peaks_near_what_it_returns(self):
         cfg = SynthConfig(n=20_000, k=5, noise=1.2, miscal=1.5, seed=1)
-        ds, held, peak = _traced(generate, cfg)
+        peak, held, ds = traced_peak(generate, cfg)
         assert len(ds) == cfg.n and peak <= 1.8 * held
 
     def test_read_peaks_near_what_it_returns(self, tmp_path):
         path = str(tmp_path / "p.csv")
         write_predictions(generate(SynthConfig(n=20_000, k=5, seed=1)), path)
-        ds, held, peak = _traced(read_predictions, path)
+        peak, held, ds = traced_peak(read_predictions, path)
         assert len(ds) == 20_000 and peak <= 1.8 * held
 
     def test_generate_holds_little_beyond_the_dataset(self):
-        ds, _, peak = _traced(generate, SynthConfig(n=self.N, k=5, noise=1.2, miscal=1.5, seed=1))
+        peak, _, ds = traced_peak(generate, SynthConfig(n=self.N, k=5, noise=1.2, miscal=1.5, seed=1))
         assert peak <= self._resident(ds) + self.ALLOWANCE
 
     def test_read_holds_little_beyond_the_dataset(self, tmp_path):
         path = str(tmp_path / "p.csv")
         write_predictions(generate(SynthConfig(n=self.N, k=5, noise=1.2, miscal=1.5, seed=1)), path)
-        ds, _, peak = _traced(read_predictions, path)
+        peak, _, ds = traced_peak(read_predictions, path)
         assert len(ds) == self.N and peak <= self._resident(ds) + self.ALLOWANCE
 
     def test_read_with_a_stray_quote_holds_little_beyond_the_dataset(self, tmp_path):
@@ -535,7 +523,7 @@ class TestMemory:
         lines = path.read_bytes().split(b"\n")
         lines[11] = b'5"x' + lines[11][lines[11].index(b","):]  # file line 12
         path.write_bytes(b"\n".join(lines))
-        ds, _, peak = _traced(read_predictions, str(path))
+        peak, _, ds = traced_peak(read_predictions, str(path))
         assert ds.ids[10] == '5"x' and len(ds) == self.N
         assert peak <= self._resident(ds) + self.ALLOWANCE
 
@@ -556,13 +544,13 @@ class TestMemory:
                 b'"' + line.replace(b",", b'",', 1) for line in lines[1:] if line
             ]
         path.write_bytes(b"\n".join(lines) + b"\n")
-        ds, _, peak = _traced(read_predictions, str(path))
+        peak, _, ds = traced_peak(read_predictions, str(path))
         assert len(ds) == self.N and ds.ids[10] == "s000011"
         assert peak <= self._resident(ds) + self.ALLOWANCE
 
     def test_metric_report_holds_little_beyond_the_dataset(self):
         ds = generate(SynthConfig(n=self.N, k=5, noise=1.2, miscal=1.5, seed=1))
-        assert _traced(metric_report, ds)[2] <= self.ALLOWANCE
+        assert traced_peak(metric_report, ds)[0] <= self.ALLOWANCE
 
     def test_ranking_and_writing_scores_hold_little_beyond_the_dataset(self, tmp_path):
         ds = generate(SynthConfig(n=self.N, k=5, noise=1.2, miscal=1.5, seed=1))
@@ -571,7 +559,29 @@ class TestMemory:
             order, scores = rank_samples(ds, "sa_rps")
             write_scores(ds, order, scores, str(tmp_path / "s.csv"))
 
-        assert _traced(score)[2] <= self.ALLOWANCE
+        assert traced_peak(score)[0] <= self.ALLOWANCE
+
+
+class TestWholeDatasetTemporaries:
+    # tracemalloc peaks above a 200k x 5 dataset made before the call
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        return generate(SynthConfig(n=200_000, k=5, noise=1.2, miscal=1.5, seed=1))
+
+    def test_metric_report_keeps_no_argmax_or_sorted_copy(self, ds):
+        # the correct flags (1 byte a row), the confidences and their order
+        # by bin (8 each), one bin's gather and a block's temporaries: ~19
+        # bytes a row. The argmax vector, the cells and a sorted copy of the
+        # confidences took 32
+        assert traced_peak(metric_report, ds)[0] < 22 * len(ds)
+
+    @pytest.mark.parametrize("rule", ["log", "sa_rps"])
+    def test_ranking_keeps_no_negated_or_ranked_copy(self, ds, rule):
+        # the scores and their order (8 bytes a row each) and a block's
+        # temporaries: ~17.3 bytes a row. Negated and ranked copies of the
+        # scores took 25
+        assert traced_peak(rank_samples, ds, rule)[0] < 18 * len(ds)
 
 
 class TestAtomicWrites:

@@ -1,6 +1,4 @@
-import gc
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +33,7 @@ from ordeval.retention import (
     retention_analysis,
 )
 
-from helpers import make_dataset, resample_indices
+from helpers import make_dataset, resample_indices, traced_peak
 from reference import ref_argmax, ref_rank, ref_replicate, ref_retention_curve
 
 
@@ -59,17 +57,6 @@ def one_hot_dataset(labels, preds, k):
     probs = np.zeros((n, k))
     probs[np.arange(n), preds] = 1.0
     return make_dataset(probs, labels, k=k)
-
-
-def traced_peak(fn, *args, **kwargs):
-    """The ``tracemalloc`` peak of ``fn(*args, **kwargs)``."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        fn(*args, **kwargs)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def signed_zeros():
@@ -119,6 +106,55 @@ class TestRankSamples:
         order, got = rank_samples(ds, "rps")
         assert order.tolist() == ref_rank(scores.tolist())
         assert np.array_equal(got, scores)
+
+    @pytest.mark.parametrize("block", [7, retention._BLOCK_ROWS])
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            np.random.default_rng(3).random(300),
+            np.round(np.random.default_rng(4).random(300), 1),
+            signed_zeros(),
+            np.array([0.0, -0.0, 0.0, 0.5, -0.0, 0.5]),
+        ],
+        ids=["untied", "tenths-tied", "signed-zeros", "zeros-and-halves"],
+    )
+    def test_order_and_scores_bit_for_bit(self, monkeypatch, scores, block):
+        # the scores are negated in place and back: the same order as a
+        # stable sort of a negated copy, and the very bits of the scores,
+        # 0.0 and -0.0 among them
+        monkeypatch.setattr(retention, "_BLOCK_ROWS", block)
+        monkeypatch.setitem(scoring.RULES, "rps", lambda probs, labels: scores.copy())
+        ds = one_hot_dataset([0] * len(scores), [0] * len(scores), 2)
+        order, got = rank_samples(ds, "rps")
+        assert np.array_equal(order, np.argsort(-scores, kind="stable"))
+        if len(np.unique(scores)) == len(scores):
+            assert np.array_equal(order, np.argsort(-scores))
+        assert got.tobytes() == scores.tobytes()
+
+    def test_a_tie_at_any_block_edge_sorts_again_stably(self, monkeypatch):
+        # blocks of 7 adjacent pairs, overlapping by one key: a tie between
+        # any two neighbours in the ranking calls for the stable sort
+        n = 30
+        monkeypatch.setattr(retention, "_BLOCK_ROWS", 7)
+        argsort, kinds = np.argsort, []
+
+        def spied(a, kind=None):
+            kinds.append(kind)
+            return argsort(a, kind=kind)
+
+        monkeypatch.setattr(np, "argsort", spied)
+        ds = one_hot_dataset([0] * n, [0] * n, 2)
+        perm = np.random.default_rng(5).permutation(n)
+        for tie in [None, *range(n - 1)]:  # ranks tie and tie + 1 share a score
+            ranked = np.arange(n, 0, -1.0)
+            if tie is not None:
+                ranked[tie + 1] = ranked[tie]
+            scores = ranked[perm]
+            monkeypatch.setitem(scoring.RULES, "rps", lambda probs, labels: scores.copy())
+            kinds.clear()
+            order, _ = rank_samples(ds, "rps")
+            assert kinds == ([None] if tie is None else [None, "stable"]), tie
+            assert np.array_equal(order, argsort(-scores, kind="stable"))
 
     def test_errors(self):
         for rule in ("nope", ""):
@@ -385,7 +421,7 @@ class TestRetentionKernel:
         # 4 x 819 x 20 x 7 x 7 count stack (26 MB) and peak near 100 MB in
         # qwk; blocks capped at 16384 // (fractions * K * K) stay small
         ds = generate(SynthConfig(n=20, k=7, seed=1))
-        peak = traced_peak(retention_analysis, ds, RULES, "qwk", num_replicates=2000, seed=42)
+        peak = traced_peak(retention_analysis, ds, RULES, "qwk", num_replicates=2000, seed=42)[0]
         assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("seed", [0, 42])
@@ -396,7 +432,7 @@ class TestRetentionKernel:
         # int64 rankings, cells and copy counts took 131 (107)
         n = 20_000
         ds = generate(SynthConfig(n=n, k=5, noise=1.2, miscal=1.5, seed=1))
-        peak = traced_peak(retention_analysis, ds, RULES, "qwk", num_replicates=3, seed=seed)
+        peak = traced_peak(retention_analysis, ds, RULES, "qwk", num_replicates=3, seed=seed)[0]
         assert peak < 100 * n
 
     @pytest.mark.parametrize("seed", [0, 5])

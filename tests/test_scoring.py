@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from ordeval.hard import hard_predictions
 from ordeval import scoring
 from ordeval.scoring import RULES
 
-from helpers import make_dataset, random_prob_matrix
+from helpers import make_dataset, random_prob_matrix, traced_peak
 from reference import ref_brier, ref_log_score, ref_rps, ref_sa_rps
 
 
@@ -235,10 +234,4 @@ class TestRuleKernels:
         n, k = 50_000, 5
         ds = generate(SynthConfig(n=n, k=k, seed=3))
         limit = 8 * n + 2 * 8 * n * (k - 1) + 65536
-        tracemalloc.start()
-        try:
-            RULES[rule](ds.probs, ds.labels)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < limit
+        assert traced_peak(RULES[rule], ds.probs, ds.labels)[0] < limit
