@@ -132,7 +132,8 @@ def ece(ds: EvalDataset, bins: int = DEFAULT_ECE_BINS) -> float:
     Samples are bucketed by confidence (max probability) into ``bins``
     equal-width right-closed bins over (0, 1]; the result is the count-
     weighted mean absolute gap between per-bin accuracy and confidence.
-    ``bins`` runs from 1 to MAX_ECE_BINS.
+    ``bins`` runs from 1 to MAX_ECE_BINS. Each bin's confidences are summed
+    in sorted order, so the result does not depend on the order of the rows.
     """
     if len(ds) == 0:
         raise EmptyDataset("cannot compute ECE on no samples")
@@ -144,34 +145,39 @@ def _ece(ds: EvalDataset, hits: np.ndarray, bins: int) -> float:
     """``ece`` from the correct flags ``hits`` of a nonempty ``ds``, for a
     checked bin count.
 
-    Each sample's bin index takes the narrowest type that holds bins - 1,
-    filled a block of rows at a time. One stable sort of the indices lists
-    every bin's samples together, in dataset order, and each nonempty bin's
-    mean confidence is taken from its own gather through that order: it adds
-    the same values in the same order as a boolean mask over the whole
-    array would, with no sorted copy of every confidence.
+    Each bin's size and count of correct samples are tallied a block of rows
+    at a time. The confidences, the one vector here as long as the dataset,
+    are then sorted in place. Bins are monotone in confidence, so that lays
+    each bin's values out together, in bin order, and one ``np.add.reduceat``
+    sums every nonempty bin. The result depends only on the (confidence,
+    correct) pairs, not on the order of the rows.
     """
     conf = ds.probs.max(axis=1)
     edges = np.linspace(0.0, 1.0, bins + 1)
-    idx = np.empty(len(conf), dtype=np.min_scalar_type(bins - 1))
-    for lo in range(0, len(idx), _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        block = np.digitize(conf[rows], edges, right=True)
-        block -= 1
-        idx[rows] = np.clip(block, 0, bins - 1, out=block)
     # a bin's accuracy is its exact count of correct samples over its size
-    counts = np.bincount(idx, minlength=bins)
-    correct = np.bincount(idx[hits], minlength=bins)
-    order = np.argsort(idx, kind="stable")
-    del idx  # before the gathers
-    stops = np.cumsum(counts)
-    total = 0.0
-    n = len(ds)
-    for b in np.flatnonzero(counts):
-        n_b = int(counts[b])
-        conf_b = conf[order[stops[b] - n_b : stops[b]]].mean()
-        total += n_b / n * abs(correct[b] / n_b - conf_b)
-    return float(total)
+    counts = np.zeros(bins, dtype=np.intp)
+    correct = np.zeros(bins, dtype=np.intp)
+    for lo in range(0, len(conf), _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        idx = np.digitize(conf[rows], edges, right=True)
+        idx -= 1
+        np.clip(idx, 0, bins - 1, out=idx)
+        counts += np.bincount(idx, minlength=bins)
+        correct += np.bincount(idx[hits[rows]], minlength=bins)
+    conf.sort()
+    full = np.flatnonzero(counts)
+    sizes = counts[full]
+    sums = np.add.reduceat(conf, np.cumsum(sizes) - sizes)
+    gaps = np.abs(correct[full] / sizes - sums / sizes)
+    return float((sizes / len(conf) * gaps).sum())
+
+
+def _sorted_mean(scores: np.ndarray) -> float:
+    """The mean of a fresh score vector, which it sorts in place: a sum in
+    sorted order does not depend on the order of the rows. Taking each
+    vector through this call keeps only one alive at a time."""
+    scores.sort()
+    return float(scores.mean())
 
 
 def metric_report(
@@ -181,7 +187,9 @@ def metric_report(
 
     ``cost`` defaults to the linear-distance matrix. One argmax pass, a
     block of rows at a time, gives the confusion matrix and the correct
-    flags that ECE takes; no argmax vector is kept.
+    flags that ECE takes; no argmax vector is kept. Each rule's mean sums
+    its scores in sorted order, so, as with ECE and the counts, the report
+    does not depend on the order of the rows.
     """
     check_bins(bins)
     cm, hits = _tally(ds)
@@ -194,6 +202,6 @@ def metric_report(
         ece=_ece(ds, hits, bins),
         n=len(ds),
         mean_scores={
-            rule: float(fn(ds.probs, ds.labels).mean()) for rule, fn in RULES.items()
+            rule: _sorted_mean(fn(ds.probs, ds.labels)) for rule, fn in RULES.items()
         },
     )

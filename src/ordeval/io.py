@@ -10,12 +10,12 @@ directory and are renamed into place, so a failed run never leaves a
 truncated output; ``_check_output_dir`` lets a command fail, as the write
 would, before it starts its work.
 
-Every CSV is streamed to its temp file in chunks of rows, each formatted
-with one ``%`` template per file, so no writer holds the whole file. An id
-holding a comma, a quote, a line feed or a carriage return is written in
-double quotes with its quotes doubled, so it reads back unchanged; every
-other field is written bare. Written files get the mode ``open`` gives a
-new file: 0o666 less the umask.
+Every CSV is streamed to its temp file in chunks of 1,024 rows, each
+formatted with one ``%`` template per file, so no writer holds more than
+one chunk of the file. An id holding a comma, a quote, a line feed or a
+carriage return is written in double quotes with its quotes doubled, so it
+reads back unchanged; every other field is written bare. Written files get
+the mode ``open`` gives a new file: 0o666 less the umask.
 A prediction file is opened once, in binary; one that cannot seek, such
 as a pipe, is first copied to an anonymous temp file. Its header is its
 first CSV record, which may be quoted, padded or preceded by blank lines.
@@ -66,8 +66,9 @@ _REPORT_TYPES = {
 }
 
 # rows formatted per chunk: large enough that the per-chunk work vanishes,
-# small enough that a chunk's fields and text stay within about 2 MB
-_CHUNK_ROWS = 4096
+# small enough that a chunk's Python floats, row strings, joined text and
+# bytes stay near 0.5 MB at 5 classes
+_CHUNK_ROWS = 1024
 
 _needs_quotes = re.compile(r'[,"\r\n]').search
 

@@ -263,6 +263,23 @@ class TestEvaluateCommand:
         assert payload["accuracy"] == 0.6
         assert abs(payload["ece"]) <= 1e-12
 
+    def test_row_order_changes_no_byte(self, tmp_path):
+        # probabilities on a tenths grid, so that ECE bins and every rule's
+        # scores hold runs of equal values
+        rng = np.random.default_rng(52)
+        tenths = rng.multinomial(10, np.full(5, 0.2), size=300)
+        rows = [f"s{i:03d},{rng.integers(5)}," + ",".join(str(t / 10) for t in p)
+                for i, p in enumerate(tenths)]
+        reports = set()
+        for j in range(6):
+            f = tmp_path / f"p{j}.csv"
+            order = rng.permutation(300) if j else range(300)
+            f.write_text("id,label,p0,p1,p2,p3,p4\n" + "".join(rows[i] + "\n" for i in order))
+            out = tmp_path / f"r{j}.json"
+            assert run(["evaluate", "--input", f, "--output", out]) == 0
+            reports.add(out.read_text().replace(json.dumps(str(f)), '"<input>"'))
+        assert len(reports) == 1 and '"<input>"' in reports.pop()
+
     def test_stdout_when_no_output(self, perfect_file, capsys):
         assert run(["evaluate", "--input", perfect_file]) == 0
         payload = json.loads(capsys.readouterr().out)

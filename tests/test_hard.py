@@ -200,21 +200,23 @@ class TestEce:
             )
 
     def test_matches_masked_loop_bit_for_bit(self):
-        # one boolean mask per bin over the whole array: each bin's means add
-        # the same values in the same order as ece's sorted slices
+        # one boolean mask per bin over the whole array: each bin's sorted
+        # confidences are reduced as one segment, as ece reduces each bin of
+        # the sorted confidences, and the bins' terms are summed in bin order
         def masked(ds, bins):
             conf = ds.probs.max(axis=1)
             correct = hard_predictions(ds) == ds.labels
             edges = np.linspace(0.0, 1.0, bins + 1)
             idx = np.clip(np.digitize(conf, edges, right=True) - 1, 0, bins - 1)
-            total = 0.0
+            terms = []
             for b in range(bins):
                 members = idx == b
                 n_b = int(members.sum())
                 if n_b:
-                    gap = abs(correct[members].mean() - conf[members].mean())
-                    total += n_b / len(ds) * gap
-            return float(total)
+                    conf_b = np.add.reduceat(np.sort(conf[members]), [0])[0] / n_b
+                    gap = abs(correct[members].mean() - conf_b)
+                    terms.append(n_b / len(ds) * gap)
+            return float(np.sum(terms))
 
         rng = np.random.default_rng(49)
         for n, k, bins in ((1, 2, 1), (37, 3, 7), (500, 5, 15), (3000, 4, 1000)):
@@ -226,19 +228,33 @@ class TestEce:
     @pytest.mark.parametrize(
         "name, want",
         [
-            ("synthetic", ["0x1.a885f6b0206b9p-2", "0x1.a885f6b0206bap-2", "0x1.b955fe22fa0dap-2"]),
-            ("tied", ["0x1.3cb300db91d0cp-2", "0x1.3cb300db91d0cp-2", "0x1.3cb300db91d0ep-2"]),
+            ("synthetic", ["0x1.a885f6b0206bbp-2", "0x1.a885f6b0206bap-2", "0x1.b955fe22fa0eap-2"]),
+            ("tied", ["0x1.3cb300db91d0ep-2", "0x1.3cb300db91d0cp-2", "0x1.3cb300db91d0ep-2"]),
         ],
     )
     def test_frozen_values(self, name, want):
-        # recorded when each bin's accuracy was the mean of its correctness
-        # flags; the exact count over the bin size must give the same bits
+        # recorded when each bin's confidences were first summed in sorted
+        # order, and the bins' terms in one numpy sum
         ds = generate(SynthConfig(n=20_000, k=5, noise=1.2, miscal=1.5, seed=1))
         if name == "tied":
             ds = generate(SynthConfig(n=5_000, k=4, noise=1.1, seed=2))
             p = np.round(ds.probs, 1) + 0.01
             ds = make_dataset(p / p.sum(axis=1, keepdims=True), ds.labels)
         assert [ece(ds, bins).hex() for bins in (1, 15, 10**4)] == want
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_row_order_changes_no_bit(self, tied):
+        rng = np.random.default_rng(50)
+        probs = random_prob_matrix(rng, 3000, 5)
+        if tied:  # confidences on a tenths grid: large bins full of equal values
+            probs = np.round(probs, 1) + 0.01
+            probs /= probs.sum(axis=1, keepdims=True)
+        labels = rng.integers(0, 5, 3000)
+        for bins in (1, 15, 10**4):
+            want = ece(make_dataset(probs, labels), bins).hex()
+            for _ in range(5):
+                perm = rng.permutation(3000)
+                assert ece(make_dataset(probs[perm], labels[perm]), bins).hex() == want
 
     def test_one_sample_per_bin_at_the_ceiling(self):
         # bins 1e-6 wide, confidences 1e-5 apart: every bin holds at most one
@@ -294,6 +310,21 @@ class TestMetricReport:
         assert a.qwk == pytest.approx(b.qwk, abs=1e-12)
         assert a.expected_cost == pytest.approx(b.expected_cost, abs=1e-12)
         assert a.ece == pytest.approx(b.ece, abs=1e-12)
+
+    def test_row_order_changes_no_bit(self):
+        rng = np.random.default_rng(51)
+        probs = np.round(random_prob_matrix(rng, 2000, 4), 1) + 0.01
+        probs /= probs.sum(axis=1, keepdims=True)
+        labels = rng.integers(0, 4, 2000)
+
+        def fields(perm):
+            r = metric_report(make_dataset(probs[perm], labels[perm]))
+            means = [m.hex() for m in r.mean_scores.values()]
+            return [r.accuracy.hex(), r.qwk.hex(), r.expected_cost.hex(), r.ece.hex(), *means]
+
+        want = fields(np.arange(2000))
+        for _ in range(5):
+            assert fields(rng.permutation(2000)) == want
 
     def test_fields(self):
         ds = one_hot_dataset([0, 1, 2], [0, 1, 2], 3)

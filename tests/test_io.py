@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ordeval.data
+import ordeval.hard
 import ordeval.io
 
 from ordeval import (
@@ -468,13 +469,13 @@ class TestRoundTrip:
 
 
 class TestMemory:
-    # the tables are streamed a chunk at a time; files are parsed, datasets
+    # the tables are streamed 1,024 rows a chunk; files are parsed, datasets
     # generated and rules scored a block of rows at a time into the
     # dataset's own arrays, which validation checks in place
 
     # at 50k x 5 rows: a block's temporaries, plus the few 8-byte-a-row
     # vectors (0.4 MB each) that the ranking (the scores and their order)
-    # and ECE (the confidences and their order by bin) keep
+    # and ECE (the confidences, sorted in place) keep
     ALLOWANCE = 2_500_000
     N = 50_000
 
@@ -484,8 +485,8 @@ class TestMemory:
         return ds.probs.nbytes + ds.labels.nbytes + 16 * len(ds)
 
     def test_write_peak_does_not_grow_with_the_file(self, tmp_path, monkeypatch):
-        # 2 chunks against 10, as 8k and 40k rows are at the default chunk
-        # size, with fewer rows to trace
+        # 2 chunks against 10, as 2k and 10k rows are at the default chunk
+        # size of 1,024 rows
         monkeypatch.setattr(ordeval.io, "_CHUNK_ROWS", 2048)
         peaks = []
         for n in (4096, 20480):
@@ -570,11 +571,36 @@ class TestWholeDatasetTemporaries:
         return generate(SynthConfig(n=200_000, k=5, noise=1.2, miscal=1.5, seed=1))
 
     def test_metric_report_keeps_no_argmax_or_sorted_copy(self, ds):
-        # the correct flags (1 byte a row), the confidences and their order
-        # by bin (8 each), one bin's gather and a block's temporaries: ~19
-        # bytes a row. The argmax vector, the cells and a sorted copy of the
-        # confidences took 32
-        assert traced_peak(metric_report, ds)[0] < 22 * len(ds)
+        # the correct flags (1 byte a row), then the confidences or one
+        # rule's scores (8), each sorted in place, and a block's temporaries:
+        # ~13.6 bytes a row. With the confidences' order by bin it took 19;
+        # with the argmax vector, the cells and a sorted copy of the
+        # confidences, 32
+        assert traced_peak(metric_report, ds)[0] < 15 * len(ds)
+
+    def test_ece_keeps_only_the_confidences(self, ds):
+        # the confidences (8 bytes a row), sorted in place, and a block's bin
+        # indices: ~9.3 bytes a row at 15 bins. An order by bin beside the
+        # confidences took 18
+        hits = ordeval.hard._tally(ds)[1]
+        assert traced_peak(ordeval.hard._ece, ds, hits, 15)[0] < 10.5 * len(ds)
+
+    def test_ece_at_the_bin_ceiling_holds_a_few_bin_counts(self, ds):
+        # at 10**6 bins the edges, the bin sizes, the correct counts and one
+        # block's counts (8 MB each) dominate: ~169 bytes a row. An order by
+        # bin and the per-bin gathers through it took 182
+        hits = ordeval.hard._tally(ds)[1]
+        assert traced_peak(ordeval.hard._ece, ds, hits, 10**6)[0] < 175 * len(ds)
+
+    def test_writing_predictions_holds_one_chunk(self, ds, tmp_path):
+        # a 1,024-row chunk's Python floats, row strings, joined text and
+        # bytes: ~0.55 MB. 4,096-row chunks took 2.16 MB
+        assert traced_peak(write_predictions, ds, str(tmp_path / "p.csv"))[0] < 800_000
+
+    def test_writing_scores_holds_one_chunk(self, ds, tmp_path):
+        # ~0.28 MB at 1,024 rows a chunk; 4,096-row chunks took 1.08 MB
+        order, scores = rank_samples(ds, "sa_rps")
+        assert traced_peak(write_scores, ds, order, scores, str(tmp_path / "s.csv"))[0] < 400_000
 
     @pytest.mark.parametrize("rule", ["log", "sa_rps"])
     def test_ranking_keeps_no_negated_or_ranked_copy(self, ds, rule):
