@@ -28,7 +28,7 @@ import os
 import sys
 
 from . import io
-from .data import MAX_CELLS, MODES, CostMatrix
+from .data import MAX_CELLS, MAX_CLASSES, MODES, CostMatrix
 from .errors import EvalError, InvalidConfig, UnknownRule
 from .hard import DEFAULT_ECE_BINS, MAX_ECE_BINS, check_bins, metric_report
 from .retention import (
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--n", type=int, required=True, help=f"sample count; n * k at most {MAX_CELLS:,}"
     )
-    p.add_argument("--k", type=int, required=True, help="class count")
+    p.add_argument("--k", type=int, required=True, help=f"class count, 2 to {MAX_CLASSES}")
     p.add_argument("--noise", type=float, default=1.0)
     p.add_argument("--miscal", type=float, default=1.0)
     p.add_argument("--mode", default="ordinal", help=" | ".join(MODES))

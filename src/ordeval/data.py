@@ -57,6 +57,11 @@ _BLOCK_ROWS = 1 << 14
 MODES = ("ordinal", "shuffled")
 MAX_CELLS = 5 * 10**7
 
+# classes a dataset may have: the K x K cost and count matrices, and the
+# retention kernel's curve stacks, grow with K * K, and a sample's confusion
+# cell t * K + p fits two bytes
+MAX_CLASSES = 256
+
 
 class _Record:
     """An immutable record whose fields are its class's ``__slots__``.
@@ -189,8 +194,11 @@ def _build(k: int, bound: int, blocks, ids: _Ids | None = None) -> EvalDataset |
     their ids and the dataset keeps ``ids``, neither copied nor hashed
     again. Probability rows within SUM_TOLERANCE of summing to 1 are
     renormalized, and anything worse is rejected; labels must index a class
-    and ids be unique.
+    and ids be unique. More than MAX_CLASSES classes are rejected before
+    anything is allocated or any block is taken.
     """
+    if k > MAX_CLASSES:
+        raise InvalidConfig(f"at most {MAX_CLASSES} classes, got {k}")
     fresh = ids is None
     if fresh:
         ids = np.empty(bound, dtype=np.dtypes.StringDType())
@@ -321,15 +329,15 @@ def _reject_probs(ids: _Ids, probs: np.ndarray) -> None:
 def validate_dataset(raw: EvalDataset) -> EvalDataset:
     """Check every dataset invariant and return the canonicalized dataset.
 
-    Probability rows within SUM_TOLERANCE of summing to 1 are renormalized;
-    anything worse is rejected. Labels must be integers that index a class
-    (2.0 counts as 2; 2.7, NaN and ``"1"`` are rejected) and ids unique
-    ``str`` that UTF-8 can encode. The returned arrays are read-only,
-    and validating an already validated dataset returns identical values
-    (the renormalization trigger sits far above the residual left by
-    renormalization itself) and its own ids, neither copied nor hashed
-    again. The caller's arrays are copied, by ``_build``, never changed or
-    frozen.
+    K runs from 2 to MAX_CLASSES. Probability rows within SUM_TOLERANCE of
+    summing to 1 are renormalized; anything worse is rejected. Labels must
+    be integers that index a class (2.0 counts as 2; 2.7, NaN and ``"1"``
+    are rejected) and ids unique ``str`` that UTF-8 can encode. The
+    returned arrays are read-only, and validating an already validated
+    dataset returns identical values (the renormalization trigger sits far
+    above the residual left by renormalization itself) and its own ids,
+    neither copied nor hashed again. The caller's arrays are copied, by
+    ``_build``, never changed or frozen.
     """
     k = raw.num_classes
     if k < 2:

@@ -4,6 +4,10 @@ The confusion matrix convention is ``counts[t][p]``: true class t, predicted
 class p, with argmax ties resolved to the lowest class index. Quadratic-
 weighted kappa and expected cost are the headline ordinal metrics; accuracy
 and ECE provide context.
+
+``_cells`` is the one argmax pass: it gives the confusion counts and each
+sample's cell t * K + p in the narrowest unsigned type, from which ECE
+takes its correct samples and the retention kernel its per-cut counts.
 """
 
 import numpy as np
@@ -25,44 +29,30 @@ class MetricReport(_Record):
     __slots__ = ("accuracy", "qwk", "expected_cost", "ece", "n", "mean_scores")
 
 
-def hard_predictions(ds: EvalDataset) -> np.ndarray:
-    """Argmax class per sample; ties go to the lowest index. argmax copies
-    a read-only input, so it takes ``_BLOCK_ROWS`` rows at a time and only
-    one block is ever copied."""
-    out = np.empty(len(ds.probs), dtype=np.intp)
-    for i in range(0, len(out), _BLOCK_ROWS):
-        np.argmax(ds.probs[i : i + _BLOCK_ROWS], axis=1, out=out[i : i + _BLOCK_ROWS])
-    return out
-
-
-def _cells(labels: np.ndarray, pred: np.ndarray, k: int) -> np.ndarray:
-    """Each sample's cell of the raveled K x K confusion matrix, given its
-    ``labels`` and argmax ``pred``: label * K + pred, so that counts[t][p]
-    is cell t * K + p."""
-    return labels * k + pred
-
-
 def confusion(ds: EvalDataset) -> np.ndarray:
     """K x K confusion counts, counts[t][p], summing to len(ds)."""
-    return _tally(ds)[0]
+    return _cells(ds)[0]
 
 
-def _tally(ds: EvalDataset) -> tuple[np.ndarray, np.ndarray]:
-    """``confusion(ds)`` and every sample's correct flag (argmax equals
-    label), from one argmax pass of ``_BLOCK_ROWS`` rows at a time: a block
-    adds its integer counts and writes its flags, so the one vector as long
-    as the dataset is the flags, a byte a sample."""
+def _cells(ds: EvalDataset) -> tuple[np.ndarray, np.ndarray]:
+    """``confusion(ds)`` and every sample's cell of it, t * K + p for true
+    class t and argmax p, in ``np.min_scalar_type(K * K - 1)``: a byte a
+    sample up to K = 16. One argmax pass of ``_BLOCK_ROWS`` rows at a time
+    writes a block's cells and adds its integer counts, so the one vector
+    as long as the dataset is the cells. A sample is correct exactly when
+    its cell is a multiple of K + 1, as t * K + p = p - t modulo K + 1."""
     if len(ds) == 0:
         raise EmptyDataset("cannot build a confusion matrix from no samples")
     k = ds.num_classes
     counts = np.zeros(k * k, dtype=np.intp)
-    hits = np.empty(len(ds), dtype=bool)
-    for lo in range(0, len(hits), _BLOCK_ROWS):
+    cells = np.empty(len(ds), dtype=np.min_scalar_type(k * k - 1))
+    for lo in range(0, len(cells), _BLOCK_ROWS):
         rows = slice(lo, lo + _BLOCK_ROWS)
-        pred = np.argmax(ds.probs[rows], axis=1)
-        counts += np.bincount(_cells(ds.labels[rows], pred, k), minlength=k * k)
-        np.equal(pred, ds.labels[rows], out=hits[rows])
-    return counts.reshape(k, k), hits
+        block = ds.labels[rows] * k
+        block += np.argmax(ds.probs[rows], axis=1)
+        counts += np.bincount(block, minlength=k * k)
+        cells[rows] = block
+    return counts.reshape(k, k), cells
 
 
 def _check_counts(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,21 +128,23 @@ def ece(ds: EvalDataset, bins: int = DEFAULT_ECE_BINS) -> float:
     if len(ds) == 0:
         raise EmptyDataset("cannot compute ECE on no samples")
     check_bins(bins)
-    return _ece(ds, _tally(ds)[1], bins)
+    return _ece(ds, _cells(ds)[1], bins)
 
 
-def _ece(ds: EvalDataset, hits: np.ndarray, bins: int) -> float:
-    """``ece`` from the correct flags ``hits`` of a nonempty ``ds``, for a
-    checked bin count.
+def _ece(ds: EvalDataset, cells: np.ndarray, bins: int) -> float:
+    """``ece`` from the confusion ``cells`` of a nonempty ``ds``, as
+    ``_cells`` gives them, for a checked bin count.
 
     Each bin's size and count of correct samples are tallied a block of rows
-    at a time. The confidences, the one vector here as long as the dataset,
+    at a time; a block's samples are correct where their cells are multiples
+    of K + 1. The confidences, the one vector here as long as the dataset,
     are then sorted in place. Bins are monotone in confidence, so that lays
     each bin's values out together, in bin order, and one ``np.add.reduceat``
     sums every nonempty bin. The result depends only on the (confidence,
     correct) pairs, not on the order of the rows.
     """
     conf = ds.probs.max(axis=1)
+    diagonal = ds.num_classes + 1
     edges = np.linspace(0.0, 1.0, bins + 1)
     # a bin's accuracy is its exact count of correct samples over its size
     counts = np.zeros(bins, dtype=np.intp)
@@ -163,7 +155,7 @@ def _ece(ds: EvalDataset, hits: np.ndarray, bins: int) -> float:
         idx -= 1
         np.clip(idx, 0, bins - 1, out=idx)
         counts += np.bincount(idx, minlength=bins)
-        correct += np.bincount(idx[hits[rows]], minlength=bins)
+        correct += np.bincount(idx[cells[rows] % diagonal == 0], minlength=bins)
     conf.sort()
     full = np.flatnonzero(counts)
     sizes = counts[full]
@@ -186,20 +178,21 @@ def metric_report(
     """Accuracy, QWK, expected cost, ECE and the mean of every scoring rule.
 
     ``cost`` defaults to the linear-distance matrix. One argmax pass, a
-    block of rows at a time, gives the confusion matrix and the correct
-    flags that ECE takes; no argmax vector is kept. Each rule's mean sums
-    its scores in sorted order, so, as with ECE and the counts, the report
-    does not depend on the order of the rows.
+    block of rows at a time, gives the confusion matrix and the confusion
+    cells that ECE takes its correct samples from, a byte a sample up to
+    K = 16; no argmax vector is kept. Each rule's mean sums its scores in
+    sorted order, so, as with ECE and the counts, the report does not
+    depend on the order of the rows.
     """
     check_bins(bins)
-    cm, hits = _tally(ds)
+    cm, cells = _cells(ds)
     if cost is None:
         cost = CostMatrix.linear(ds.num_classes)
     return MetricReport(
         accuracy=accuracy(cm),
         qwk=qwk(cm),
         expected_cost=expected_cost(cm, cost),
-        ece=_ece(ds, hits, bins),
+        ece=_ece(ds, cells, bins),
         n=len(ds),
         mean_scores={
             rule: _sorted_mean(fn(ds.probs, ds.labels)) for rule, fn in RULES.items()

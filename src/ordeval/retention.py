@@ -15,7 +15,9 @@ any number of rules on one dataset:
 - each rule's scores are computed and sorted once (``rank_samples``); a cut
   keeps a prefix of that best-first order, so every cut's confusion matrix
   comes from one ``bincount`` over (first cut that wholly keeps a sample,
-  confusion cell) and a ``cumsum`` over the cuts;
+  confusion cell) and a ``cumsum`` over the cuts. The cells are those of
+  ``hard._cells``, t * K + p in the narrowest unsigned type, taken as they
+  come;
 - a replicate is the same ranking with each sample counted as often as it
   was drawn, and a cut counts positions in that resampled list, so copies of
   one sample may fall on both sides of it. The ``bincount`` weights each
@@ -53,7 +55,7 @@ from .errors import (
     InvalidConfig,
     UnknownMetric,
 )
-from .hard import _cells, expected_cost, hard_predictions, qwk
+from .hard import _cells, expected_cost, qwk
 from .scoring import _rule_fn
 
 # 1.00, 0.95, ..., 0.05
@@ -65,6 +67,10 @@ DEFAULT_REPLICATES = 50
 DEFAULT_SEED = 42
 MAX_REPLICATES = 10**6  # every replicate's AURSC is kept, so more is rejected
 MAX_FRACTIONS = 10**4  # the count stacks and cut arrays grow with the grid
+# fractions * K * K at most this, which every grid passes at K <= 16: each
+# rule's curve counts and the metric's float temporaries grow with it, and
+# at the bound 4 rules peak near 0.55 GB (K = 256, 64 fractions)
+MAX_CURVE_CELLS = 1 << 22
 
 # draws per replicate block: enough to amortize per-call overhead at small n,
 # few enough that its arrays stay small (65 536 draws: +10% peak RSS at n = 2k)
@@ -183,23 +189,28 @@ def retention_analysis(
     rule. Every rule is ranked once; the replicates run in blocks of
     ``max(1, _BLOCK_DRAWS // max(n, fractions * K * K))``, whose draws are
     made and counted once and shared by all rules. The blocks run in order
-    in the calling thread.
+    in the calling thread. A grid whose fractions * K * K exceeds
+    MAX_CURVE_CELLS is rejected before any work.
     """
     check_bootstrap(num_replicates)
     check_metric(metric)
     fractions = check_fractions(fractions)
-    if cost is None:
-        cost = CostMatrix.linear(ds.num_classes)
     n, k = len(ds), ds.num_classes
+    cuts = len(fractions) * k * k
+    if cuts > MAX_CURVE_CELLS:
+        grid = f"retention grid of {len(fractions)} fractions at K = {k}"
+        raise InvalidConfig(f"{grid} makes {cuts:,} curve cells, at most {MAX_CURVE_CELLS:,}")
+    if cost is None:
+        cost = CostMatrix.linear(k)
     # best first, ties latest first, so a cut keeps what dropping the worst
     # in dataset order keeps; contiguous, as a reversed view makes every
     # gather through it several times slower. Every rule keeps its ranking
-    # and b copies of its cells, so both take the narrowest type that fits
+    # and b copies of the cells, so both take the narrowest type that fits,
+    # as the cells come
     index = np.int32 if n < 2**31 else np.intp
     bests = [rank_samples(ds, rule)[0][::-1].astype(index) for rule in rules]
-    cell = _cells(ds.labels, hard_predictions(ds), k).astype(np.min_scalar_type(k * k - 1))
+    cell = _cells(ds)[1]
     kept = [retained_count(f, n) for f in reversed(fractions)]
-    cuts = len(kept) * k * k
     # Replicate r of a block is row r of its draws, offset by r curves: cut s
     # of curve r keeps positions r*n .. r*n + kept[s] - 1, and a sample first
     # wholly kept at cut s lands in bin r*cuts + s*K*K + its cell. One

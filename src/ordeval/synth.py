@@ -153,9 +153,15 @@ def generate(cfg: SynthConfig) -> EvalDataset:
 
     ``data._build`` fills the dataset's arrays with samples made
     ``_BLOCK_ROWS`` at a time; every draw depends only on (seed, sample
-    index), so the result does not depend on the block size.
+    index), so the result does not depend on the block size. The class
+    permutation is drawn with the first block, after ``_build`` has checked
+    the class count.
     """
     _check_config(cfg)
+    return _build(cfg.k, cfg.n, _blocks(cfg))
+
+
+def _blocks(cfg: SynthConfig):
     perm = _class_permutation(cfg.seed, cfg.n, cfg.k) if cfg.mode == "shuffled" else None
-    blocks = (_rows(cfg, lo, perm) for lo in range(0, cfg.n, _BLOCK_ROWS))
-    return _build(cfg.k, cfg.n, blocks)
+    for lo in range(0, cfg.n, _BLOCK_ROWS):
+        yield _rows(cfg, lo, perm)

@@ -67,6 +67,14 @@ class TestSynthCommand:
         assert capsys.readouterr().err.startswith("error: InvalidConfig:")
         assert list(tmp_path.iterdir()) == []
 
+    def test_more_classes_than_the_cap_write_nothing(self, tmp_path, capsys):
+        assert run(["synth", "--n", 10, "--k", 257, "--output", tmp_path / "x.csv"]) == 1
+        assert capsys.readouterr().err == "error: InvalidConfig: at most 256 classes, got 257\n"
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(SystemExit):
+            run(["synth", "--help"])
+        assert "class count, 2 to 256" in capsys.readouterr().out
+
     def test_largest_size_is_accepted_and_documented(self, capsys):
         # checked on the config alone: generating near the cap takes gigabytes
         assert synth.MAX_CELLS >= 10**6 * 5
@@ -192,6 +200,22 @@ class TestUnreadableFiles:
         f.write_text("id,label,p0,p1\n" + rows)
         assert run(["evaluate", "--input", f]) == 1
         assert capsys.readouterr().err == f"error: {message.format(f=f)}\n"
+
+    @pytest.mark.parametrize("command", ["score", "evaluate", "rsc"])
+    def test_too_many_classes_fail_before_allocating(self, tmp_path, capsys, command):
+        # one row of 20,000 classes: a linear cost matrix alone would take 3.2 GB
+        k = 20_000
+        f = tmp_path / "p.csv"
+        f.write_text(
+            "id,label," + ",".join(f"p{i}" for i in range(k)) + "\n"
+            + "a,0,1.0" + ",0.0" * (k - 1) + "\n"
+        )
+        extra = {"score": ["--rule", "rps", "--output", tmp_path / "s.csv"],
+                 "evaluate": [], "rsc": ["--output-prefix", tmp_path / "run"]}[command]
+        peak, _, rc = traced_peak(run, [command, "--input", f, *extra])
+        assert rc == 1 and peak < 8 * 2**20
+        assert capsys.readouterr().err == f"error: InvalidConfig: {f}: at most 256 classes, got {k}\n"
+        assert list(tmp_path.iterdir()) == [f]
 
 
 class TestUnwritableOutputs:
@@ -405,6 +429,19 @@ class TestRscCommand:
                   "--output-prefix", tmp_path / "x"])
         assert rc == 1
         assert "InvalidConfig" in capsys.readouterr().err
+
+    def test_a_grid_too_fine_for_the_classes_writes_nothing(self, tmp_path, capsys):
+        # 100 fractions at K = 256 make 6,553,600 curve cells
+        data = tmp_path / "data.csv"
+        assert run(["synth", "--n", 50, "--k", 256, "--output", data]) == 0
+        rc = run(["rsc", "--input", data, "--fractions", "1.0:0.01:0.01",
+                  "--output-prefix", tmp_path / "run"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: InvalidConfig: retention grid of 100 fractions at K = 256 makes "
+            "6,553,600 curve cells, at most 4,194,304\n"
+        )
+        assert list(tmp_path.iterdir()) == [data]
 
     BAD_FLAGS = [
         ("rsc", "--threads", 0, "InvalidConfig"),

@@ -57,6 +57,24 @@ class TestValidation:
         with pytest.raises(NegativeProbability):
             make_dataset([[-0.1, 0.6, 0.5]], [0])
 
+    def test_rejects_more_classes_than_the_cap(self):
+        k = ordeval.data.MAX_CLASSES
+        assert make_dataset(np.full((1, k), 1 / k), [k - 1]).num_classes == k
+        raw = EvalDataset(k + 1, ("a",), np.zeros(1, dtype=np.int64), np.full((1, k + 1), 1 / (k + 1)))
+        with pytest.raises(InvalidConfig, match=f"^at most {k} classes, got {k + 1}$"):
+            validate_dataset(raw)
+
+    def test_too_many_classes_fail_before_allocating_or_reading_a_block(self):
+        def blocks():
+            raise AssertionError("no block should be read")
+            yield
+
+        def build():
+            with pytest.raises(InvalidConfig, match="^at most 256 classes, got 20000$"):
+                ordeval.data._build(20_000, 10**9, blocks())
+
+        assert traced_peak(build)[0] < 64 * 1024
+
     def test_rejects_label_out_of_range(self):
         with pytest.raises(LabelOutOfRange):
             make_dataset([[0.5, 0.5]], [2])

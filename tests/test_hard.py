@@ -14,10 +14,10 @@ from ordeval import (
 )
 from ordeval import hard
 from ordeval.errors import EmptyDataset, InvalidConfig, ShapeMismatch, ZeroBins
-from ordeval.hard import MAX_ECE_BINS, hard_predictions
+from ordeval.hard import MAX_ECE_BINS
 
 from helpers import make_dataset, random_prob_matrix, traced_peak
-from reference import ref_ece, ref_expected_cost, ref_qwk
+from reference import ref_argmax, ref_ece, ref_expected_cost, ref_qwk
 
 
 def one_hot_dataset(labels, preds, k):
@@ -48,21 +48,57 @@ class TestConfusion:
 
 
 class TestHardPredictions:
+    # hard._cells, the one argmax pass: the confusion counts and every
+    # sample's cell label * K + argmax
+
     @pytest.mark.parametrize("block", [1, 7, 1 << 14])
     def test_matches_one_argmax(self, monkeypatch, block):
         ds = generate(SynthConfig(n=1000, k=5, noise=1.5, seed=42))
         monkeypatch.setattr(hard, "_BLOCK_ROWS", block)
-        got = hard_predictions(ds)
-        want = np.argmax(ds.probs.copy(), axis=1)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        counts, cells = hard._cells(ds)
+        want = ds.labels * 5 + np.argmax(ds.probs.copy(), axis=1)
+        assert cells.dtype == np.uint8 and cells.tolist() == want.tolist()
+        assert counts.tolist() == np.bincount(want, minlength=25).reshape(5, 5).tolist()
 
     def test_copies_at_most_one_block(self):
         # argmax copies a read-only matrix; a validated dataset is read-only
         ds = generate(SynthConfig(n=100_000, k=5, seed=1))
         assert not ds.probs.flags.writeable
         block = hard._BLOCK_ROWS * ds.probs.itemsize * ds.num_classes
-        peak, _, result = traced_peak(hard_predictions, ds)
-        assert peak < result.nbytes + block + 4096  # + slice and array headers
+        temporaries = 2 * hard._BLOCK_ROWS * np.dtype(np.intp).itemsize  # a block's argmax and cells
+        peak, _, (_, cells) = traced_peak(hard._cells, ds)
+        assert peak < cells.nbytes + block + temporaries + 4096  # + slice and array headers
+
+
+class TestCells:
+    @pytest.mark.parametrize("k", range(2, 18))
+    def test_every_cell_and_its_diagonal(self, k):
+        # one sample for every (true, predicted) pair
+        labels, preds = np.divmod(np.arange(k * k), k)
+        counts, cells = hard._cells(one_hot_dataset(labels, preds, k))
+        assert cells.dtype == (np.uint8 if k <= 16 else np.uint16)
+        assert cells.tolist() == (labels * k + preds).tolist()
+        # t * K + p = p - t mod K + 1: ECE's correct samples
+        assert (cells % (k + 1) == 0).tolist() == (labels == preds).tolist()
+        assert counts.tolist() == np.ones((k, k), dtype=int).tolist()
+
+    def test_two_byte_cells_match_the_oracles(self):
+        # K = 17 is the fewest classes whose cells take two bytes
+        rng = np.random.default_rng(17)
+        n, k = 2000, 17
+        probs = random_prob_matrix(rng, n, k)
+        labels = np.where(rng.random(n) < 0.5, probs.argmax(axis=1), rng.integers(0, k, n))
+        ds = make_dataset(probs, labels)
+        assert hard._cells(ds)[1].max() > 255
+        preds = [ref_argmax(p) for p in ds.probs.tolist()]
+        want = [[0] * k for _ in range(k)]
+        for t, p in zip(ds.labels.tolist(), preds):
+            want[t][p] += 1
+        assert confusion(ds).tolist() == want
+        conf = ds.probs.max(axis=1).tolist()
+        correct = [t == p for t, p in zip(ds.labels.tolist(), preds)]
+        for bins in (1, 15, 1000):
+            assert ece(ds, bins) == pytest.approx(ref_ece(conf, correct, bins), abs=1e-12)
 
 
 class TestQwk:
@@ -205,7 +241,7 @@ class TestEce:
         # the sorted confidences, and the bins' terms are summed in bin order
         def masked(ds, bins):
             conf = ds.probs.max(axis=1)
-            correct = hard_predictions(ds) == ds.labels
+            correct = np.argmax(ds.probs, axis=1) == ds.labels
             edges = np.linspace(0.0, 1.0, bins + 1)
             idx = np.clip(np.digitize(conf, edges, right=True) - 1, 0, bins - 1)
             terms = []
@@ -336,13 +372,13 @@ class TestMetricReport:
         ds = generate(SynthConfig(n=3000, k=5, noise=1.2, miscal=1.5, seed=3))
         cost = CostMatrix.quadratic(5)
         cm = confusion(ds)
-        calls, tally = [], hard._tally
+        calls, cells = [], hard._cells
 
         def counted(data):
             calls.append(data)
-            return tally(data)
+            return cells(data)
 
-        monkeypatch.setattr(hard, "_tally", counted)
+        monkeypatch.setattr(hard, "_cells", counted)
         r = metric_report(ds, cost=cost, bins=7)
         assert len(calls) == 1  # one argmax pass serves the confusion matrix and ECE
         monkeypatch.undo()

@@ -570,8 +570,14 @@ class TestWholeDatasetTemporaries:
     def ds(self):
         return generate(SynthConfig(n=200_000, k=5, noise=1.2, miscal=1.5, seed=1))
 
+    def test_confusion_keeps_one_byte_a_row(self, ds):
+        # the cells (1 byte a row) and one block's read-only copy, argmax and
+        # cells: ~5.6 bytes a row. A bincount of the whole cell vector, which
+        # casts it to intp, took 9
+        assert traced_peak(ordeval.hard.confusion, ds)[0] <= 6 * len(ds)
+
     def test_metric_report_keeps_no_argmax_or_sorted_copy(self, ds):
-        # the correct flags (1 byte a row), then the confidences or one
+        # the confusion cells (1 byte a row), then the confidences or one
         # rule's scores (8), each sorted in place, and a block's temporaries:
         # ~13.6 bytes a row. With the confidences' order by bin it took 19;
         # with the argmax vector, the cells and a sorted copy of the
@@ -582,15 +588,15 @@ class TestWholeDatasetTemporaries:
         # the confidences (8 bytes a row), sorted in place, and a block's bin
         # indices: ~9.3 bytes a row at 15 bins. An order by bin beside the
         # confidences took 18
-        hits = ordeval.hard._tally(ds)[1]
-        assert traced_peak(ordeval.hard._ece, ds, hits, 15)[0] < 10.5 * len(ds)
+        cells = ordeval.hard._cells(ds)[1]
+        assert traced_peak(ordeval.hard._ece, ds, cells, 15)[0] < 10.5 * len(ds)
 
     def test_ece_at_the_bin_ceiling_holds_a_few_bin_counts(self, ds):
         # at 10**6 bins the edges, the bin sizes, the correct counts and one
         # block's counts (8 MB each) dominate: ~169 bytes a row. An order by
         # bin and the per-bin gathers through it took 182
-        hits = ordeval.hard._tally(ds)[1]
-        assert traced_peak(ordeval.hard._ece, ds, hits, 10**6)[0] < 175 * len(ds)
+        cells = ordeval.hard._cells(ds)[1]
+        assert traced_peak(ordeval.hard._ece, ds, cells, 10**6)[0] < 175 * len(ds)
 
     def test_writing_predictions_holds_one_chunk(self, ds, tmp_path):
         # a 1,024-row chunk's Python floats, row strings, joined text and

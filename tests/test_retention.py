@@ -14,7 +14,7 @@ from ordeval import (
     retained_count,
     sample_retention_curve,
 )
-from ordeval import retention, scoring
+from ordeval import hard, retention, scoring
 from ordeval.errors import (
     EmptyDataset,
     EmptyFractionList,
@@ -23,7 +23,6 @@ from ordeval.errors import (
     UnknownMetric,
     UnknownRule,
 )
-from ordeval.hard import hard_predictions
 from ordeval.retention import (
     DEFAULT_FRACTIONS,
     MAX_FRACTIONS,
@@ -75,7 +74,7 @@ class TestRankSamples:
         # scores stay in dataset order
         assert scores[0] == pytest.approx(0.28125, abs=1e-15)
         assert scores[1] == pytest.approx(0.5625, abs=1e-15)
-        assert hard_predictions(ds).tolist() == [1, 2]
+        assert np.argmax(ds.probs, axis=1).tolist() == [1, 2]
 
     def test_brier_tie_keeps_input_order(self):
         order, scores = rank_samples(eq3_dataset(), "brier")
@@ -528,3 +527,54 @@ class TestRetentionOracle:
                     if reps is not None:
                         assert reps[i, r].tolist() == counts, (v, rule, r)
                     assert summary.replicates[r] == pytest.approx(sum(values), rel=0, abs=1e-12)
+
+
+class TestTwoByteCells:
+    # K = 17 is the fewest classes whose confusion cells take two bytes
+    @pytest.mark.parametrize("mode", ["ordinal", "shuffled"])
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_counts_and_values_match_plain_loops(self, mode, metric):
+        k, replicates = 17, 3
+        ds = generate(SynthConfig(n=400, k=k, noise=1.5, mode=mode, seed=17))
+        assert hard._cells(ds)[1].max() > 255
+        cost = CostMatrix.quadratic(k)
+        results = retention_analysis(ds, RULES, metric, num_replicates=replicates, seed=5, cost=cost)
+        labels = ds.labels.tolist()
+        preds = [ref_argmax(p) for p in ds.probs.tolist()]
+        for rule, (curve, summary) in zip(RULES, results):
+            scores = rank_samples(ds, rule)[1].tolist()
+            args = (scores, labels, preds, k, DEFAULT_FRACTIONS, metric, cost.costs.tolist())
+            assert curve.values == pytest.approx(ref_retention_curve(*args)[1], rel=0, abs=1e-12)
+            for r in range(replicates):
+                values = ref_replicate(5, r, *args)[1]
+                assert summary.replicates[r] == pytest.approx(sum(values), rel=0, abs=1e-12)
+
+
+class TestCurveCellBound:
+    def test_bound_is_on_fractions_times_k_squared(self, monkeypatch):
+        ds = eq3_dataset()  # 20 fractions x 3 x 3 = 180 curve cells
+        monkeypatch.setattr(retention, "MAX_CURVE_CELLS", 180)
+        assert len(sample_retention_curve(ds, "rps", "qwk").values) == 20
+        monkeypatch.setattr(retention, "MAX_CURVE_CELLS", 179)
+        with pytest.raises(InvalidConfig, match="^retention grid of 20 fractions at K = 3 makes 180 "):
+            sample_retention_curve(ds, "rps", "qwk")
+
+    def test_every_grid_up_to_16_classes_passes(self):
+        assert MAX_FRACTIONS * 16 * 16 <= retention.MAX_CURVE_CELLS
+
+    def test_an_oversized_grid_fails_before_allocating(self):
+        k = 256
+        ds = make_dataset(np.full((1, k), 1 / k), [0])
+        grid = np.linspace(1.0, 0.5, MAX_FRACTIONS)
+        message = (
+            f"^retention grid of {MAX_FRACTIONS} fractions at K = 256 makes 655,360,000 "
+            f"curve cells, at most 4,194,304$"
+        )
+
+        def call():
+            with pytest.raises(InvalidConfig, match=message):
+                retention_analysis(ds, RULES, "qwk", grid)
+
+        assert traced_peak(call)[0] < 2**20
+        with pytest.raises(InvalidConfig, match="^retention grid of 65 fractions at K = 256 "):
+            bootstrap_aursc(ds, "rps", "ec", np.linspace(1.0, 0.5, 65))

@@ -5,7 +5,6 @@ import pytest
 
 from ordeval import SynthConfig, brier, generate, log_score, rank_samples, rps, sa_rps
 from ordeval.errors import UnknownRule
-from ordeval.hard import hard_predictions
 from ordeval import scoring
 from ordeval.scoring import RULES
 
@@ -153,7 +152,7 @@ class TestScoreDataset:
         assert ds.ids == ("p1", "p2") and scores.shape == (2,)
         assert scores[0] == pytest.approx(0.28125, abs=1e-15)
         assert scores[1] == pytest.approx(0.5625, abs=1e-15)
-        assert hard_predictions(ds).tolist() == [1, 2]
+        assert np.argmax(ds.probs, axis=1).tolist() == [1, 2]
 
     def test_matches_per_sample_calls(self):
         rng = np.random.default_rng(35)

@@ -29,6 +29,20 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             generate(SynthConfig(**kwargs))
 
+    @pytest.mark.parametrize("mode", ["ordinal", "shuffled"])
+    def test_more_classes_than_the_cap_fail_before_any_draw(self, monkeypatch, mode):
+        def drawn(*args):
+            raise AssertionError("nothing should be drawn")
+
+        monkeypatch.setattr(synth, "_class_permutation", drawn)
+        monkeypatch.setattr(synth, "_rows", drawn)
+        with pytest.raises(InvalidConfig, match="^at most 256 classes, got 257$"):
+            generate(SynthConfig(n=10, k=257, mode=mode))
+
+    def test_the_most_classes_allowed(self):
+        ds = generate(SynthConfig(n=300, k=256, mode="shuffled", seed=2))
+        assert ds.num_classes == 256 and ds.probs.shape == (300, 256)
+
 
 class TestDeterminism:
     def test_same_config_same_dataset(self):
