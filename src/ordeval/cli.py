@@ -37,11 +37,12 @@ from .retention import (
     MAX_FRACTIONS,
     MAX_REPLICATES,
     METRICS,
+    _bootstrap,
+    _rankings,
     check_bootstrap,
     check_fractions,
     check_metric,
     rank_samples,
-    retention_analysis,
 )
 from .scoring import RULES, _rule_fn
 
@@ -150,7 +151,20 @@ def cmd_rsc(args) -> int:
     io._check_output_dir(f"{args.output_prefix}_{rules[0]}_curve.csv")
     cost = _read_cost(args.cost)
     ds = io.read_predictions(args.input, label_base=args.label_base)
-    cost = _resolve_cost(args.cost, cost, ds.num_classes)
+    k = ds.num_classes
+    cost = _resolve_cost(args.cost, cost, k)
+    # the steps of retention_analysis, with the dataset dropped as soon as
+    # nothing reads it: the ranking reads the labels and probabilities, so
+    # the record, the last reference to the ids (16 B a row), goes first
+    labels, probs = ds.labels, ds.probs
+    del ds
+    cells, bests = _rankings(labels, probs, rules, fractions)
+    # the replicates read only the cells and rankings, so the labels and
+    # probabilities are freed before them
+    del labels, probs
+    results = _bootstrap(
+        cells, bests, k, rules, args.metric, fractions, args.bootstrap, args.seed, cost
+    )
 
     # threads deliberately not echoed: results are a pure function of the
     # fields below
@@ -163,16 +177,6 @@ def cmd_rsc(args) -> int:
         "cost": args.cost,
         "label_base": args.label_base,
     }
-
-    results = retention_analysis(
-        ds,
-        rules,
-        args.metric,
-        fractions=fractions,
-        num_replicates=args.bootstrap,
-        seed=args.seed,
-        cost=cost,
-    )
     for curve, summary in results:
         io.write_report(curve, f"{args.output_prefix}_{curve.rule}_curve.csv", fmt="csv")
         io.write_report(

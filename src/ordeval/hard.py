@@ -18,6 +18,9 @@ from .scoring import RULES
 
 DEFAULT_ECE_BINS = 15
 MAX_ECE_BINS = 10**6  # bin edges are allocated up front, so more is rejected
+# counts a chunk of a (..., K, K) stack holds: qwk's and expected_cost's
+# float temporaries are each the size of one chunk, not of the stack
+_CHUNK_CELLS = 1 << 16
 
 
 class MetricReport(_Record):
@@ -31,25 +34,26 @@ class MetricReport(_Record):
 
 def confusion(ds: EvalDataset) -> np.ndarray:
     """K x K confusion counts, counts[t][p], summing to len(ds)."""
-    return _cells(ds)[0]
+    return _cells(ds.labels, ds.probs)[0]
 
 
-def _cells(ds: EvalDataset) -> tuple[np.ndarray, np.ndarray]:
-    """``confusion(ds)`` and every sample's cell of it, t * K + p for true
-    class t and argmax p, in ``np.min_scalar_type(K * K - 1)``: a byte a
-    sample up to K = 16. One argmax pass of ``_BLOCK_ROWS`` rows at a time
-    writes a block's cells and adds its integer counts, so the one vector
-    as long as the dataset is the cells. A sample is correct exactly when
-    its cell is a multiple of K + 1, as t * K + p = p - t modulo K + 1."""
-    if len(ds) == 0:
+def _cells(labels: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The confusion counts of a dataset's ``labels`` and (N, K) ``probs``,
+    and every sample's cell of them, t * K + p for true class t and argmax
+    p, in ``np.min_scalar_type(K * K - 1)``: a byte a sample up to K = 16.
+    One argmax pass of ``_BLOCK_ROWS`` rows at a time writes a block's cells
+    and adds its integer counts, so the one vector as long as the dataset
+    is the cells. A sample is correct exactly when its cell is a multiple
+    of K + 1, as t * K + p = p - t modulo K + 1."""
+    if len(labels) == 0:
         raise EmptyDataset("cannot build a confusion matrix from no samples")
-    k = ds.num_classes
+    k = probs.shape[1]
     counts = np.zeros(k * k, dtype=np.intp)
-    cells = np.empty(len(ds), dtype=np.min_scalar_type(k * k - 1))
+    cells = np.empty(len(labels), dtype=np.min_scalar_type(k * k - 1))
     for lo in range(0, len(cells), _BLOCK_ROWS):
         rows = slice(lo, lo + _BLOCK_ROWS)
-        block = ds.labels[rows] * k
-        block += np.argmax(ds.probs[rows], axis=1)
+        block = labels[rows] * k
+        block += np.argmax(probs[rows], axis=1)
         counts += np.bincount(block, minlength=k * k)
         cells[rows] = block
     return counts.reshape(k, k), cells
@@ -76,6 +80,20 @@ def accuracy(cm: np.ndarray) -> float:
     return _per_matrix(np.trace(cm, axis1=-2, axis2=-1) / n)
 
 
+def _per_chunk(cm: np.ndarray, n: np.ndarray, fn) -> np.ndarray:
+    """``fn(counts, totals)`` of every matrix of a (..., K, K) stack ``cm``
+    with totals ``n``, on chunks of about ``_CHUNK_CELLS`` counts: no float
+    temporary is the size of the stack. Each matrix's value is computed as
+    it would be on the whole stack, so the bits do not depend on the chunk."""
+    k = cm.shape[-1]
+    stack, totals = cm.reshape(-1, k, k), n.reshape(-1)
+    out = np.empty(len(stack))
+    step = max(1, _CHUNK_CELLS // (k * k))
+    for lo in range(0, len(stack), step):
+        out[lo : lo + step] = fn(stack[lo : lo + step], totals[lo : lo + step])
+    return out.reshape(n.shape)
+
+
 def qwk(cm: np.ndarray) -> float:
     """Quadratic-weighted kappa from a confusion matrix (or a stack of them).
 
@@ -83,29 +101,35 @@ def qwk(cm: np.ndarray) -> float:
     confusion matrix normalized to sum 1, and E the outer product of O's
     marginals. Degenerate cases: if the expected disagreement is zero the
     score is 1 when the observed disagreement is also zero (nothing to
-    disagree about), else 0.
+    disagree about), else 0. A stack is scored a chunk of matrices at a time.
     """
     cm, n = _check_counts(cm)
     k = cm.shape[-1]
-    obs = cm.astype(np.float64) / n[..., None, None]
     w = np.subtract.outer(np.arange(k), np.arange(k)) ** 2 / (k - 1) ** 2
-    expected = obs.sum(axis=-1)[..., :, None] * obs.sum(axis=-2)[..., None, :]
-    num = (w * obs).sum(axis=(-2, -1))
-    den = (w * expected).sum(axis=(-2, -1))
+
+    def kappa(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+        obs = counts.astype(np.float64) / totals[:, None, None]
+        expected = obs.sum(axis=-1)[..., :, None] * obs.sum(axis=-2)[..., None, :]
+        num = (w * obs).sum(axis=(-2, -1))
+        den = (w * expected).sum(axis=(-2, -1))
+        return np.where(den == 0.0, np.where(num == 0.0, 1.0, 0.0), 1.0 - num / den)
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        kappa = np.where(den == 0.0, np.where(num == 0.0, 1.0, 0.0), 1.0 - num / den)
-    return _per_matrix(kappa)
+        return _per_matrix(_per_chunk(cm, n, kappa))
 
 
 def expected_cost(cm: np.ndarray, cost: CostMatrix) -> float:
-    """Average cost of the confusion matrix (or of each in a stack)."""
+    """Average cost of the confusion matrix (or of each in a stack, a chunk
+    of matrices at a time)."""
     cm, n = _check_counts(cm)
     if cost.costs.shape != cm.shape[-2:]:
         raise ShapeMismatch(
             f"cost matrix shape {cost.costs.shape} does not match "
             f"confusion matrix shape {cm.shape[-2:]}"
         )
-    return _per_matrix((cm * cost.costs).sum(axis=(-2, -1)) / n)
+    return _per_matrix(
+        _per_chunk(cm, n, lambda counts, totals: (counts * cost.costs).sum(axis=(-2, -1)) / totals)
+    )
 
 
 def check_bins(bins: int) -> None:
@@ -128,7 +152,7 @@ def ece(ds: EvalDataset, bins: int = DEFAULT_ECE_BINS) -> float:
     if len(ds) == 0:
         raise EmptyDataset("cannot compute ECE on no samples")
     check_bins(bins)
-    return _ece(ds, _cells(ds)[1], bins)
+    return _ece(ds, _cells(ds.labels, ds.probs)[1], bins)
 
 
 def _ece(ds: EvalDataset, cells: np.ndarray, bins: int) -> float:
@@ -185,7 +209,7 @@ def metric_report(
     depend on the order of the rows.
     """
     check_bins(bins)
-    cm, cells = _cells(ds)
+    cm, cells = _cells(ds.labels, ds.probs)
     if cost is None:
         cost = CostMatrix.linear(ds.num_classes)
     return MetricReport(

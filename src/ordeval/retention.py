@@ -10,14 +10,17 @@ curve pinned at 1.0 has AURSC 20). Bootstrap resampling of the entire
 pipeline gives the dispersion of that number.
 
 One kernel, ``retention_analysis``, computes the curve and the bootstrap of
-any number of rules on one dataset:
+any number of rules on one dataset, in two stages. The first reads the labels
+and probabilities: it makes the confusion cells, then each rule's ranking.
+The second, the curves and the replicates, reads only those cells and
+rankings, so ``ordeval rsc`` frees the dataset before it:
 
-- each rule's scores are computed and sorted once (``rank_samples``); a cut
-  keeps a prefix of that best-first order, so every cut's confusion matrix
-  comes from one ``bincount`` over (first cut that wholly keeps a sample,
-  confusion cell) and a ``cumsum`` over the cuts. The cells are those of
-  ``hard._cells``, t * K + p in the narrowest unsigned type, taken as they
-  come;
+- each rule's scores are computed once and sorted as ``rank_samples`` sorts
+  them; a cut keeps a prefix of that best-first order, so every cut's
+  confusion matrix comes from one ``bincount`` over (first cut that wholly
+  keeps a sample, confusion cell) and a ``cumsum`` over the cuts. The cells
+  are those of ``hard._cells``, t * K + p in the narrowest unsigned type,
+  taken as they come;
 - a replicate is the same ranking with each sample counted as often as it
   was drawn, and a cut counts positions in that resampled list, so copies of
   one sample may fall on both sides of it. The ``bincount`` weights each
@@ -37,7 +40,8 @@ any number of rules on one dataset:
   ``bincount``;
 - one ``qwk`` or ``expected_cost`` call scores a block for all rules, on
   the (rules, replicates, fractions, K, K) stack of integer counts, and one
-  more scores the plain curves of all rules.
+  more scores the plain curves of all rules; each reduces the stack a chunk
+  of matrices at a time.
 
 ``sample_retention_curve`` and ``bootstrap_aursc`` are its one-rule views.
 """
@@ -68,8 +72,9 @@ DEFAULT_SEED = 42
 MAX_REPLICATES = 10**6  # every replicate's AURSC is kept, so more is rejected
 MAX_FRACTIONS = 10**4  # the count stacks and cut arrays grow with the grid
 # fractions * K * K at most this, which every grid passes at K <= 16: each
-# rule's curve counts and the metric's float temporaries grow with it, and
-# at the bound 4 rules peak near 0.55 GB (K = 256, 64 fractions)
+# rule's int64 curve counts grow with it (the metric's float temporaries only
+# with a chunk of them), and at the bound 4 rules peak near 0.23 GB (K = 256,
+# 64 fractions)
 MAX_CURVE_CELLS = 1 << 22
 
 # draws per replicate block: enough to amortize per-call overhead at small n,
@@ -146,6 +151,12 @@ def rank_samples(ds: EvalDataset, rule: str) -> tuple[np.ndarray, np.ndarray]:
     if len(ds) == 0:
         raise EmptyDataset("cannot rank an empty dataset")
     scores = _rule_fn(rule)(ds.probs, ds.labels)
+    return _order(scores), scores
+
+
+def _order(scores: np.ndarray) -> np.ndarray:
+    """``rank_samples``'s order of a fresh score vector, which it negates
+    in place to sort and back."""
     keys = np.negative(scores, out=scores)
     order = np.argsort(keys)
     for lo in range(0, len(order) - 1, _BLOCK_ROWS):
@@ -154,7 +165,7 @@ def rank_samples(ds: EvalDataset, rule: str) -> tuple[np.ndarray, np.ndarray]:
             order = np.argsort(keys, kind="stable")
             break
     np.negative(keys, out=scores)
-    return order, scores
+    return order
 
 
 def check_bootstrap(num_replicates: int) -> None:
@@ -186,30 +197,55 @@ def retention_analysis(
 
     Returns one ``(curve, summary)`` pair per rule, in the order given; each
     equals ``(sample_retention_curve(...), bootstrap_aursc(...))`` for that
-    rule. Every rule is ranked once; the replicates run in blocks of
-    ``max(1, _BLOCK_DRAWS // max(n, fractions * K * K))``, whose draws are
-    made and counted once and shared by all rules. The blocks run in order
-    in the calling thread. A grid whose fractions * K * K exceeds
+    rule. Two stages make it. ``_rankings`` takes the labels and
+    probabilities and makes the confusion cells (a byte a sample up to
+    K = 16), then every rule's best-first ranking (4 bytes a sample).
+    ``_bootstrap`` computes the plain curves and the replicates from those
+    alone, so a caller that drops the dataset in between, as ``ordeval
+    rsc`` does, resamples without it. The replicates run in
+    blocks of ``max(1, _BLOCK_DRAWS // max(n, fractions * K * K))``, whose
+    draws are made and counted once and shared by all rules. The blocks run
+    in order in the calling thread. A grid whose fractions * K * K exceeds
     MAX_CURVE_CELLS is rejected before any work.
     """
     check_bootstrap(num_replicates)
     check_metric(metric)
     fractions = check_fractions(fractions)
-    n, k = len(ds), ds.num_classes
+    cells, bests = _rankings(ds.labels, ds.probs, rules, fractions)
+    k = ds.num_classes
+    return _bootstrap(cells, bests, k, rules, metric, fractions, num_replicates, seed, cost)
+
+
+def _rankings(labels: np.ndarray, probs: np.ndarray, rules, fractions: tuple):
+    """``retention_analysis``'s first stage: the confusion cells of the
+    (N,) ``labels`` and (N, K) ``probs``, as ``hard._cells`` gives them, and
+    every rule's ranking, best first. The checked grid ``fractions`` is
+    bounded by MAX_CURVE_CELLS here, as K comes from ``probs``, before any
+    argmax or score."""
+    n, k = probs.shape
     cuts = len(fractions) * k * k
     if cuts > MAX_CURVE_CELLS:
         grid = f"retention grid of {len(fractions)} fractions at K = {k}"
         raise InvalidConfig(f"{grid} makes {cuts:,} curve cells, at most {MAX_CURVE_CELLS:,}")
-    if cost is None:
-        cost = CostMatrix.linear(k)
+    cells = _cells(labels, probs)[1]
     # best first, ties latest first, so a cut keeps what dropping the worst
     # in dataset order keeps; contiguous, as a reversed view makes every
     # gather through it several times slower. Every rule keeps its ranking
-    # and b copies of the cells, so both take the narrowest type that fits,
-    # as the cells come
+    # and the bootstrap b copies of the cells, so both take the narrowest
+    # type that fits, as the cells come
     index = np.int32 if n < 2**31 else np.intp
-    bests = [rank_samples(ds, rule)[0][::-1].astype(index) for rule in rules]
-    cell = _cells(ds)[1]
+    bests = [_order(_rule_fn(rule)(probs, labels))[::-1].astype(index) for rule in rules]
+    return cells, bests
+
+
+def _bootstrap(cell, bests, k, rules, metric, fractions, num_replicates, seed, cost) -> list:
+    """``retention_analysis``'s second stage, its result from ``_rankings``'
+    ``cell`` vector and ``bests`` rankings alone: the curves and replicates
+    of ``rules`` at K = ``k``, for a checked metric, grid and replicate
+    count. ``cost`` defaults to the linear matrix."""
+    if cost is None:
+        cost = CostMatrix.linear(k)
+    n, cuts = len(cell), len(fractions) * k * k
     kept = [retained_count(f, n) for f in reversed(fractions)]
     # Replicate r of a block is row r of its draws, offset by r curves: cut s
     # of curve r keeps positions r*n .. r*n + kept[s] - 1, and a sample first
@@ -286,14 +322,16 @@ def retention_analysis(
         # fraction order; the float64 counts are exact integers
         out[...] = counts.reshape(rows, len(kept), k, k)[:, ::-1]
 
-    # one count buffer for every call: a fresh one per block page-faults ~13x more
+    # one count buffer for every call: a fresh one per block page-faults ~13x
+    # more. Flat, so that every block's stack is contiguous and the metric
+    # takes its chunks as views
     max_rows = min(b, num_replicates) if seed != 0 else 1
-    buf = np.empty((len(tiled), max_rows, len(kept), k, k), dtype=np.int64)
+    buf = np.empty(len(tiled) * max_rows * cuts, dtype=np.int64)
 
     def score(weights, rows: int) -> np.ndarray:
         """The metric of every rule's ``rows`` curves, (rules, rows,
         fractions), from one weight array per rule, in one call."""
-        stack = buf[:, :rows]
+        stack = buf[: len(tiled) * rows * cuts].reshape(len(tiled), rows, len(kept), k, k)
         for w, cells, out in zip(weights, tiled, stack):
             curves(w, cells, rows, out)
         return qwk(stack) if metric == "qwk" else expected_cost(stack, cost)

@@ -25,6 +25,15 @@ def random_prob_matrix(rng, n, k):
     return raw / raw.sum(axis=1, keepdims=True)
 
 
+def tenths(probs):
+    """Rows rounded to multiples of 0.1 that still sum to 1 (largest
+    remainder), so many samples share a score."""
+    scaled = probs * 10
+    units = np.floor(scaled)
+    rank = np.argsort(np.argsort(units - scaled, axis=1, kind="stable"), axis=1)
+    return (units + (rank < (10 - units.sum(axis=1))[:, None])) / 10
+
+
 def resample_indices(seed, replicate, n):
     """Index draws for one bootstrap replicate: one row of ``_rng.resample_block``."""
     return _rng.resample_block(seed, replicate, 1, n)[0]

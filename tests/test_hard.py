@@ -55,7 +55,7 @@ class TestHardPredictions:
     def test_matches_one_argmax(self, monkeypatch, block):
         ds = generate(SynthConfig(n=1000, k=5, noise=1.5, seed=42))
         monkeypatch.setattr(hard, "_BLOCK_ROWS", block)
-        counts, cells = hard._cells(ds)
+        counts, cells = hard._cells(ds.labels, ds.probs)
         want = ds.labels * 5 + np.argmax(ds.probs.copy(), axis=1)
         assert cells.dtype == np.uint8 and cells.tolist() == want.tolist()
         assert counts.tolist() == np.bincount(want, minlength=25).reshape(5, 5).tolist()
@@ -66,7 +66,7 @@ class TestHardPredictions:
         assert not ds.probs.flags.writeable
         block = hard._BLOCK_ROWS * ds.probs.itemsize * ds.num_classes
         temporaries = 2 * hard._BLOCK_ROWS * np.dtype(np.intp).itemsize  # a block's argmax and cells
-        peak, _, (_, cells) = traced_peak(hard._cells, ds)
+        peak, _, (_, cells) = traced_peak(hard._cells, ds.labels, ds.probs)
         assert peak < cells.nbytes + block + temporaries + 4096  # + slice and array headers
 
 
@@ -75,7 +75,8 @@ class TestCells:
     def test_every_cell_and_its_diagonal(self, k):
         # one sample for every (true, predicted) pair
         labels, preds = np.divmod(np.arange(k * k), k)
-        counts, cells = hard._cells(one_hot_dataset(labels, preds, k))
+        ds = one_hot_dataset(labels, preds, k)
+        counts, cells = hard._cells(ds.labels, ds.probs)
         assert cells.dtype == (np.uint8 if k <= 16 else np.uint16)
         assert cells.tolist() == (labels * k + preds).tolist()
         # t * K + p = p - t mod K + 1: ECE's correct samples
@@ -89,7 +90,7 @@ class TestCells:
         probs = random_prob_matrix(rng, n, k)
         labels = np.where(rng.random(n) < 0.5, probs.argmax(axis=1), rng.integers(0, k, n))
         ds = make_dataset(probs, labels)
-        assert hard._cells(ds)[1].max() > 255
+        assert hard._cells(ds.labels, ds.probs)[1].max() > 255
         preds = [ref_argmax(p) for p in ds.probs.tolist()]
         want = [[0] * k for _ in range(k)]
         for t, p in zip(ds.labels.tolist(), preds):
@@ -205,6 +206,59 @@ class TestExpectedCost:
             expected_cost(np.diag([1, 2]), CostMatrix.linear(3))
         with pytest.raises(ShapeMismatch):
             expected_cost(np.array([np.diag([1, 2])]), CostMatrix.linear(3))
+
+
+def whole_stack_qwk(cm):
+    """qwk as one expression over the whole stack, as before chunking."""
+    k = cm.shape[-1]
+    obs = cm.astype(np.float64) / cm.sum(axis=(-2, -1))[..., None, None]
+    w = np.subtract.outer(np.arange(k), np.arange(k)) ** 2 / (k - 1) ** 2
+    expected = obs.sum(axis=-1)[..., :, None] * obs.sum(axis=-2)[..., None, :]
+    num = (w * obs).sum(axis=(-2, -1))
+    den = (w * expected).sum(axis=(-2, -1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den == 0.0, np.where(num == 0.0, 1.0, 0.0), 1.0 - num / den)
+
+
+def whole_stack_expected_cost(cm, cost):
+    return (cm * cost.costs).sum(axis=(-2, -1)) / cm.sum(axis=(-2, -1))
+
+
+class TestChunkedStacks:
+    # qwk and expected_cost reduce a stack a chunk of matrices at a time;
+    # each matrix's value is the whole-stack expression's, bit for bit
+
+    SHAPES = [(4, 8, 20, 7, 7), (4, 1, 20, 5, 5), (3, 2, 9, 17, 17), (5, 2, 2), (6, 6)]
+
+    @pytest.mark.parametrize("matrices", [1, 3, None])
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_bits_do_not_depend_on_the_chunk(self, monkeypatch, shape, matrices):
+        rng = np.random.default_rng(sum(shape))
+        k = shape[-1]
+        cm = rng.integers(0, 40, shape) * (rng.random(shape) < 0.4)
+        cm[..., k - 1, 0] += 1
+        flat = cm.reshape(-1, k, k)
+        flat[0] = np.diag(np.arange(1, k + 1))  # no observed disagreement
+        flat[-1] = 0
+        flat[-1, 0, 0] = 4  # no expected disagreement either
+        if matrices is not None:
+            monkeypatch.setattr(hard, "_CHUNK_CELLS", matrices * k * k)
+        cost = CostMatrix.quadratic(k)
+        # contiguous, and a strided view of matrices from two rows
+        for stack in (cm, cm[:, :1]) if cm.ndim > 3 else (cm,):
+            got = np.asarray(qwk(stack)).view(np.uint64)
+            assert np.array_equal(got, whole_stack_qwk(stack).view(np.uint64))
+            got = np.asarray(expected_cost(stack, cost)).view(np.uint64)
+            assert np.array_equal(got, whole_stack_expected_cost(stack, cost).view(np.uint64))
+
+    @pytest.mark.parametrize("metric", ["qwk", "ec"])
+    def test_no_temporary_is_the_size_of_the_stack(self, metric):
+        # 64 curves of 256 x 256 int64 counts, 33.5 MB, as at the curve-cell
+        # bound; the whole-stack expressions took about 3 times the stack
+        stack = np.random.default_rng(5).integers(0, 3, (64, 256, 256))
+        cost = CostMatrix.linear(256)
+        fn = qwk if metric == "qwk" else (lambda cm: expected_cost(cm, cost))
+        assert traced_peak(fn, stack)[0] < 8 * 2**20
 
 
 class TestEce:
@@ -374,9 +428,9 @@ class TestMetricReport:
         cm = confusion(ds)
         calls, cells = [], hard._cells
 
-        def counted(data):
-            calls.append(data)
-            return cells(data)
+        def counted(labels, probs):
+            calls.append(labels)
+            return cells(labels, probs)
 
         monkeypatch.setattr(hard, "_cells", counted)
         r = metric_report(ds, cost=cost, bins=7)

@@ -588,14 +588,14 @@ class TestWholeDatasetTemporaries:
         # the confidences (8 bytes a row), sorted in place, and a block's bin
         # indices: ~9.3 bytes a row at 15 bins. An order by bin beside the
         # confidences took 18
-        cells = ordeval.hard._cells(ds)[1]
+        cells = ordeval.hard._cells(ds.labels, ds.probs)[1]
         assert traced_peak(ordeval.hard._ece, ds, cells, 15)[0] < 10.5 * len(ds)
 
     def test_ece_at_the_bin_ceiling_holds_a_few_bin_counts(self, ds):
         # at 10**6 bins the edges, the bin sizes, the correct counts and one
         # block's counts (8 MB each) dominate: ~169 bytes a row. An order by
         # bin and the per-bin gathers through it took 182
-        cells = ordeval.hard._cells(ds)[1]
+        cells = ordeval.hard._cells(ds.labels, ds.probs)[1]
         assert traced_peak(ordeval.hard._ece, ds, cells, 10**6)[0] < 175 * len(ds)
 
     def test_writing_predictions_holds_one_chunk(self, ds, tmp_path):

@@ -32,7 +32,7 @@ from ordeval.retention import (
     retention_analysis,
 )
 
-from helpers import make_dataset, resample_indices, traced_peak
+from helpers import make_dataset, resample_indices, tenths, traced_peak
 from reference import ref_argmax, ref_rank, ref_replicate, ref_retention_curve
 
 
@@ -40,15 +40,6 @@ def eq3_dataset():
     return make_dataset(
         [[0.25, 0.75, 0.0], [0.25, 0.0, 0.75]], [0, 0], ids=("p1", "p2")
     )
-
-
-def tenths(probs):
-    """Rows rounded to multiples of 0.1 that still sum to 1 (largest
-    remainder), so many samples share a score."""
-    scaled = probs * 10
-    units = np.floor(scaled)
-    rank = np.argsort(np.argsort(units - scaled, axis=1, kind="stable"), axis=1)
-    return (units + (rank < (10 - units.sum(axis=1))[:, None])) / 10
 
 
 def one_hot_dataset(labels, preds, k):
@@ -536,7 +527,7 @@ class TestTwoByteCells:
     def test_counts_and_values_match_plain_loops(self, mode, metric):
         k, replicates = 17, 3
         ds = generate(SynthConfig(n=400, k=k, noise=1.5, mode=mode, seed=17))
-        assert hard._cells(ds)[1].max() > 255
+        assert hard._cells(ds.labels, ds.probs)[1].max() > 255
         cost = CostMatrix.quadratic(k)
         results = retention_analysis(ds, RULES, metric, num_replicates=replicates, seed=5, cost=cost)
         labels = ds.labels.tolist()
