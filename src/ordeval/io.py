@@ -11,8 +11,8 @@ truncated output; ``_check_output_dir`` lets a command fail, as the write
 would, before it starts its work.
 
 Every CSV is streamed to its temp file in chunks of 1,024 rows, each
-formatted with one ``%`` template per file, so no writer holds more than
-one chunk of the file. An id holding a comma, a quote, a line feed or a
+formatted with one bytes ``%`` template per file, so no writer holds more
+than one chunk of the file. An id holding a comma, a quote, a line feed or a
 carriage return is written in double quotes with its quotes doubled, so it
 reads back unchanged; every other field is written bare. Written files get
 the mode ``open`` gives a new file: 0o666 less the umask.
@@ -28,8 +28,13 @@ name the fault. Each source makes labels 0-based as it parses them. Readers
 accept a UTF-8 byte order mark, CRLF line ends and blank lines, and report
 errors, a byte that is not UTF-8 among them, with the line number as it
 appears in the file.
-Reals are written with 17 significant digits, which round-trips float64
-exactly.
+Reals are written as ``%.17g`` writes them, with 17 significant digits,
+which round-trips float64 exactly. ``write_predictions`` takes the text of
+a chunk's probabilities a column at a time from ``_g17.fields``, which
+makes those bytes from NumPy's IEEE-754 adds, subtracts and multiplies and
+integer arithmetic, so they do not depend on the CPU or on NumPy's SIMD
+dispatch; zeros, ones, near-ties and other rare values go through ``%``.
+Scores are written as their shortest ``repr``.
 """
 
 import csv
@@ -66,8 +71,8 @@ _REPORT_TYPES = {
 }
 
 # rows formatted per chunk: large enough that the per-chunk work vanishes,
-# small enough that a chunk's Python floats, row strings, joined text and
-# bytes stay near 0.5 MB at 5 classes
+# small enough that a chunk's fields, rows and joined bytes stay near
+# 0.6 MB at 5 classes
 _CHUNK_ROWS = 1024
 
 _needs_quotes = re.compile(r'[,"\r\n]').search
@@ -143,24 +148,28 @@ def _chunks(count: int, rows=None):
         yield slice(lo, lo + _CHUNK_ROWS) if rows is None else rows[lo:lo + _CHUNK_ROWS]
 
 
-def _write_table(path: str, header: list, template: str, chunks) -> None:
+def _write_table(path: str, header: list, template: bytes, chunks) -> None:
     """Write ``header`` and one ``template`` row per row of ``chunks``,
     which yields an (ids, columns) pair per chunk of rows: the chunk's
-    columns as arrays, and its ids as a list, written first and CSV-quoted,
-    or None.
+    columns as lists of the values ``template`` takes, and its ids as a list
+    of str, written first, CSV-quoted and UTF-8 encoded, or None.
 
-    Rows are formatted and encoded a chunk at a time, and each chunk's bytes
-    go straight to the temp file, so at most one chunk is held, as text and
-    as bytes. A chunk's ids are scanned for quoting as one string, and
-    quoted one by one only when that finds a character that needs it.
+    Rows are formatted a chunk at a time, and each chunk's bytes go straight
+    to the temp file, so at most one chunk is held. A chunk's ids are
+    scanned for quoting as one string, and quoted one by one only when that
+    finds a character that needs it.
     """
     with _atomic_file(path) as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         for names, columns in chunks:
-            fields = [c.tolist() for c in columns]
             if names is not None:
-                fields.insert(0, map(_quote, names) if _needs_quotes("".join(names)) else names)
-            fh.write("".join(map(template.__mod__, zip(*fields))).encode("utf-8"))
+                if _needs_quotes("".join(names)):
+                    names = map(_quote, names)
+                columns = [list(map(str.encode, names)), *columns]
+            rows = list(map(template.__mod__, zip(*columns)))
+            del names, columns  # before the join, and before the next chunk
+            fh.write(b"".join(rows))
+            del rows
 
 
 def _records(fh, path: str):
@@ -353,10 +362,19 @@ def _row_blocks(fh, records, k: int, label_base: int, path: str):
 
 
 def write_predictions(ds: EvalDataset, path: str) -> None:
-    """Emit a dataset in the prediction CSV schema (0-based labels)."""
+    """Emit a dataset in the prediction CSV schema (0-based labels). The
+    probabilities are written as ``%.17g`` writes them, a chunk's column at
+    a time, by ``_g17.fields``."""
+    # imported here: no other command formats a probability, so none
+    # compiles the module
+    from ._g17 import fields
+
     k = ds.num_classes
-    template = "%s,%d" + ",%.17g" * k + "\n"
-    chunks = ((ds.ids[s], [ds.labels[s], *ds.probs[s].T]) for s in _chunks(len(ds)))
+    template = b"%s,%d" + b",%s" * k + b"\n"
+    chunks = (
+        (ds.ids[s], [ds.labels[s].tolist(), *map(fields, ds.probs[s].T)])
+        for s in _chunks(len(ds))
+    )
     _write_table(path, _expected_header(k), template, chunks)
 
 
@@ -367,10 +385,11 @@ def write_scores(ds: EvalDataset, order: np.ndarray, scores: np.ndarray, path: s
     ids = _id_array(ds.ids)
     # one id at a time: gathering a chunk of the id array and its tolist() take longer
     chunks = (
-        ([ids[i] for i in s.tolist()], [ds.labels[s], ds.probs[s].argmax(axis=1), scores[s]])
+        ([ids[i] for i in s.tolist()],
+         [ds.labels[s].tolist(), ds.probs[s].argmax(axis=1).tolist(), scores[s].tolist()])
         for s in _chunks(len(order), order)
     )
-    _write_table(path, ["id", "label", "argmax", "score"], "%s,%d,%d,%r\n", chunks)
+    _write_table(path, ["id", "label", "argmax", "score"], b"%s,%d,%d,%r\n", chunks)
 
 
 def read_cost_matrix(path: str) -> CostMatrix:
@@ -423,8 +442,8 @@ def write_report(report, path: str, fmt: str = "json", config: dict | None = Non
     elif fmt == "csv":
         if not isinstance(report, RetentionCurve):
             raise InvalidConfig("csv format applies only to retention curves")
-        columns = [np.array(report.fractions), np.array(report.values)]
-        _write_table(path, ["fraction", "value"], "%.17g,%.17g\n", [(None, columns)])
+        columns = [report.fractions, report.values]
+        _write_table(path, ["fraction", "value"], b"%.17g,%.17g\n", [(None, columns)])
     else:
         raise InvalidConfig(f"unknown report format {fmt!r}")
 

@@ -314,7 +314,8 @@ def _bootstrap(cell, bests, k, rules, metric, fractions, num_replicates, seed, c
         bins = np.repeat(bin_base[:m], steps)
         bins += cells[: rows * n]
         counts = np.bincount(bins, weights=w, minlength=rows * cuts)
-        counts = counts.reshape(rows, len(kept), k * k).cumsum(axis=1).reshape(-1)
+        stack = counts.reshape(rows, len(kept), k * k)
+        np.cumsum(stack, axis=1, out=stack)  # in place: no second stack of counts
         # the first sample not wholly kept, which starts after ``before``
         # copies, adds its copies before the cut (none when full is past the
         # last sample)

@@ -41,6 +41,7 @@ from ordeval.errors import (
     RowArityMismatch,
     ShapeMismatch,
 )
+from ordeval._g17 import _fast
 from ordeval.cli import main
 from ordeval.io import _loadtxt_blocks, _read, _row_blocks, report_json, write_scores
 from ordeval.retention import rank_samples
@@ -430,10 +431,20 @@ class TestRoundTrip:
     def test_writers_match_csv_writer(self, tmp_path, monkeypatch):
         # several chunks, the last one short
         monkeypatch.setattr(ordeval.io, "_CHUNK_ROWS", 7)
-        ds = generate(SynthConfig(n=40, k=4, noise=1.2, seed=27))
+        self.writers_match_csv_writer(tmp_path, 40)
+
+    def test_writers_match_csv_writer_in_default_chunks(self, tmp_path):
+        # 1,024-row chunks, the last one short
+        self.writers_match_csv_writer(tmp_path, 2_500)
+
+    @staticmethod
+    def writers_match_csv_writer(tmp_path, n):
+        ds = generate(SynthConfig(n=n, k=4, noise=1.2, seed=27))
         quoted = tuple(sid for sid in ADVERSARIAL_IDS if "\r" not in sid)
         ids = quoted + ds.ids[len(quoted):]
         ds = EvalDataset(ds.num_classes, ids, ds.labels, ds.probs)
+        # every probability is written by the formatter's fast path
+        assert _fast(ds.probs.ravel())[1].size == 0
 
         def oracle(header, rows):
             buf = StringIO()
@@ -599,12 +610,15 @@ class TestWholeDatasetTemporaries:
         assert traced_peak(ordeval.hard._ece, ds, cells, 10**6)[0] < 175 * len(ds)
 
     def test_writing_predictions_holds_one_chunk(self, ds, tmp_path):
-        # a 1,024-row chunk's Python floats, row strings, joined text and
-        # bytes: ~0.55 MB. 4,096-row chunks took 2.16 MB
+        # a 1,024-row chunk's field bytes, its rows and their join, or four
+        # columns' fields and the formatter's temporaries for the fifth:
+        # ~0.61 MB (~0.71 MB on the call that builds the formatter's
+        # tables). Python floats, row strings, joined text and bytes took
+        # ~0.55 MB; 4,096-row chunks of those took 2.16 MB
         assert traced_peak(write_predictions, ds, str(tmp_path / "p.csv"))[0] < 800_000
 
     def test_writing_scores_holds_one_chunk(self, ds, tmp_path):
-        # ~0.28 MB at 1,024 rows a chunk; 4,096-row chunks took 1.08 MB
+        # ~0.26 MB at 1,024 rows a chunk; 4,096-row chunks took 1.08 MB
         order, scores = rank_samples(ds, "sa_rps")
         assert traced_peak(write_scores, ds, order, scores, str(tmp_path / "s.csv"))[0] < 400_000
 
