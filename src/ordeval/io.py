@@ -29,11 +29,8 @@ accept a UTF-8 byte order mark, CRLF line ends and blank lines, and report
 errors, a byte that is not UTF-8 among them, with the line number as it
 appears in the file.
 Reals are written as ``%.17g`` writes them, with 17 significant digits,
-which round-trips float64 exactly. ``write_predictions`` takes the text of
-a chunk's probabilities a column at a time from ``_g17.fields``, which
-makes those bytes from NumPy's IEEE-754 adds, subtracts and multiplies and
-integer arithmetic, so they do not depend on the CPU or on NumPy's SIMD
-dispatch; zeros, ones, near-ties and other rare values go through ``%``.
+which round-trips float64 exactly; ``write_predictions`` takes those bytes
+for a chunk's probabilities, a column at a time, from ``_g17.fields``.
 Scores are written as their shortest ``repr``.
 """
 
@@ -362,9 +359,7 @@ def _row_blocks(fh, records, k: int, label_base: int, path: str):
 
 
 def write_predictions(ds: EvalDataset, path: str) -> None:
-    """Emit a dataset in the prediction CSV schema (0-based labels). The
-    probabilities are written as ``%.17g`` writes them, a chunk's column at
-    a time, by ``_g17.fields``."""
+    """Emit a dataset in the prediction CSV schema (0-based labels)."""
     # imported here: no other command formats a probability, so none
     # compiles the module
     from ._g17 import fields

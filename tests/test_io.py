@@ -41,7 +41,7 @@ from ordeval.errors import (
     RowArityMismatch,
     ShapeMismatch,
 )
-from ordeval._g17 import _fast
+from ordeval._g17 import _LOW, _fast
 from ordeval.cli import main
 from ordeval.io import _loadtxt_blocks, _read, _row_blocks, report_json, write_scores
 from ordeval.retention import rank_samples
@@ -444,7 +444,8 @@ class TestRoundTrip:
         ids = quoted + ds.ids[len(quoted):]
         ds = EvalDataset(ds.num_classes, ids, ds.labels, ds.probs)
         # every probability is written by the formatter's fast path
-        assert _fast(ds.probs.ravel())[1].size == 0
+        p = ds.probs.ravel()
+        assert p.min() >= _LOW and p.max() < 1.0 and _fast(p)[1].all()
 
         def oracle(header, rows):
             buf = StringIO()
