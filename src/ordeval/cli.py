@@ -30,7 +30,7 @@ import sys
 from . import io
 from .data import MAX_CELLS, MAX_CLASSES, MODES, CostMatrix
 from .errors import EvalError, InvalidConfig, UnknownRule
-from .hard import DEFAULT_ECE_BINS, MAX_ECE_BINS, check_bins, metric_report
+from .hard import DEFAULT_ECE_BINS, MAX_ECE_BINS, _cells, check_bins, metric_report
 from .retention import (
     DEFAULT_REPLICATES,
     DEFAULT_SEED,
@@ -104,17 +104,24 @@ def cmd_score(args) -> int:
     _rule_fn(args.rule)  # raises UnknownRule before the input is read
     io._check_output_dir(args.output)
     ds = io.read_predictions(args.input, label_base=args.label_base)
+    # each row's label and argmax as one cell, a byte up to 16 classes, so
+    # that the dataset and its probabilities are freed before the scores are
+    # written; made before the ranking, which then reuses the memory of the
+    # cells' block temporaries
+    k, ids, cells = ds.num_classes, ds.ids, _cells(ds.labels, ds.probs)[1]
     order, scores = rank_samples(ds, args.rule)
-    io.write_scores(ds, order, scores, args.output)
+    del ds
+    io._write_scores(ids, order, scores, args.output, lambda s: divmod(cells[s], k))
     _check_stdout()
     print(f"worst samples by {args.rule}:")
     for i in order[:5]:
-        sid = ds.ids[i]
+        sid = ids[i]
+        label, argmax = divmod(int(cells[i]), k)
         # an id with a line break or other control character would split
         # or garble its line; such ids print as Python literals
         print(
-            f"  id={sid if sid.isprintable() else repr(sid)}  label={ds.labels[i]}  "
-            f"argmax={ds.probs[i].argmax()}  score={scores[i]:.6f}"
+            f"  id={sid if sid.isprintable() else repr(sid)}  label={label}  "
+            f"argmax={argmax}  score={scores[i]:.6f}"
         )
     return 0
 

@@ -28,10 +28,14 @@ name the fault. Each source makes labels 0-based as it parses them. Readers
 accept a UTF-8 byte order mark, CRLF line ends and blank lines, and report
 errors, a byte that is not UTF-8 among them, with the line number as it
 appears in the file.
-Reals are written as ``%.17g`` writes them, with 17 significant digits,
-which round-trips float64 exactly; ``write_predictions`` takes those bytes
-for a chunk's probabilities, a column at a time, from ``_g17.fields``.
-Scores are written as their shortest ``repr``.
+Probabilities and curve values are written as ``%.17g`` writes them, with
+17 significant digits, and scores as their shortest ``repr``; both read back
+as the same float64, and JSON reals are ``json.dumps``'s shortest ``repr``.
+The writers take the bytes of a chunk's probabilities, ``_CALL_COLUMNS``
+columns a call, and of its scores from ``_g17.fields``, whose vectorized
+path covers 1e-270 <= v < 1 and sends any other value, or one it cannot
+settle, to ``%`` once per distinct bit pattern: among them every ``log`` or
+``brier`` score of 1 or more, about half of them on smooth rows.
 """
 
 import csv
@@ -71,6 +75,12 @@ _REPORT_TYPES = {
 # small enough that a chunk's fields, rows and joined bytes stay near
 # 0.6 MB at 5 classes
 _CHUNK_ROWS = 1024
+
+# probability columns of a chunk formatted in one call: a call costs the
+# formatter ~65 us however few its values, and its temporaries ~120 bytes a
+# value. Three keep a 5-class chunk's peak where one column a call had it
+# (~0.62 MB); four took 0.77 MB
+_CALL_COLUMNS = 3
 
 _needs_quotes = re.compile(r'[,"\r\n]').search
 
@@ -147,9 +157,10 @@ def _chunks(count: int, rows=None):
 
 def _write_table(path: str, header: list, template: bytes, chunks) -> None:
     """Write ``header`` and one ``template`` row per row of ``chunks``,
-    which yields an (ids, columns) pair per chunk of rows: the chunk's
-    columns as lists of the values ``template`` takes, and its ids as a list
-    of str, written first, CSV-quoted and UTF-8 encoded, or None.
+    which yields a (columns, ids) pair per chunk of rows: the chunk's
+    columns as iterables of the values ``template`` takes, and its ids as a
+    list of str, written first, CSV-quoted and UTF-8 encoded, or None. The
+    columns come first, so a chunk's ids are made after its fields.
 
     Rows are formatted a chunk at a time, and each chunk's bytes go straight
     to the temp file, so at most one chunk is held. A chunk's ids are
@@ -158,7 +169,7 @@ def _write_table(path: str, header: list, template: bytes, chunks) -> None:
     """
     with _atomic_file(path) as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
-        for names, columns in chunks:
+        for columns, names in chunks:
             if names is not None:
                 if _needs_quotes("".join(names)):
                     names = map(_quote, names)
@@ -360,15 +371,21 @@ def _row_blocks(fh, records, k: int, label_base: int, path: str):
 
 def write_predictions(ds: EvalDataset, path: str) -> None:
     """Emit a dataset in the prediction CSV schema (0-based labels)."""
-    # imported here: no other command formats a probability, so none
+    # imported here: only the writers format with it, so no other command
     # compiles the module
     from ._g17 import fields
+
+    def columns(probs):
+        # one call formats _CALL_COLUMNS columns row by row, and zip takes
+        # its fields in turn, one a column
+        for lo in range(0, probs.shape[1], _CALL_COLUMNS):
+            part = probs[:, lo:lo + _CALL_COLUMNS]
+            yield from [iter(fields(part.ravel()))] * part.shape[1]
 
     k = ds.num_classes
     template = b"%s,%d" + b",%s" * k + b"\n"
     chunks = (
-        (ds.ids[s], [ds.labels[s].tolist(), *map(fields, ds.probs[s].T)])
-        for s in _chunks(len(ds))
+        ([ds.labels[s].tolist(), *columns(ds.probs[s])], ds.ids[s]) for s in _chunks(len(ds))
     )
     _write_table(path, _expected_header(k), template, chunks)
 
@@ -377,14 +394,25 @@ def write_scores(ds: EvalDataset, order: np.ndarray, scores: np.ndarray, path: s
     """Emit per-sample scores as an id,label,argmax,score CSV, one row per
     sample in ``order``; scores use Python's shortest round-trip repr. Each
     chunk of rows is gathered through its piece of ``order``."""
-    ids = _id_array(ds.ids)
+    def classes(rows):
+        return ds.labels[rows], ds.probs[rows].argmax(axis=1)
+
+    _write_scores(ds.ids, order, scores, path, classes)
+
+
+def _write_scores(ids, order: np.ndarray, scores: np.ndarray, path: str, classes) -> None:
+    """``write_scores`` for the samples of ``ids``, whose labels and argmax
+    ``classes(rows)`` gives as two integer arrays for an index array."""
+    from ._g17 import fields
+
+    ids = _id_array(ids)
     # one id at a time: gathering a chunk of the id array and its tolist() take longer
     chunks = (
-        ([ids[i] for i in s.tolist()],
-         [ds.labels[s].tolist(), ds.probs[s].argmax(axis=1).tolist(), scores[s].tolist()])
+        ([*(c.tolist() for c in classes(s)), fields(scores[s], shortest=True)],
+         [ids[i] for i in s.tolist()])
         for s in _chunks(len(order), order)
     )
-    _write_table(path, ["id", "label", "argmax", "score"], b"%s,%d,%d,%r\n", chunks)
+    _write_table(path, ["id", "label", "argmax", "score"], b"%s,%d,%d,%s\n", chunks)
 
 
 def read_cost_matrix(path: str) -> CostMatrix:
@@ -438,7 +466,7 @@ def write_report(report, path: str, fmt: str = "json", config: dict | None = Non
         if not isinstance(report, RetentionCurve):
             raise InvalidConfig("csv format applies only to retention curves")
         columns = [report.fractions, report.values]
-        _write_table(path, ["fraction", "value"], b"%.17g,%.17g\n", [(None, columns)])
+        _write_table(path, ["fraction", "value"], b"%.17g,%.17g\n", [(columns, None)])
     else:
         raise InvalidConfig(f"unknown report format {fmt!r}")
 

@@ -611,15 +611,19 @@ class TestWholeDatasetTemporaries:
         assert traced_peak(ordeval.hard._ece, ds, cells, 10**6)[0] < 175 * len(ds)
 
     def test_writing_predictions_holds_one_chunk(self, ds, tmp_path):
-        # a 1,024-row chunk's field bytes, its rows and their join, or four
-        # columns' fields and the formatter's temporaries for the fifth:
-        # ~0.61 MB (~0.71 MB on the call that builds the formatter's
-        # tables). Python floats, row strings, joined text and bytes took
-        # ~0.55 MB; 4,096-row chunks of those took 2.16 MB
+        # a 1,024-row chunk's field bytes, its rows and their join: ~0.62 MB
+        # (~0.68 MB on the call that builds the formatter's tables). The
+        # formatter's calls of three columns each stay below that; four
+        # columns a call took 0.77 MB, the whole chunk 0.91 MB. Python
+        # floats, row strings, joined text and bytes took ~0.55 MB; 4,096-row
+        # chunks of those took 2.16 MB
         assert traced_peak(write_predictions, ds, str(tmp_path / "p.csv"))[0] < 800_000
 
     def test_writing_scores_holds_one_chunk(self, ds, tmp_path):
-        # ~0.26 MB at 1,024 rows a chunk; 4,096-row chunks took 1.08 MB
+        # ~0.29 MB at 1,024 rows a chunk (~0.35 MB on the call that builds
+        # the formatter's tables), with a chunk's scores formatted before its
+        # ids are gathered. Python floats and %r took ~0.26 MB; 4,096-row
+        # chunks of those took 1.08 MB
         order, scores = rank_samples(ds, "sa_rps")
         assert traced_peak(write_scores, ds, order, scores, str(tmp_path / "s.csv"))[0] < 400_000
 
