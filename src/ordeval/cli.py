@@ -17,8 +17,7 @@ stdout and stderr are flushed; ``main`` only returns the status.
 
 Each command checks its flags, then that its first output's directory
 exists, before it reads its input or generates data. Only ``synth`` loads
-the generator: ``SynthConfig`` and ``generate`` are imported here when
-first named.
+the generator, which ``cmd_synth`` imports once that check has passed.
 """
 
 import argparse
@@ -207,8 +206,9 @@ def cmd_rsc(args) -> int:
 
 def cmd_synth(args) -> int:
     io._check_output_dir(args.output)
-    cli = sys.modules[__name__]  # SynthConfig and generate, as __getattr__ loads them
-    cfg = cli.SynthConfig(
+    from .synth import SynthConfig, generate
+
+    cfg = SynthConfig(
         n=args.n,
         k=args.k,
         noise=args.noise,
@@ -216,20 +216,9 @@ def cmd_synth(args) -> int:
         mode=args.mode,
         seed=args.seed,
     )
-    ds = cli.generate(cfg)
+    ds = generate(cfg)
     io.write_predictions(ds, args.output)
     return 0
-
-
-def __getattr__(name):
-    """``SynthConfig`` or ``generate``, imported from ``synth`` when first
-    named, so that no other command loads the generator."""
-    if name not in ("SynthConfig", "generate"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import synth
-
-    globals()[name] = value = getattr(synth, name)
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

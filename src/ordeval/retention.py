@@ -31,8 +31,7 @@ rankings, so ``ordeval rsc`` frees the dataset before it:
   fixed chunks of about sqrt(n / fractions) samples (one ``reduceat`` and a
   ``cumsum`` of the totals) give the chunk that holds it, and one short
   ``cumsum`` inside that chunk gives how many samples it wholly keeps and
-  their copies, exactly, without a prefix sum over all n samples. Below a
-  chunk width of ``_MIN_CHUNK`` one such prefix sum is cheaper and is used;
+  their copies, exactly, without a prefix sum over all n samples;
 - replicates run in blocks of about ``_BLOCK_DRAWS`` draws, fewer when one
   curve stack (fractions x K x K counts) exceeds n: one call to
   ``_rng.resample_block`` and one ``bincount`` count a block's draws for all
@@ -80,11 +79,6 @@ MAX_CURVE_CELLS = 1 << 22
 # draws per replicate block: enough to amortize per-call overhead at small n,
 # few enough that its arrays stay small (65 536 draws: +10% peak RSS at n = 2k)
 _BLOCK_DRAWS = 1 << 14
-
-# narrowest chunk for which the chunked cut locator beats one cumsum over all
-# copies: below it (n < ~11k on the default grid) its extra numpy calls cost
-# more than the cumsum they save
-_MIN_CHUNK = 24
 
 
 class RetentionCurve(_Record):
@@ -261,7 +255,6 @@ def _bootstrap(cell, bests, k, rules, metric, fractions, num_replicates, seed, c
     # cut locator: chunks of about sqrt(n / fractions) samples, so that the
     # chunk totals and the prefix sums inside one chunk per cut cost alike
     width = max(8, math.isqrt(n // len(kept)))
-    chunked = width >= _MIN_CHUNK
     chunk_starts = np.arange(0, b * n, width)
     offsets = np.arange(width)
     row_starts = np.arange(0, m_max * width, width)
@@ -275,11 +268,6 @@ def _bootstrap(cell, bests, k, rules, metric, fractions, num_replicates, seed, c
         wholly keeps and how many copies those hold: ``full =
         searchsorted(ends[1:], cut, "right")`` and ``ends[full]`` with
         ``ends = [0, cumsum(w)]``."""
-        if not chunked:
-            ends = np.zeros(len(w) + 1)
-            np.cumsum(w, out=ends[1:])
-            full = np.searchsorted(ends[1:], cut_at[:m], side="right")
-            return full, ends[full]
         chunks = chunk_starts[: -(-len(w) // width)]
         ends = totals[: len(chunks) + 1]
         np.add.reduceat(w, chunks, out=ends[1:])

@@ -137,6 +137,12 @@ def sa_rps(probs, label: int) -> float:
     which stays in [0, 1] and penalizes a one-hot prediction at distance d
     by exactly (d / (K-1))^2 -- quadratic in distance, with no preference
     for symmetric probability placement.
+
+    It is not a proper scoring rule: it is at least ((E_p[X] - y) / (K-1))^2,
+    with equality when ``probs`` has mass on only one side of ``label``, so
+    moving mass to one side of the expected class can lower the expected
+    score below that of the true distribution. Use it to rank the samples
+    of one forecast; compare models by the mean of a proper rule (``rps``).
     """
     return _score_one(_sa_rps_matrix, probs, label)
 

@@ -50,6 +50,15 @@ def ref_sa_rps(probs, label):
     return (total / (k - 1)) ** 2
 
 
+def ref_expected_score(rule, p, q):
+    """Expected score of the report ``p`` when the label is drawn from ``q``."""
+    score = {"brier": ref_brier, "log": ref_log_score, "rps": ref_rps, "sa_rps": ref_sa_rps}[rule]
+    total = 0.0
+    for y, qy in enumerate(q):
+        total += qy * score(p, y)
+    return total
+
+
 def ref_qwk(counts):
     """Quadratic-weighted kappa by direct double loops over the cells."""
     k = len(counts)

@@ -249,7 +249,7 @@ class TestUnwritableOutputs:
             raise AssertionError("the command began its work before checking its output")
 
         monkeypatch.setattr(cli.io, "read_predictions", spy)
-        monkeypatch.setattr(cli, "generate", spy)
+        monkeypatch.setattr(synth, "generate", spy)
         out = tmp_path / "missing" / "out"
         argv = {
             "synth": ["synth", "--n", 10, "--k", 3, "--output", out],

@@ -57,6 +57,10 @@ def signed_zeros():
     return scores
 
 
+# 1.0:0.005:0.005, 200 fractions
+FINE_GRID = tuple(round(1.0 - i * 0.005, 10) for i in range(200))
+
+
 class TestRankSamples:
     def test_rps_orders_far_prediction_worst(self):
         ds = eq3_dataset()
@@ -276,32 +280,35 @@ class TestBootstrap:
         assert a == b
 
     @pytest.mark.parametrize(
-        "n, replicates, tied",
-        [(200, 4, False), (200, 4, True), (2, 20, False), (3, 20, False),
-         (5, 20, False), (8, 20, False), (7, 20, False), (9, 20, False),
-         (64, 20, False), (65, 20, True), (257, 8, True)],
-        ids=["untied", "tied", "n2", "n3", "n5", "n8", "n7", "n9", "n64", "n65", "n257"],
+        "n, replicates, tied, grid",
+        [(*case, DEFAULT_FRACTIONS) for case in
+         [(200, 4, False), (200, 4, True), (2, 20, False), (3, 20, False),
+          (5, 20, False), (8, 20, False), (7, 20, False), (9, 20, False),
+          (64, 20, False), (65, 20, True), (257, 8, True)]]
+        + [(7, 20, False, FINE_GRID), (50, 20, True, FINE_GRID)],
+        ids=["untied", "tied", "n2", "n3", "n5", "n8", "n7", "n9", "n64", "n65", "n257",
+             "n7-fine", "n50-fine"],
     )
-    def test_replicates_match_manual_resample(self, monkeypatch, n, replicates, tied):
+    def test_replicates_match_manual_resample(self, n, replicates, tied, grid):
         # a replicate is the resampled dataset with its draws in dataset
         # order, so tied scores are broken by dataset position; at small n
-        # many cuts fall inside the copies of the best-scored sample
+        # many cuts fall inside the copies of the best-scored sample. The
+        # cut locator takes chunks of 8 at these n: cuts fall on chunk ends,
+        # and runs of undrawn samples cross chunk edges. The fine grid has
+        # more cuts than samples, so many cuts keep the same count
         ds = generate(SynthConfig(n=n, k=4, noise=1.0, seed=19))
         if tied:
             ds = EvalDataset(ds.num_classes, ds.ids, ds.labels, tenths(ds.probs))
             assert len(np.unique(rank_samples(ds, "brier")[1])) < len(ds) // 2
-        summary = bootstrap_aursc(ds, "brier", "qwk", num_replicates=replicates, seed=11)
-        # the chunked cut locator, in chunks of 8 at these n: cuts fall on
-        # chunk ends, and runs of undrawn samples cross chunk edges
-        monkeypatch.setattr(retention, "_MIN_CHUNK", 8)
-        assert bootstrap_aursc(ds, "brier", "qwk", num_replicates=replicates, seed=11) == summary
-        monkeypatch.undo()
+        if grid is FINE_GRID:
+            assert len({retained_count(f, n) for f in grid}) <= n < len(grid)
+        summary = bootstrap_aursc(ds, "brier", "qwk", grid, num_replicates=replicates, seed=11)
         for r in range(replicates):
             idx = np.sort(resample_indices(11, r, len(ds)))
             resampled = EvalDataset(
                 ds.num_classes, tuple(ds.ids[i] for i in idx), ds.labels[idx], ds.probs[idx]
             )
-            manual = sample_retention_curve(resampled, "brier", "qwk").aursc
+            manual = sample_retention_curve(resampled, "brier", "qwk", grid).aursc
             assert summary.replicates[r] == manual
 
     def test_summary_recomputable(self):
@@ -396,15 +403,13 @@ class TestRetentionKernel:
             ),
         ],
     )
-    def test_frozen_digest(self, monkeypatch, ds, digest):
+    def test_frozen_digest(self, ds, digest):
         # digests recorded before the chunked cut locator; n = 997 is not a
         # multiple of its chunk width (8 at this n), nor are the 14-replicate
-        # last block and the plain curve; both locators must give them
+        # last block and the plain curve
         ds = ds()
-        for min_chunk in (retention._MIN_CHUNK, 8):
-            monkeypatch.setattr(retention, "_MIN_CHUNK", min_chunk)
-            out = repr([retention_analysis(ds, RULES, m, num_replicates=30, seed=42) for m in METRICS])
-            assert hashlib.sha256(out.encode()).hexdigest() == digest
+        out = repr([retention_analysis(ds, RULES, m, num_replicates=30, seed=42) for m in METRICS])
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_tiny_n_block_memory(self):
         # at n = 20, K = 7 a block of 16384 // n replicates would hold a
@@ -456,15 +461,14 @@ class TestRetentionKernel:
 # a grid whose kept counts repeat at every n: 0.5 and 0.4999, and 0.001 and
 # 0.0001, keep the same number of samples, and 1.0 and 0.999 do below n = 500
 REPEATING_GRID = (1.0, 0.999, 0.5, 0.4999, 0.001, 0.0001)
-# (tied, metric, grid, seed, _MIN_CHUNK, replicates per block): a _MIN_CHUNK
-# of 8 turns on the chunked cut locator, which these n leave off, and blocks
-# of 1 or 2 of the 5 replicates leave the last block full or partial
+# (tied, metric, grid, seed, replicates per block): blocks of 1 or 2 of the 5
+# replicates leave the last block full or partial
 ORACLE_VARIANTS = [
-    (False, "qwk", DEFAULT_FRACTIONS, 42, None, None),
-    (True, "ec", REPEATING_GRID, -1, 8, 1),
-    (True, "qwk", REPEATING_GRID, 42, 8, 2),
-    (False, "ec", DEFAULT_FRACTIONS, -1, None, 2),
-    (True, "qwk", DEFAULT_FRACTIONS, 0, 8, None),
+    (False, "qwk", DEFAULT_FRACTIONS, 42, None),
+    (True, "ec", REPEATING_GRID, -1, 1),
+    (True, "qwk", REPEATING_GRID, 42, 2),
+    (False, "ec", DEFAULT_FRACTIONS, -1, 2),
+    (True, "qwk", DEFAULT_FRACTIONS, 0, None),
 ]
 ORACLE_NS = (1, 2, 3, 5, 8, 24, 25, 97, 600)
 
@@ -485,7 +489,7 @@ class TestRetentionOracle:
 
             monkeypatch.setattr(retention, name, captured)
         replicates = 5
-        for v, (tied, metric, grid, seed, min_chunk, rows) in enumerate(ORACLE_VARIANTS):
+        for v, (tied, metric, grid, seed, rows) in enumerate(ORACLE_VARIANTS):
             k = 2 + (ORACLE_NS.index(n) + v) % 6
             ds = generate(SynthConfig(n=n, k=k, noise=1.1, seed=100 * n + v))
             if tied:
@@ -493,8 +497,6 @@ class TestRetentionOracle:
             cost = CostMatrix.quadratic(k)
             stacks.clear()
             with monkeypatch.context() as patch:
-                if min_chunk is not None:
-                    patch.setattr(retention, "_MIN_CHUNK", min_chunk)
                 if rows is not None:
                     patch.setattr(retention, "_BLOCK_DRAWS", rows * max(n, len(grid) * k * k))
                 results = retention_analysis(

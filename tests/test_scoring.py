@@ -9,7 +9,7 @@ from ordeval import scoring
 from ordeval.scoring import RULES
 
 from helpers import make_dataset, random_prob_matrix, traced_peak
-from reference import ref_brier, ref_log_score, ref_rps, ref_sa_rps
+from reference import ref_brier, ref_expected_score, ref_log_score, ref_rps, ref_sa_rps
 
 
 class TestBrier:
@@ -134,6 +134,65 @@ class TestProperties:
             label2 = int(np.where(sigma == label)[0][0])
             assert brier(p2, label2) == pytest.approx(brier(p, label), abs=1e-12)
             assert log_score(p2, label2) == log_score(p, label)
+
+
+def simplex_grid(k, steps):
+    """Every probability vector of K entries in multiples of 1 / steps."""
+    if k == 1:
+        return [[steps]]
+    return [[a, *rest] for a in range(steps + 1) for rest in simplex_grid(k - 1, steps - a)]
+
+
+class TestProperness:
+    """A proper rule's expected score, with the label drawn from q, is lowest
+    when the report is q. ``sa_rps`` is not proper: it ranks the samples of
+    one forecast, and forecasts are compared by the mean of a proper rule."""
+
+    @pytest.mark.parametrize("k, steps", [(3, 20), (4, 12), (5, 8)])
+    @pytest.mark.parametrize("rule", ["brier", "log", "rps"])
+    def test_lowest_at_the_true_distribution(self, rule, k, steps):
+        grid = np.array(simplex_grid(k, steps)) / steps
+        # expected[p, q]: every grid report against every grid distribution
+        scores = np.column_stack([RULES[rule](grid, np.full(len(grid), y)) for y in range(k)])
+        expected = scores @ grid.T
+        assert np.argmin(expected, axis=0).tolist() == list(range(len(grid)))
+        rng = np.random.default_rng(k)
+        for i, j in rng.integers(0, len(grid), (50, 2)).tolist():
+            p, q = grid[i].tolist(), grid[j].tolist()
+            assert expected[i, j] == pytest.approx(ref_expected_score(rule, p, q), abs=1e-12)
+
+    def test_sa_rps_counterexample(self):
+        # a one-hot report at class 2 beats the truthful report q
+        q = [v / 999 for v in (252, 189, 184, 60, 314)]
+        truthful = ref_expected_score("sa_rps", q, q)
+        one_hot = ref_expected_score("sa_rps", [0.0, 0.0, 1.0, 0.0, 0.0], q)
+        assert truthful == pytest.approx(0.2003, abs=5e-5)
+        assert one_hot == pytest.approx(0.1572, abs=5e-5)
+
+    def test_sa_rps_bounded_by_the_squared_error_of_the_mean(self):
+        # sa_rps(p, y) >= ((E_p[X] - y) / (K - 1))^2: the cumulative
+        # differences sum to y - E_p[X], and their absolute values add up
+        # to more unless p has mass on only one side of y
+        k, n = 5, 20_000
+        rng = np.random.default_rng(14)
+        probs = random_prob_matrix(rng, n, k)
+        labels = rng.integers(0, k, n)
+        # half the rows keep only the mass on one side of y (y itself included)
+        one_sided = rng.random(n) < 0.5
+        below = rng.random(n) < 0.5
+        classes = np.arange(k)
+        keep = np.where(below[:, None], classes <= labels[:, None], classes >= labels[:, None])
+        probs[one_sided] *= keep[one_sided]
+        probs /= probs.sum(axis=1, keepdims=True)
+        bound = np.square((probs @ classes - labels) / (k - 1))
+        got = RULES["sa_rps"](probs, labels)
+        assert np.all(got >= bound - 1e-15)
+        assert np.all(np.abs(got - bound)[one_sided] <= 1e-15)
+        lower = (probs * (classes < labels[:, None])).sum(axis=1)
+        upper = (probs * (classes > labels[:, None])).sum(axis=1)
+        both = np.minimum(lower, upper) > 1e-3
+        assert both.sum() > n // 4
+        assert np.all(got[both] > bound[both])
 
 
 class TestScoreDataset:
