@@ -16,7 +16,8 @@ needs; ``from ordeval import *`` and ``dir(ordeval)`` see every name in
 
 import importlib
 
-# the public names each module defines; ``errors`` is a module itself
+# the public names each module defines, sorted into ``__all__``; ``errors``
+# is a module itself
 _EXPORTS = {
     "errors": ("errors",),
     "data": ("CostMatrix", "EvalDataset", "validate_dataset"),
@@ -33,37 +34,7 @@ _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BootstrapSummary",
-    "CostMatrix",
-    "EvalDataset",
-    "MetricReport",
-    "RULES",
-    "RetentionCurve",
-    "SynthConfig",
-    "accuracy",
-    "bootstrap_aursc",
-    "brier",
-    "confusion",
-    "ece",
-    "errors",
-    "expected_cost",
-    "generate",
-    "log_score",
-    "metric_report",
-    "qwk",
-    "rank_samples",
-    "read_cost_matrix",
-    "read_predictions",
-    "render_curve_svg",
-    "retained_count",
-    "rps",
-    "sa_rps",
-    "sample_retention_curve",
-    "validate_dataset",
-    "write_predictions",
-    "write_report",
-]
+__all__ = sorted(_HOMES)
 
 
 def __getattr__(name):

@@ -110,7 +110,7 @@ def cmd_score(args) -> int:
     k, ids, cells = ds.num_classes, ds.ids, _cells(ds.labels, ds.probs)[1]
     order, scores = rank_samples(ds, args.rule)
     del ds
-    io._write_scores(ids, order, scores, args.output, lambda s: divmod(cells[s], k))
+    io.write_scores(ids, cells, k, order, scores, args.output)
     _check_stdout()
     print(f"worst samples by {args.rule}:")
     for i in order[:5]:

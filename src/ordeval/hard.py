@@ -149,8 +149,6 @@ def ece(ds: EvalDataset, bins: int = DEFAULT_ECE_BINS) -> float:
     ``bins`` runs from 1 to MAX_ECE_BINS. Each bin's confidences are summed
     in sorted order, so the result does not depend on the order of the rows.
     """
-    if len(ds) == 0:
-        raise EmptyDataset("cannot compute ECE on no samples")
     check_bins(bins)
     return _ece(ds, _cells(ds.labels, ds.probs)[1], bins)
 

@@ -32,10 +32,8 @@ Probabilities and curve values are written as ``%.17g`` writes them, with
 17 significant digits, and scores as their shortest ``repr``; both read back
 as the same float64, and JSON reals are ``json.dumps``'s shortest ``repr``.
 The writers take the bytes of a chunk's probabilities, ``_CALL_COLUMNS``
-columns a call, and of its scores from ``_g17.fields``, whose vectorized
-path covers 1e-270 <= v < 1 and sends any other value, or one it cannot
-settle, to ``%`` once per distinct bit pattern: among them every ``log`` or
-``brier`` score of 1 or more, about half of them on smooth rows.
+columns a call, and of its scores from ``_g17.fields``; its docstring gives
+the values its vectorized path takes and those it sends to ``%``.
 """
 
 import csv
@@ -390,25 +388,19 @@ def write_predictions(ds: EvalDataset, path: str) -> None:
     _write_table(path, _expected_header(k), template, chunks)
 
 
-def write_scores(ds: EvalDataset, order: np.ndarray, scores: np.ndarray, path: str) -> None:
+def write_scores(ids, cells: np.ndarray, k: int, order: np.ndarray, scores: np.ndarray,
+                 path: str) -> None:
     """Emit per-sample scores as an id,label,argmax,score CSV, one row per
-    sample in ``order``; scores use Python's shortest round-trip repr. Each
+    sample in ``order``; scores use Python's shortest round-trip repr.
+    ``cells`` holds each sample's confusion cell, label * ``k`` + argmax, as
+    ``hard._cells`` gives them, so the probabilities need not be kept. Each
     chunk of rows is gathered through its piece of ``order``."""
-    def classes(rows):
-        return ds.labels[rows], ds.probs[rows].argmax(axis=1)
-
-    _write_scores(ds.ids, order, scores, path, classes)
-
-
-def _write_scores(ids, order: np.ndarray, scores: np.ndarray, path: str, classes) -> None:
-    """``write_scores`` for the samples of ``ids``, whose labels and argmax
-    ``classes(rows)`` gives as two integer arrays for an index array."""
     from ._g17 import fields
 
     ids = _id_array(ids)
     # one id at a time: gathering a chunk of the id array and its tolist() take longer
     chunks = (
-        ([*(c.tolist() for c in classes(s)), fields(scores[s], shortest=True)],
+        ([*(c.tolist() for c in divmod(cells[s], k)), fields(scores[s], shortest=True)],
          [ids[i] for i in s.tolist()])
         for s in _chunks(len(order), order)
     )

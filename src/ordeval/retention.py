@@ -33,10 +33,10 @@ rankings, so ``ordeval rsc`` frees the dataset before it:
   ``cumsum`` inside that chunk gives how many samples it wholly keeps and
   their copies, exactly, without a prefix sum over all n samples;
 - replicates run in blocks of about ``_BLOCK_DRAWS`` draws, fewer when one
-  curve stack (fractions x K x K counts) exceeds n: one call to
-  ``_rng.resample_block`` and one ``bincount`` count a block's draws for all
-  rules, and each rule counts the whole block with one weighted
-  ``bincount``;
+  curve stack (fractions x K x K counts) exceeds n, so a block's arrays stay
+  small at tiny n too: one call to ``_rng.resample_block`` and one
+  ``bincount`` count a block's draws for all rules, and each rule counts the
+  whole block with one weighted ``bincount``;
 - one ``qwk`` or ``expected_cost`` call scores a block for all rules, on
   the (rules, replicates, fractions, K, K) stack of integer counts, and one
   more scores the plain curves of all rules; each reduces the stack a chunk
@@ -196,10 +196,8 @@ def retention_analysis(
     K = 16), then every rule's best-first ranking (4 bytes a sample).
     ``_bootstrap`` computes the plain curves and the replicates from those
     alone, so a caller that drops the dataset in between, as ``ordeval
-    rsc`` does, resamples without it. The replicates run in
-    blocks of ``max(1, _BLOCK_DRAWS // max(n, fractions * K * K))``, whose
-    draws are made and counted once and shared by all rules. The blocks run
-    in order in the calling thread. A grid whose fractions * K * K exceeds
+    rsc`` does, resamples without it. The replicates run a block at a time,
+    in order, in the calling thread. A grid whose fractions * K * K exceeds
     MAX_CURVE_CELLS is rejected before any work.
     """
     check_bootstrap(num_replicates)
@@ -244,9 +242,7 @@ def _bootstrap(cell, bests, k, rules, metric, fractions, num_replicates, seed, c
     # Replicate r of a block is row r of its draws, offset by r curves: cut s
     # of curve r keeps positions r*n .. r*n + kept[s] - 1, and a sample first
     # wholly kept at cut s lands in bin r*cuts + s*K*K + its cell. One
-    # bincount serves the whole block; the plain curve is row 0. A block
-    # holds at most one curve stack's worth of draws, so its arrays stay
-    # small at tiny n too.
+    # bincount serves the whole block; the plain curve is row 0.
     b = max(1, _BLOCK_DRAWS // max(n, cuts))
     m_max = b * len(kept)
     cut_at = (np.arange(b)[:, None] * n + kept).ravel()

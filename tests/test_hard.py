@@ -46,6 +46,12 @@ class TestConfusion:
         ds = make_dataset(random_prob_matrix(rng, 123, 4), rng.integers(0, 4, 123))
         assert confusion(ds).sum() == 123
 
+    @pytest.mark.parametrize("metric", [confusion, ece])
+    def test_empty_dataset(self, metric):
+        ds = make_dataset(np.zeros((0, 3)), [], validate=False)
+        with pytest.raises(EmptyDataset, match="^cannot build a confusion matrix from no samples$"):
+            metric(ds)
+
 
 class TestHardPredictions:
     # hard._cells, the one argmax pass: the confusion counts and every
@@ -206,6 +212,16 @@ class TestExpectedCost:
             expected_cost(np.diag([1, 2]), CostMatrix.linear(3))
         with pytest.raises(ShapeMismatch):
             expected_cost(np.array([np.diag([1, 2])]), CostMatrix.linear(3))
+
+
+@pytest.mark.parametrize(
+    "metric", [accuracy, qwk, lambda cm: expected_cost(cm, CostMatrix.linear(3))],
+    ids=["accuracy", "qwk", "expected_cost"],
+)
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+def test_counts_must_be_square(metric, shape):
+    with pytest.raises(ShapeMismatch, match="confusion matrix must be square"):
+        metric(np.ones(shape, dtype=int))
 
 
 def whole_stack_qwk(cm):
@@ -379,6 +395,9 @@ class TestEce:
         ds = one_hot_dataset([0], [0], 2)
         with pytest.raises(ZeroBins):
             ece(ds, bins=0)
+        # the bin count is checked before the samples
+        with pytest.raises(ZeroBins):
+            ece(make_dataset(np.zeros((0, 2)), [], validate=False), bins=0)
 
     def test_bins_ceiling(self):
         ds = one_hot_dataset([0, 1], [0, 0], 2)

@@ -429,17 +429,19 @@ class TestRoundTrip:
         assert sorted(row[0] for row in rows[1:]) == sorted(ids)
 
     def test_writers_match_csv_writer(self, tmp_path, monkeypatch):
-        # several chunks, the last one short
+        # several chunks, the last one short; at 17 classes the score
+        # writer decodes two-byte confusion cells
         monkeypatch.setattr(ordeval.io, "_CHUNK_ROWS", 7)
         self.writers_match_csv_writer(tmp_path, 40)
+        self.writers_match_csv_writer(tmp_path, 40, k=17)
 
     def test_writers_match_csv_writer_in_default_chunks(self, tmp_path):
         # 1,024-row chunks, the last one short
         self.writers_match_csv_writer(tmp_path, 2_500)
 
     @staticmethod
-    def writers_match_csv_writer(tmp_path, n):
-        ds = generate(SynthConfig(n=n, k=4, noise=1.2, seed=27))
+    def writers_match_csv_writer(tmp_path, n, k=4):
+        ds = generate(SynthConfig(n=n, k=k, noise=1.2, seed=27))
         quoted = tuple(sid for sid in ADVERSARIAL_IDS if "\r" not in sid)
         ids = quoted + ds.ids[len(quoted):]
         ds = EvalDataset(ds.num_classes, ids, ds.labels, ds.probs)
@@ -457,14 +459,16 @@ class TestRoundTrip:
         path = tmp_path / "p.csv"
         write_predictions(ds, str(path))
         assert path.read_bytes() == oracle(
-            ["id", "label", "p0", "p1", "p2", "p3"],
+            ["id", "label", *(f"p{i}" for i in range(k))],
             ([sid, label, *map("{:.17g}".format, p)]
              for sid, label, p in zip(ds.ids, ds.labels.tolist(), ds.probs.tolist())),
         )
 
         order, scores = rank_samples(ds, "rps")
         path = tmp_path / "s.csv"
-        write_scores(ds, order, scores, str(path))
+        cells = ordeval.hard._cells(ds.labels, ds.probs)[1]
+        assert k <= 16 or cells.max() > 255  # some cells need the second byte
+        write_scores(ds.ids, cells, k, order, scores, str(path))
         labels, argmax = ds.labels.tolist(), ds.probs.argmax(axis=1).tolist()
         scores = scores.tolist()
         assert path.read_bytes() == oracle(
@@ -569,8 +573,9 @@ class TestMemory:
         ds = generate(SynthConfig(n=self.N, k=5, noise=1.2, miscal=1.5, seed=1))
 
         def score():
+            cells = ordeval.hard._cells(ds.labels, ds.probs)[1]
             order, scores = rank_samples(ds, "sa_rps")
-            write_scores(ds, order, scores, str(tmp_path / "s.csv"))
+            write_scores(ds.ids, cells, 5, order, scores, str(tmp_path / "s.csv"))
 
         assert traced_peak(score)[0] <= self.ALLOWANCE
 
@@ -624,8 +629,10 @@ class TestWholeDatasetTemporaries:
         # the formatter's tables), with a chunk's scores formatted before its
         # ids are gathered. Python floats and %r took ~0.26 MB; 4,096-row
         # chunks of those took 1.08 MB
+        cells = ordeval.hard._cells(ds.labels, ds.probs)[1]
         order, scores = rank_samples(ds, "sa_rps")
-        assert traced_peak(write_scores, ds, order, scores, str(tmp_path / "s.csv"))[0] < 400_000
+        path = str(tmp_path / "s.csv")
+        assert traced_peak(write_scores, ds.ids, cells, 5, order, scores, path)[0] < 400_000
 
     @pytest.mark.parametrize("rule", ["log", "sa_rps"])
     def test_ranking_keeps_no_negated_or_ranked_copy(self, ds, rule):
@@ -660,6 +667,20 @@ class TestAtomicWrites:
             os.umask(old)
         for name in ("p.csv", "r.json"):
             assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask
+
+    @pytest.mark.parametrize("writer", ["write_report", "render_curve_svg"])
+    def test_a_missing_directory_names_the_output(self, tmp_path, writer):
+        # the library writers make no early directory check: the error comes
+        # from creating the temp file, and names the output, not the temp file
+        curve = RetentionCurve("rps", "qwk", (1.0, 0.5), (0.25, 0.75), 1.0)
+        path = str(tmp_path / "missing" / "out")
+        with pytest.raises(FileNotFoundError) as info:
+            if writer == "write_report":
+                write_report(curve, path, fmt="csv")
+            else:
+                render_curve_svg([curve], path)
+        assert info.value.filename == path
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCostMatrixFile:
