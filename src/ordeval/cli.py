@@ -37,11 +37,11 @@ from .retention import (
     MAX_REPLICATES,
     METRICS,
     _bootstrap,
+    _order,
     _rankings,
     check_bootstrap,
     check_fractions,
     check_metric,
-    rank_samples,
 )
 from .scoring import RULES, _rule_fn
 
@@ -100,16 +100,17 @@ def _parse_rules(spec: str) -> list[str]:
 
 
 def cmd_score(args) -> int:
-    _rule_fn(args.rule)  # raises UnknownRule before the input is read
+    score = _rule_fn(args.rule)  # raises UnknownRule before the input is read
     io._check_output_dir(args.output)
     ds = io.read_predictions(args.input, label_base=args.label_base)
-    # each row's label and argmax as one cell, a byte up to 16 classes, so
-    # that the dataset and its probabilities are freed before the scores are
-    # written; made before the ranking, which then reuses the memory of the
-    # cells' block temporaries
+    # each row's label and argmax as one cell, a byte up to 16 classes, and
+    # the rule's scores; then the dataset is dropped, all but its ids, before
+    # the scores are sorted, so the sort's order and the writer's chunks
+    # reuse the freed probabilities instead of adding to them
     k, ids, cells = ds.num_classes, ds.ids, _cells(ds.labels, ds.probs)[1]
-    order, scores = rank_samples(ds, args.rule)
+    scores = score(ds.probs, ds.labels)
     del ds
+    order = _order(scores)
     io.write_scores(ids, cells, k, order, scores, args.output)
     _check_stdout()
     print(f"worst samples by {args.rule}:")

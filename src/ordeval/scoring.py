@@ -16,18 +16,23 @@ ranking, retention curves and the CLI use:
 
 Rule identifiers used everywhere (library, CLI, file outputs) are the
 lowercase strings "brier", "log", "rps", "sa_rps". The array form fills one
-N-vector of scores a block of rows at a time, so its temporaries never span
-the whole matrix.
+N-vector of scores ``_BLOCK_ROWS`` rows at a time, so its temporaries
+never span the whole matrix. Those blocks are 4,096 rows, a quarter of the
+blocks that validation and ``hard`` take: the temporaries of a block
+(brier's copy, the cumulative differences of ``rps`` and ``sa_rps``), not
+the overhead of each call, set the ``evaluate`` command's peak, and the
+rows of a block are scored alone, so its size changes no bit.
 """
 
 import numpy as np
 
-from .data import _BLOCK_ROWS
 from .errors import UnknownRule
 
 # Probability floor for the logarithmic score. File-ingested predictions can
 # carry exact zeros; an infinite score would poison sorting and averaging.
 LOG_EPS = 1e-12
+
+_BLOCK_ROWS = 4096
 
 
 def _brier_matrix(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

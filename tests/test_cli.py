@@ -545,6 +545,11 @@ class TestRscCommand:
             run(["rsc", "--help"])
         assert f"2 to {MAX_FRACTIONS} fractions" in " ".join(capsys.readouterr().out.split())
 
+    def test_default_fraction_spec_is_the_library_default(self):
+        # the CLI states its default grid as a spec, the library as a tuple
+        grid = cli._parse_fraction_spec(cli.DEFAULT_FRACTION_SPEC)
+        assert grid == retention.DEFAULT_FRACTIONS
+
     def test_call_counts(self, tmp_path, monkeypatch):
         # each rule is scored once, a block of replicates is drawn once for
         # all rules, and the curves of all rules and each block are one qwk

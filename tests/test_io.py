@@ -5,12 +5,14 @@ import random
 import re
 import stat
 import threading
+import tracemalloc
 import warnings
 from io import StringIO
 
 import numpy as np
 import pytest
 
+import ordeval.cli
 import ordeval.data
 import ordeval.hard
 import ordeval.io
@@ -579,6 +581,28 @@ class TestMemory:
 
         assert traced_peak(score)[0] <= self.ALLOWANCE
 
+    def test_score_command_peaks_within_its_read(self, tmp_path, monkeypatch):
+        # at 100k x 5 rows: the command scores the rows, then drops the
+        # probabilities (8 bytes a row) before it sorts the scores, so the
+        # sort's order and the writer's chunks take their place: from the
+        # read on, the peak stays ~2.7 bytes a row below the read's own.
+        # Sorting beside the probabilities took it 5.1 above
+        n = 100_000
+        path, out = str(tmp_path / "p.csv"), str(tmp_path / "s.csv")
+        write_predictions(generate(SynthConfig(n=n, k=5, noise=1.2, miscal=1.5, seed=1)), path)
+        read_peaks = []
+
+        def read(*args, **kwargs):
+            ds = read_predictions(*args, **kwargs)
+            read_peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return ds
+
+        monkeypatch.setattr(ordeval.io, "read_predictions", read)
+        args = ["score", "--input", path, "--rule", "sa_rps", "--output", out]
+        peak, _, status = traced_peak(ordeval.cli.main, args)
+        assert status == 0 and peak <= read_peaks[0] + n
+
 
 class TestWholeDatasetTemporaries:
     # tracemalloc peaks above a 200k x 5 dataset made before the call
@@ -595,11 +619,12 @@ class TestWholeDatasetTemporaries:
 
     def test_metric_report_keeps_no_argmax_or_sorted_copy(self, ds):
         # the confusion cells (1 byte a row), then the confidences or one
-        # rule's scores (8), each sorted in place, and a block's temporaries:
-        # ~13.6 bytes a row. With the confidences' order by bin it took 19;
+        # rule's scores (8), each sorted in place, and a block's temporaries,
+        # of 4,096 rows for a rule: ~10.5 bytes a row. Rules scored 16,384
+        # rows a block took 13.6; with the confidences' order by bin, 19;
         # with the argmax vector, the cells and a sorted copy of the
         # confidences, 32
-        assert traced_peak(metric_report, ds)[0] < 15 * len(ds)
+        assert traced_peak(metric_report, ds)[0] < 11 * len(ds)
 
     def test_ece_keeps_only_the_confidences(self, ds):
         # the confidences (8 bytes a row), sorted in place, and a block's bin
