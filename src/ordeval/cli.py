@@ -29,7 +29,7 @@ import sys
 from . import io
 from .data import MAX_CELLS, MAX_CLASSES, MODES, CostMatrix
 from .errors import EvalError, InvalidConfig, UnknownRule
-from .hard import DEFAULT_ECE_BINS, MAX_ECE_BINS, _cells, check_bins, metric_report
+from .hard import DEFAULT_ECE_BINS, MAX_ECE_BINS, _cells, _report, check_bins
 from .retention import (
     DEFAULT_REPLICATES,
     DEFAULT_SEED,
@@ -133,7 +133,12 @@ def cmd_evaluate(args) -> int:
     cost = _read_cost(args.cost)
     ds = io.read_predictions(args.input, label_base=args.label_base)
     cost = _resolve_cost(args.cost, cost, ds.num_classes)
-    report = metric_report(ds, cost=cost, bins=args.bins)
+    # the report reads only the labels and probabilities, so the record, the
+    # last reference to the ids (16 B a row), goes first and the report's
+    # cells and sorted vectors reuse the ids' memory instead of adding to it
+    labels, probs = ds.labels, ds.probs
+    del ds
+    report = _report(labels, probs, cost, args.bins)
     config = {
         "input": args.input,
         "cost": args.cost,

@@ -150,12 +150,12 @@ def ece(ds: EvalDataset, bins: int = DEFAULT_ECE_BINS) -> float:
     in sorted order, so the result does not depend on the order of the rows.
     """
     check_bins(bins)
-    return _ece(ds, _cells(ds.labels, ds.probs)[1], bins)
+    return _ece(ds.probs, _cells(ds.labels, ds.probs)[1], bins)
 
 
-def _ece(ds: EvalDataset, cells: np.ndarray, bins: int) -> float:
-    """``ece`` from the confusion ``cells`` of a nonempty ``ds``, as
-    ``_cells`` gives them, for a checked bin count.
+def _ece(probs: np.ndarray, cells: np.ndarray, bins: int) -> float:
+    """``ece`` from a nonempty (N, K) ``probs`` and its confusion ``cells``,
+    as ``_cells`` gives them, for a checked bin count.
 
     Each bin's size and count of correct samples are tallied a block of rows
     at a time; a block's samples are correct where their cells are multiples
@@ -165,8 +165,8 @@ def _ece(ds: EvalDataset, cells: np.ndarray, bins: int) -> float:
     sums every nonempty bin. The result depends only on the (confidence,
     correct) pairs, not on the order of the rows.
     """
-    conf = ds.probs.max(axis=1)
-    diagonal = ds.num_classes + 1
+    conf = probs.max(axis=1)
+    diagonal = probs.shape[1] + 1
     edges = np.linspace(0.0, 1.0, bins + 1)
     # a bin's accuracy is its exact count of correct samples over its size
     counts = np.zeros(bins, dtype=np.intp)
@@ -199,24 +199,30 @@ def metric_report(
 ) -> MetricReport:
     """Accuracy, QWK, expected cost, ECE and the mean of every scoring rule.
 
-    ``cost`` defaults to the linear-distance matrix. One argmax pass, a
-    block of rows at a time, gives the confusion matrix and the confusion
-    cells that ECE takes its correct samples from, a byte a sample up to
-    K = 16; no argmax vector is kept. Each rule's mean sums its scores in
-    sorted order, so, as with ECE and the counts, the report does not
-    depend on the order of the rows.
+    ``cost`` defaults to the linear-distance matrix. Each rule's mean sums
+    its scores in sorted order, so, as with ECE and the counts, the report
+    does not depend on the order of the rows.
     """
     check_bins(bins)
-    cm, cells = _cells(ds.labels, ds.probs)
+    return _report(ds.labels, ds.probs, cost, bins)
+
+
+def _report(
+    labels: np.ndarray, probs: np.ndarray, cost: CostMatrix | None, bins: int
+) -> MetricReport:
+    """``metric_report`` of a dataset's ``labels`` and (N, K) ``probs``
+    alone, for a checked bin count, so a caller can drop the rest of the
+    dataset first. One argmax pass, a block of rows at a time, gives the
+    confusion matrix and the confusion cells that ECE takes its correct
+    samples from, a byte a sample up to K = 16; no argmax vector is kept."""
+    cm, cells = _cells(labels, probs)
     if cost is None:
-        cost = CostMatrix.linear(ds.num_classes)
+        cost = CostMatrix.linear(probs.shape[1])
     return MetricReport(
         accuracy=accuracy(cm),
         qwk=qwk(cm),
         expected_cost=expected_cost(cm, cost),
-        ece=_ece(ds, cells, bins),
-        n=len(ds),
-        mean_scores={
-            rule: _sorted_mean(fn(ds.probs, ds.labels)) for rule, fn in RULES.items()
-        },
+        ece=_ece(probs, cells, bins),
+        n=len(labels),
+        mean_scores={rule: _sorted_mean(fn(probs, labels)) for rule, fn in RULES.items()},
     )

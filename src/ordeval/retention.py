@@ -223,8 +223,8 @@ def _rankings(labels: np.ndarray, probs: np.ndarray, rules, fractions: tuple):
     # best first, ties latest first, so a cut keeps what dropping the worst
     # in dataset order keeps; contiguous, as a reversed view makes every
     # gather through it several times slower. Every rule keeps its ranking
-    # and the bootstrap b copies of the cells, so both take the narrowest
-    # type that fits, as the cells come
+    # and its ranked cells, so both take the narrowest type that fits, as
+    # the cells come
     index = np.int32 if n < 2**31 else np.intp
     bests = [_order(_rule_fn(rule)(probs, labels))[::-1].astype(index) for rule in rules]
     return cells, bests
@@ -247,7 +247,7 @@ def _bootstrap(cell, bests, k, rules, metric, fractions, num_replicates, seed, c
     m_max = b * len(kept)
     cut_at = (np.arange(b)[:, None] * n + kept).ravel()
     bin_base = (np.arange(b)[:, None] * cuts + np.arange(len(kept)) * k * k).ravel()
-    tiled = [np.tile(cell[best], b) for best in bests]
+    ranked = [cell[best] for best in bests]
     # cut locator: chunks of about sqrt(n / fractions) samples, so that the
     # chunk totals and the prefix sums inside one chunk per cut cost alike
     width = max(8, math.isqrt(n // len(kept)))
@@ -288,7 +288,8 @@ def _bootstrap(cell, bests, k, rules, metric, fractions, num_replicates, seed, c
     def curves(w: np.ndarray, cells: np.ndarray, rows: int, out: np.ndarray) -> None:
         """Write the (rows, fractions, K, K) confusion counts of ``rows``
         curves into ``out``, from each sample's copy count ``w`` in
-        best-first order."""
+        best-first order, row after row, and the ``cells`` of one ranking,
+        which every row shares."""
         m = rows * len(kept)
         full, before = locate(w, m)
         # how many samples each cut wholly keeps beyond the one before it:
@@ -296,14 +297,14 @@ def _bootstrap(cell, bests, k, rules, metric, fractions, num_replicates, seed, c
         steps = full.copy()
         steps[1:] -= full[:-1]
         bins = np.repeat(bin_base[:m], steps)
-        bins += cells[: rows * n]
+        bins.reshape(rows, n)[...] += cells
         counts = np.bincount(bins, weights=w, minlength=rows * cuts)
         stack = counts.reshape(rows, len(kept), k * k)
         np.cumsum(stack, axis=1, out=stack)  # in place: no second stack of counts
         # the first sample not wholly kept, which starts after ``before``
-        # copies, adds its copies before the cut (none when full is past the
-        # last sample)
-        counts[bin_base[:m] + cells.take(full, mode="clip")] += cut_at[:m] - before
+        # copies, adds its copies before the cut; a cut at a row's total adds
+        # none, so it does not matter which cell the wrapped index picks
+        counts[bin_base[:m] + cells.take(full, mode="wrap")] += cut_at[:m] - before
         # fraction order; the float64 counts are exact integers
         out[...] = counts.reshape(rows, len(kept), k, k)[:, ::-1]
 
@@ -311,18 +312,18 @@ def _bootstrap(cell, bests, k, rules, metric, fractions, num_replicates, seed, c
     # more. Flat, so that every block's stack is contiguous and the metric
     # takes its chunks as views
     max_rows = min(b, num_replicates) if seed != 0 else 1
-    buf = np.empty(len(tiled) * max_rows * cuts, dtype=np.int64)
+    buf = np.empty(len(ranked) * max_rows * cuts, dtype=np.int64)
 
     def score(weights, rows: int) -> np.ndarray:
         """The metric of every rule's ``rows`` curves, (rules, rows,
         fractions), from one weight array per rule, in one call."""
-        stack = buf[: len(tiled) * rows * cuts].reshape(len(tiled), rows, len(kept), k, k)
-        for w, cells, out in zip(weights, tiled, stack):
+        stack = buf[: len(ranked) * rows * cuts].reshape(len(ranked), rows, len(kept), k, k)
+        for w, cells, out in zip(weights, ranked, stack):
             curves(w, cells, rows, out)
         return qwk(stack) if metric == "qwk" else expected_cost(stack, cost)
 
     # every sample counted once; the vector of ones goes before the replicates
-    plain = score([np.ones(n)] * len(tiled), 1)[:, 0]
+    plain = score([np.ones(n)] * len(ranked), 1)[:, 0]
 
     # the draws and each rule's copy counts go to buffers made once, like
     # the count buffer: fresh (replicates, n) arrays per block page-fault

@@ -581,14 +581,13 @@ class TestMemory:
 
         assert traced_peak(score)[0] <= self.ALLOWANCE
 
-    def test_score_command_peaks_within_its_read(self, tmp_path, monkeypatch):
-        # at 100k x 5 rows: the command scores the rows, then drops the
-        # probabilities (8 bytes a row) before it sorts the scores, so the
-        # sort's order and the writer's chunks take their place: from the
-        # read on, the peak stays ~2.7 bytes a row below the read's own.
-        # Sorting beside the probabilities took it 5.1 above
+    @staticmethod
+    def _past_its_read(tmp_path, monkeypatch, command, *flags):
+        """The tracemalloc peak of ``cli.main`` running ``command`` on a
+        100k x 5 file, from the end of its read on, less the read's own
+        peak, in bytes a row."""
         n = 100_000
-        path, out = str(tmp_path / "p.csv"), str(tmp_path / "s.csv")
+        path = str(tmp_path / "p.csv")
         write_predictions(generate(SynthConfig(n=n, k=5, noise=1.2, miscal=1.5, seed=1)), path)
         read_peaks = []
 
@@ -599,9 +598,27 @@ class TestMemory:
             return ds
 
         monkeypatch.setattr(ordeval.io, "read_predictions", read)
-        args = ["score", "--input", path, "--rule", "sa_rps", "--output", out]
-        peak, _, status = traced_peak(ordeval.cli.main, args)
-        assert status == 0 and peak <= read_peaks[0] + n
+        peak, _, status = traced_peak(ordeval.cli.main, [command, "--input", path, *flags])
+        assert status == 0
+        return (peak - read_peaks[0]) / n
+
+    def test_score_command_peaks_within_its_read(self, tmp_path, monkeypatch):
+        # the command scores the rows, then drops the probabilities (8 bytes
+        # a row) before it sorts the scores, so the sort's order and the
+        # writer's chunks take their place: ~2.7 bytes a row below the
+        # read's own peak. Sorting beside the probabilities took it 5.1 above
+        out = str(tmp_path / "s.csv")
+        flags = ["--rule", "sa_rps", "--output", out]
+        assert self._past_its_read(tmp_path, monkeypatch, "score", *flags) <= 1
+
+    def test_evaluate_command_peaks_below_its_read(self, tmp_path, monkeypatch):
+        # the command drops the ids (16 bytes a row) before the report, whose
+        # cells and sorted vectors take their place: ~14.5 bytes a row below
+        # the read's own peak. A report beside the whole dataset stayed only
+        # 2.6 below
+        out = str(tmp_path / "r.json")
+        flags = ["--cost", "quadratic", "--output", out]
+        assert self._past_its_read(tmp_path, monkeypatch, "evaluate", *flags) <= -10
 
 
 class TestWholeDatasetTemporaries:
@@ -631,14 +648,14 @@ class TestWholeDatasetTemporaries:
         # indices: ~9.3 bytes a row at 15 bins. An order by bin beside the
         # confidences took 18
         cells = ordeval.hard._cells(ds.labels, ds.probs)[1]
-        assert traced_peak(ordeval.hard._ece, ds, cells, 15)[0] < 10.5 * len(ds)
+        assert traced_peak(ordeval.hard._ece, ds.probs, cells, 15)[0] < 10.5 * len(ds)
 
     def test_ece_at_the_bin_ceiling_holds_a_few_bin_counts(self, ds):
         # at 10**6 bins the edges, the bin sizes, the correct counts and one
         # block's counts (8 MB each) dominate: ~169 bytes a row. An order by
         # bin and the per-bin gathers through it took 182
         cells = ordeval.hard._cells(ds.labels, ds.probs)[1]
-        assert traced_peak(ordeval.hard._ece, ds, cells, 10**6)[0] < 175 * len(ds)
+        assert traced_peak(ordeval.hard._ece, ds.probs, cells, 10**6)[0] < 175 * len(ds)
 
     def test_writing_predictions_holds_one_chunk(self, ds, tmp_path):
         # a 1,024-row chunk's field bytes, its rows and their join: ~0.62 MB
