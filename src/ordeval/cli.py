@@ -18,6 +18,13 @@ stdout and stderr are flushed; ``main`` only returns the status.
 Each command checks its flags, then that its first output's directory
 exists, before it reads its input or generates data. Only ``synth`` loads
 the generator, which ``cmd_synth`` imports once that check has passed.
+
+``synth``, ``score`` and ``evaluate`` make no dataset: they take their
+rows as the validated blocks of ``data._consume`` and keep only what
+their outputs need. ``synth`` writes each block as it comes; ``score``
+keeps each row's id, confusion cell and score; ``evaluate`` keeps each
+row's confidence and four rule scores and adds up the confusion and ECE
+bin counts a block at a time. ``rsc`` reads the whole dataset.
 """
 
 import argparse
@@ -26,10 +33,12 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import io
-from .data import MAX_CELLS, MAX_CLASSES, MODES, CostMatrix
+from .data import MAX_CELLS, MAX_CLASSES, MODES, CostMatrix, _consume
 from .errors import EvalError, InvalidConfig, UnknownRule
-from .hard import DEFAULT_ECE_BINS, MAX_ECE_BINS, _cells, _report, check_bins
+from .hard import DEFAULT_ECE_BINS, MAX_ECE_BINS, _cells, _streamed_report, check_bins
 from .retention import (
     DEFAULT_REPLICATES,
     DEFAULT_SEED,
@@ -102,14 +111,21 @@ def _parse_rules(spec: str) -> list[str]:
 def cmd_score(args) -> int:
     score = _rule_fn(args.rule)  # raises UnknownRule before the input is read
     io._check_output_dir(args.output)
-    ds = io.read_predictions(args.input, label_base=args.label_base)
-    # each row's label and argmax as one cell, a byte up to 16 classes, and
-    # the rule's scores; then the dataset is dropped, all but its ids, before
-    # the scores are sorted, so the sort's order and the writer's chunks
-    # reuse the freed probabilities instead of adding to them
-    k, ids, cells = ds.num_classes, ds.ids, _cells(ds.labels, ds.probs)[1]
-    scores = score(ds.probs, ds.labels)
-    del ds
+
+    def scored(k, bound, blocks):
+        # each row's id, its label and argmax as one cell (a byte up to 16
+        # classes) and its score: 33 bytes a row with the stream's hashes
+        ids = np.empty(bound, dtype=np.dtypes.StringDType())
+        cells = np.empty(bound, dtype=np.min_scalar_type(k * k - 1))
+        scores = np.empty(bound)
+        n = 0
+        for names, labels, probs in blocks:
+            lo, n = n, n + len(labels)
+            ids[lo:n], cells[lo:n] = names, _cells(labels, probs)[1]
+            scores[lo:n] = score(probs, labels)
+        return k, ids[:n], cells[:n], scores[:n]
+
+    k, ids, cells, scores = io._consume_file(args.input, args.label_base, scored)
     order = _order(scores)
     io.write_scores(ids, cells, k, order, scores, args.output)
     _check_stdout()
@@ -131,14 +147,14 @@ def cmd_evaluate(args) -> int:
     if args.output:
         io._check_output_dir(args.output)
     cost = _read_cost(args.cost)
-    ds = io.read_predictions(args.input, label_base=args.label_base)
-    cost = _resolve_cost(args.cost, cost, ds.num_classes)
-    # the report reads only the labels and probabilities, so the record, the
-    # last reference to the ids (16 B a row), goes first and the report's
-    # cells and sorted vectors reuse the ids' memory instead of adding to it
-    labels, probs = ds.labels, ds.probs
-    del ds
-    report = _report(labels, probs, cost, args.bins)
+    report = io._consume_file(
+        args.input,
+        args.label_base,
+        lambda k, bound, blocks: _streamed_report(
+            k, bound, blocks, args.bins, lambda k: _resolve_cost(args.cost, cost, k)
+        ),
+        keep_ids=False,
+    )
     config = {
         "input": args.input,
         "cost": args.cost,
@@ -212,7 +228,7 @@ def cmd_rsc(args) -> int:
 
 def cmd_synth(args) -> int:
     io._check_output_dir(args.output)
-    from .synth import SynthConfig, generate
+    from .synth import SynthConfig, _blocks, _check_config, generate
 
     cfg = SynthConfig(
         n=args.n,
@@ -222,8 +238,14 @@ def cmd_synth(args) -> int:
         mode=args.mode,
         seed=args.seed,
     )
-    ds = generate(cfg)
-    io.write_predictions(ds, args.output)
+    _check_config(cfg)
+    # each block is written as it is made and checked, and only the ids'
+    # hashes are kept: a repeat among them ends the stream before the file
+    # is renamed into place, and the dataset path writes it again
+    def write(k, bound, blocks):
+        io._write_predictions(k, blocks, args.output)
+
+    _consume(write, cfg.k, cfg.n, _blocks(cfg), lambda: generate(cfg))
     return 0
 
 

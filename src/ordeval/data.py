@@ -16,6 +16,15 @@ are ``_Record`` classes: immutable records whose fields are their
 generator and ``validate_dataset``, copying a caller's dataset, each hand it
 blocks of rows; it fills its arrays with them, then checks and freezes those
 arrays in place, and returns only validated datasets.
+
+``_consume`` hands a command the rows of the reader or the generator
+without making a dataset: ``_stream`` copies them into reused buffers of
+16,384 rows (fewer above K = 5), gives each block the checks ``_build``
+makes, with the same block check, ``_renormalized``, and keeps only each
+id's hash. A None from the source, a block that fails a check, or a hash
+that repeats sends the command back to ``_build``, which raises the
+rows' error or, for distinct ids that share a hash, returns the dataset
+whose blocks the command then takes.
 """
 
 import inspect
@@ -230,15 +239,8 @@ def _build(k: int, bound: int, blocks, ids: _Ids | None = None) -> EvalDataset |
     # the dataset; a block that fails any check hands over to the whole-
     # array checks, which raise the error for the first fault in check order
     for lo in range(0, m, _BLOCK_ROWS):
-        block = probs[lo : lo + _BLOCK_ROWS]
-        sums = block.sum(axis=1)
-        off = np.abs(sums - 1.0)
-        valid = np.isfinite(block).all() and (block >= 0.0).all()
-        if not (valid and (off <= SUM_TOLERANCE).all()):
+        if not _renormalized(probs[lo : lo + _BLOCK_ROWS]):
             _reject_probs(ids, probs)
-        renorm = off > _RENORM_TRIGGER
-        if np.any(renorm):
-            block[renorm] /= sums[renorm, None]
 
     if np.any(labels < 0) or np.any(labels >= k):
         bad = int(np.argwhere((labels < 0) | (labels >= k))[0, 0])
@@ -248,6 +250,114 @@ def _build(k: int, bound: int, blocks, ids: _Ids | None = None) -> EvalDataset |
     if fresh:
         _check_unique(ids, hashes)
     return EvalDataset(k, ids, _freeze(labels), _freeze(probs))
+
+
+def _renormalized(block: np.ndarray) -> bool:
+    """Whether every row of a block of probabilities is finite, nonnegative
+    and sums to 1 within SUM_TOLERANCE; if so, the rows whose sums miss 1
+    by more than _RENORM_TRIGGER are renormalized in place."""
+    sums = block.sum(axis=1)
+    off = sums - 1.0
+    np.abs(off, out=off)
+    if not (np.isfinite(block).all() and (block >= 0.0).all() and (off <= SUM_TOLERANCE).all()):
+        return False
+    renorm = off > _RENORM_TRIGGER
+    if np.any(renorm):
+        block[renorm] /= sums[renorm, None]
+    return True
+
+
+class _Fallback(Exception):
+    """Raised by ``_stream`` for rows it cannot vouch for; ``_consume`` then
+    takes them through ``_build``, which raises their error."""
+
+
+def _consume(consume, k: int, bound: int, sources, dataset, keep_ids: bool = True):
+    """``consume(k, bound, blocks)`` of the (ids, labels, probs) blocks
+    ``sources`` gives for at most ``bound`` rows, as ``_stream`` validates
+    them, so no array holds the probabilities of every row; without
+    ``keep_ids`` its blocks may give None for their ids. On a ``_Fallback`` it
+    is ``consume`` of the blocks of ``dataset()``, which makes the same
+    rows into a dataset through ``_build`` and so raises the error
+    ``_build`` gives them, or returns them validated when their ids only
+    share a hash."""
+    try:
+        if k > MAX_CLASSES:  # _build's error, before consume sizes anything by K
+            raise _Fallback
+        return consume(k, bound, _stream(k, bound, sources, keep_ids))
+    except _Fallback:
+        pass  # out of the handler, so the traceback frees the first pass's arrays
+    ds = dataset()
+    return consume(ds.num_classes, len(ds), _dataset_blocks(ds))
+
+
+def _stage_rows(k: int) -> int:
+    """Rows in a staged block: ``_BLOCK_ROWS`` up to K = 5, as many as
+    ``_build`` checks at once, and fewer past it, so a block holds at most
+    5 * ``_BLOCK_ROWS`` probabilities (0.66 MB) at any K."""
+    return min(_BLOCK_ROWS, 5 * _BLOCK_ROWS // k)
+
+
+def _dataset_blocks(ds: EvalDataset):
+    """A dataset as ``_stream`` gives its rows: (ids, labels, probs) blocks
+    of ``_stage_rows`` rows, the ids as an array or sequence of ``str``."""
+    ids, rows = _id_array(ds.ids), _stage_rows(ds.num_classes)
+    for lo in range(0, len(ds), rows):
+        block = slice(lo, lo + rows)
+        yield ids[block], ds.labels[block], ds.probs[block]
+
+
+def _stream(k: int, bound: int, sources, keep_ids: bool):
+    """The rows of the (ids, labels, probs) ``sources`` blocks, validated
+    as ``_build`` validates them, in blocks of ``_stage_rows(k)`` rows
+    copied into buffers that every block reuses; a block is good only
+    until the next is taken. Ids come as a StringDType array, or as None
+    without ``keep_ids``.
+
+    Each id's hash is kept, 8 bytes a row. ``_Fallback`` is raised for a
+    None source, an id UTF-8 cannot encode, a block that fails a check
+    and, after the last block, two ids that share a hash.
+    """
+    rows = _stage_rows(k)
+    ids = np.empty(rows, dtype=np.dtypes.StringDType()) if keep_ids else None
+    labels = np.empty(rows, dtype=np.int64)
+    probs = np.empty((rows, k))
+    hashes = np.empty(bound, dtype=np.int64)
+    m = filled = 0
+    for block in sources:
+        if block is None:
+            raise _Fallback
+        names, got_labels, got_probs = block
+        try:
+            "".join(names).encode()
+        except UnicodeEncodeError:  # a lone surrogate
+            raise _Fallback from None
+        hashes[m : m + len(names)] = np.fromiter(map(hash, names), np.int64, len(names))
+        m += len(names)
+        lo = 0
+        while lo < len(names):  # a source block may straddle two staged ones
+            hi = min(len(names), lo + rows - filled)
+            stage = slice(filled, filled + hi - lo)
+            if keep_ids:
+                ids[stage] = names[lo:hi]
+            labels[stage], probs[stage] = got_labels[lo:hi], got_probs[lo:hi]
+            filled, lo = stage.stop, hi
+            if filled == rows:
+                yield _vouched(k, ids, labels, probs, rows)
+                filled = 0
+    if filled:
+        yield _vouched(k, ids, labels, probs, filled)
+    if _repeats(hashes[:m]):
+        raise _Fallback
+
+
+def _vouched(k: int, ids, labels: np.ndarray, probs: np.ndarray, m: int):
+    """The first ``m`` staged rows, renormalized, or ``_Fallback`` when
+    their probabilities or labels fail ``_build``'s checks."""
+    labels, probs = labels[:m], probs[:m]
+    if not _renormalized(probs) or labels.min() < 0 or labels.max() >= k:
+        raise _Fallback
+    return ids if ids is None else ids[:m], labels, probs
 
 
 def _is_label(v) -> bool:
@@ -299,8 +409,7 @@ def _check_unique(ids: _Ids, hashes: np.ndarray) -> None:
     sorted ``hashes`` (8 bytes an id, where a set takes ~60) are compared.
     ``hashes`` is sorted in place.
     """
-    hashes.sort()
-    repeats = set(hashes[1:][hashes[1:] == hashes[:-1]].tolist())
+    repeats = _repeats(hashes)
     if not repeats:
         return
     seen = set()
@@ -309,6 +418,13 @@ def _check_unique(ids: _Ids, hashes: np.ndarray) -> None:
             raise DuplicateId(f"duplicate sample id {sid!r}")
         if hash(sid) in repeats:
             seen.add(sid)
+
+
+def _repeats(hashes: np.ndarray) -> set:
+    """The values that occur more than once in ``hashes``, which is sorted
+    in place."""
+    hashes.sort()
+    return set(hashes[1:][hashes[1:] == hashes[:-1]].tolist())
 
 
 def _reject_probs(ids: _Ids, probs: np.ndarray) -> None:

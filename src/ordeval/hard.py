@@ -166,18 +166,37 @@ def _ece(probs: np.ndarray, cells: np.ndarray, bins: int) -> float:
     correct) pairs, not on the order of the rows.
     """
     conf = probs.max(axis=1)
-    diagonal = probs.shape[1] + 1
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    # a bin's accuracy is its exact count of correct samples over its size
-    counts = np.zeros(bins, dtype=np.intp)
-    correct = np.zeros(bins, dtype=np.intp)
+    edges, tally = _bins(bins)
     for lo in range(0, len(conf), _BLOCK_ROWS):
         rows = slice(lo, lo + _BLOCK_ROWS)
-        idx = np.digitize(conf[rows], edges, right=True)
-        idx -= 1
-        np.clip(idx, 0, bins - 1, out=idx)
-        counts += np.bincount(idx, minlength=bins)
-        correct += np.bincount(idx[cells[rows] % diagonal == 0], minlength=bins)
+        _tally_bins(tally, edges, conf[rows], cells[rows], probs.shape[1])
+    return _binned_ece(conf, tally)
+
+
+def _bins(bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of ``bins`` equal-width ECE bins over [0, 1], and a zero
+    (2, bins) tally for ``_tally_bins``."""
+    return np.linspace(0.0, 1.0, bins + 1), np.zeros((2, bins), dtype=np.intp)
+
+
+def _tally_bins(tally: np.ndarray, edges: np.ndarray, conf: np.ndarray, cells: np.ndarray,
+                k: int) -> None:
+    """Add a block's bin sizes to ``tally[0]`` and its counts of correct
+    samples to ``tally[1]``, from its confidences and its confusion cells
+    at K = ``k``: a bin's accuracy is its exact count of correct samples
+    over its size."""
+    bins = tally.shape[1]
+    idx = np.digitize(conf, edges, right=True)
+    idx -= 1
+    np.clip(idx, 0, bins - 1, out=idx)
+    tally[0] += np.bincount(idx, minlength=bins)
+    tally[1] += np.bincount(idx[cells % (k + 1) == 0], minlength=bins)
+
+
+def _binned_ece(conf: np.ndarray, tally: np.ndarray) -> float:
+    """ECE from every sample's confidence, ``conf``, which it sorts in
+    place, and the ``_tally_bins`` tallies of the same samples."""
+    counts, correct = tally
     conf.sort()
     full = np.flatnonzero(counts)
     sizes = counts[full]
@@ -225,4 +244,33 @@ def _report(
         ece=_ece(probs, cells, bins),
         n=len(labels),
         mean_scores={rule: _sorted_mean(fn(probs, labels)) for rule, fn in RULES.items()},
+    )
+
+
+def _streamed_report(k: int, bound: int, blocks, bins: int, cost_of) -> MetricReport:
+    """``_report`` of the rows of at most ``bound`` samples that the
+    validated (ids, labels, probs) ``blocks`` give, with ``cost_of(k)``
+    as its cost matrix, taken once the last block is in. Each block adds
+    its confusion counts and ECE's bin tallies, and each sample keeps its
+    confidence and the four rules' scores, 40 bytes a row: the values
+    ``_report`` takes, sorted as it sorts them, so the same report."""
+    cm = np.zeros((k, k), dtype=np.intp)
+    edges, tally = _bins(bins)
+    conf = np.empty(bound)
+    scores = {rule: np.empty(bound) for rule in RULES}
+    n = 0
+    for _, labels, probs in blocks:
+        lo, n = n, n + len(labels)
+        counts, cells = _cells(labels, probs)
+        cm += counts
+        _tally_bins(tally, edges, np.max(probs, axis=1, out=conf[lo:n]), cells, k)
+        for rule, fn in RULES.items():
+            scores[rule][lo:n] = fn(probs, labels)
+    return MetricReport(
+        accuracy=accuracy(cm),
+        qwk=qwk(cm),
+        expected_cost=expected_cost(cm, cost_of(k)),
+        ece=_binned_ece(conf[:n], tally),
+        n=n,
+        mean_scores={rule: _sorted_mean(s[:n]) for rule, s in scores.items()},
     )

@@ -24,7 +24,10 @@ lines, a block of rows at a time, from ``np.loadtxt`` calls on the open
 handle, and returns them validated. A file that source declines (a field
 such as ``0_3``, a label out of range) is read again from its start, and
 ``data._build`` fills new arrays from its ``csv.reader`` records, or they
-name the fault. Each source makes labels 0-based as it parses them. Readers
+name the fault. ``_consume_file`` hands the ``np.loadtxt`` blocks to a
+command through ``data._consume`` instead, with no dataset made; when
+that falls back, the same open handle is read as ``read_predictions``
+reads it. Each source makes labels 0-based as it parses them. Readers
 accept a UTF-8 byte order mark, CRLF line ends and blank lines, and report
 errors, a byte that is not UTF-8 among them, with the line number as it
 appears in the file.
@@ -48,7 +51,7 @@ from io import TextIOWrapper
 
 import numpy as np
 
-from .data import CostMatrix, EvalDataset, _build, _id_array
+from .data import CostMatrix, EvalDataset, _build, _consume, _dataset_blocks, _id_array
 from .errors import (
     EmptyDataset,
     EvalError,
@@ -223,11 +226,34 @@ def read_predictions(path: str, label_base: int = 0) -> EvalDataset:
     the rows are read (sums, signs, finiteness, duplicate ids) name the file
     but not the line.
     """
+    _check_label_base(label_base)
+    with _open_text(path) as fh:
+        return _dataset(fh, path, label_base)
+
+
+def _check_label_base(label_base: int) -> None:
     if label_base not in (0, 1):
         raise InvalidConfig(f"label_base must be 0 or 1, got {label_base}")
+
+
+def _dataset(fh, path: str, label_base: int) -> EvalDataset:
+    """``read_predictions`` of the open file ``fh``: its ``_loadtxt_blocks``,
+    or, when that source declines the file, its ``_row_blocks``."""
+    ds = _read(fh, path, label_base, _loadtxt_blocks)
+    return ds if ds is not None else _read(fh, path, label_base, _row_blocks)
+
+
+def _consume_file(path: str, label_base: int, consume, keep_ids: bool = True):
+    """``data._consume``'s ``consume(k, bound, blocks)`` of the validated
+    rows of the prediction CSV at ``path``, which arrive from
+    ``_loadtxt_blocks`` with no dataset made; should ``_consume`` fall
+    back, ``_dataset`` reads them again from the same open file, so a
+    spooled pipe is read once, and raises ``read_predictions``' error."""
+    _check_label_base(label_base)
     with _open_text(path) as fh:
-        ds = _read(fh, path, label_base, _loadtxt_blocks)
-        return ds if ds is not None else _read(fh, path, label_base, _row_blocks)
+        bound, k, records = _header(fh, path)
+        blocks = _loadtxt_blocks(fh, records, k, label_base, path)
+        return _consume(consume, k, bound, blocks, lambda: _dataset(fh, path, label_base), keep_ids)
 
 
 @contextmanager
@@ -269,11 +295,20 @@ def _read(fh, path: str, label_base: int, blocks) -> EvalDataset | None:
     """The validated dataset in the seekable text file ``fh``, or None
     when the source ``blocks`` declines the file.
 
-    The header is the first CSV record; its fields may be quoted or padded.
     ``data._build`` fills arrays sized from the file's line count with the
     (ids, 0-based labels, probs) blocks that ``blocks(fh, records, k,
-    label_base, path)`` yields for the rows after it, and validates them.
+    label_base, path)`` yields for the rows after the header, and
+    validates them.
     """
+    bound, k, records = _header(fh, path)
+    with _naming(path):  # the checks _build makes once the rows are read
+        return _build(k, bound, blocks(fh, records, k, label_base, path))
+
+
+def _header(fh, path: str):
+    """The line count of the seekable text file ``fh``, which bounds its
+    rows, its K, and its ``_records`` from the row after its header. The
+    header is the first CSV record; its fields may be quoted or padded."""
     bound = _line_count(fh.buffer)
     fh.seek(0)
     records = _records(fh, path)
@@ -286,8 +321,7 @@ def _read(fh, path: str, label_base: int, blocks) -> EvalDataset | None:
         raise MalformedHeader(
             f"{path}: line {lineno}: expected header 'id,label,p0,...', got {','.join(names)!r}"
         )
-    with _naming(path):  # the checks _build makes once the rows are read
-        return _build(k, bound, blocks(fh, records, k, label_base, path))
+    return bound, k, records
 
 
 def _loadtxt_blocks(fh, records, k: int, label_base: int, path: str):
@@ -369,6 +403,13 @@ def _row_blocks(fh, records, k: int, label_base: int, path: str):
 
 def write_predictions(ds: EvalDataset, path: str) -> None:
     """Emit a dataset in the prediction CSV schema (0-based labels)."""
+    _write_predictions(ds.num_classes, _dataset_blocks(ds), path)
+
+
+def _write_predictions(k: int, blocks, path: str) -> None:
+    """``write_predictions`` of the rows of a dataset of ``k`` classes that
+    the (ids, labels, probs) ``blocks`` give, each block written as it
+    comes; an exception from ``blocks`` leaves ``path`` as it was."""
     # imported here: only the writers format with it, so no other command
     # compiles the module
     from ._g17 import fields
@@ -380,10 +421,10 @@ def write_predictions(ds: EvalDataset, path: str) -> None:
             part = probs[:, lo:lo + _CALL_COLUMNS]
             yield from [iter(fields(part.ravel()))] * part.shape[1]
 
-    k = ds.num_classes
     template = b"%s,%d" + b",%s" * k + b"\n"
     chunks = (
-        ([ds.labels[s].tolist(), *columns(ds.probs[s])], ds.ids[s]) for s in _chunks(len(ds))
+        ([labels[s].tolist(), *columns(probs[s])], list(ids[s]))
+        for ids, labels, probs in blocks for s in _chunks(len(labels))
     )
     _write_table(path, _expected_header(k), template, chunks)
 

@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ordeval import CostMatrix, SynthConfig, _rng, cli, io, retention, scoring, synth
+from ordeval import CostMatrix, SynthConfig, _rng, cli, data, io, retention, scoring, synth
 from ordeval.cli import MAX_THREADS, main
 from ordeval.errors import InvalidConfig
 from ordeval.hard import MAX_ECE_BINS
@@ -218,6 +219,125 @@ class TestUnreadableFiles:
         assert list(tmp_path.iterdir()) == [f]
 
 
+class TestStreamFallback:
+    # score, evaluate and synth take their rows as validated blocks and make
+    # no dataset; rows the stream cannot vouch for send the command to the
+    # dataset path, which must give the same bytes, status and message
+
+    N = 17_000  # two staged blocks at K = 5, four at K = 17
+
+    @pytest.mark.parametrize("force", ["first-block", "hash-collision"])
+    @pytest.mark.parametrize("k", [5, 17])
+    def test_the_dataset_path_gives_the_same_bytes(self, tmp_path, capsys, monkeypatch, k, force):
+        taken = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                taken.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(io, "_dataset", counted(io._dataset))
+        monkeypatch.setattr(synth, "generate", counted(synth.generate))
+
+        def outputs(name):
+            work = tmp_path / name
+            work.mkdir()
+            monkeypatch.chdir(work)
+            runs = [
+                ["synth", "--n", self.N, "--k", k, "--noise", 1.2, "--miscal", 1.5,
+                 "--seed", 2, "--output", "p.csv"],
+                ["score", "--input", "p.csv", "--rule", "rps", "--output", "s.csv"],
+                ["evaluate", "--input", "p.csv", "--cost", "quadratic"],
+            ]
+            got = [(run(argv), *capsys.readouterr()) for argv in runs]
+            return got, {f.name: f.read_bytes() for f in sorted(work.iterdir())}
+
+        streamed = outputs("streamed")
+        assert taken == [] and [status for status, *_ in streamed[0]] == [0, 0, 0]
+        if force == "first-block":
+            def refuse(*args):
+                raise data._Fallback
+            monkeypatch.setattr(data, "_vouched", refuse)
+        else:  # every id hash repeats: the stream ends in a fall-back, which finds no duplicate
+            monkeypatch.setattr(data, "_repeats", lambda hashes: {0})
+        assert outputs("canonical") == streamed
+        assert taken == ["generate", "_dataset", "_dataset"]
+
+    def _faulty(self, f, fault):
+        """Write at ``f`` a 17,000-row file with one fault; return the
+        error it gives."""
+        io.write_predictions(synth.generate(SynthConfig(n=self.N, k=5, seed=3)), str(f))
+        rows = [line.split(b",") for line in f.read_bytes().split(b"\n")]
+        # rows[i] is file line i + 1, whose id is s{i:06d}
+        if fault == "nan-after-negative":
+            # a negative probability in the first staged block, a NaN in the
+            # second: the non-finite check comes first
+            rows[5][2] = b"-" + rows[5][2]
+            rows[16_500][3] = b"nan"
+            message = "NonFiniteProbability: {f}: non-finite probability in sample 's016500'"
+        elif fault == "duplicate":
+            rows[16_900][0] = b"s000003"
+            message = "DuplicateId: {f}: duplicate sample id 's000003'"
+        elif fault == "declined-label":  # np.loadtxt declines 0_7, which int() reads as 7
+            rows[7][1] = b"0_7"
+            message = "LabelOutOfRange: {f}: line 8: label '0_7' outside 0..4"
+        elif fault == "lone-surrogate":  # U+D800 as UTF-8 would spell it
+            rows[9][0] = b"s\xed\xa0\x80"
+            message = "EvalError: {f}: line 10: byte 0xed is not UTF-8"
+        else:  # "empty-body"
+            rows = rows[:1] + [[b""]]
+            message = "EmptyDataset: {f}: no rows after the header"
+        f.write_bytes(b"\n".join(b",".join(row) for row in rows))
+        return message
+
+    FAULTS = ["nan-after-negative", "duplicate", "declined-label", "lone-surrogate", "empty-body"]
+
+    @staticmethod
+    def _argv(command, f, out):
+        if command == "score":
+            return ["score", "--input", f, "--rule", "rps", "--output", out / "s.csv"]
+        return ["evaluate", "--input", f, "--output", out / "r.json"]
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("command", ["score", "evaluate"])
+    def test_errors_are_the_dataset_paths(self, tmp_path, capsys, command, fault):
+        f = tmp_path / "p.csv"
+        message = self._faulty(f, fault)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(self._argv(command, f, out)) == 1
+        assert capsys.readouterr().err == f"error: {message.format(f=f)}\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("command", ["score", "evaluate"])
+    def test_a_pipe_falls_back_to_its_spooled_copy(self, tmp_path, capsys, command):
+        # the dataset path reads the open handle again, the pipe's copy: it
+        # must not reopen the drained pipe and wait for a writer that has
+        # gone. The command runs in a daemon thread, so a read that blocks
+        # fails the test, not the suite
+        f, fifo = tmp_path / "p.csv", tmp_path / "pipe.csv"
+        message = self._faulty(f, "nan-after-negative")
+        os.mkfifo(fifo)
+        out = tmp_path / "out"
+        out.mkdir()
+        writer = threading.Thread(target=fifo.write_bytes, args=(f.read_bytes(),), daemon=True)
+        status = []
+        command_run = threading.Thread(
+            target=lambda: status.append(run(self._argv(command, fifo, out))), daemon=True
+        )
+        writer.start()
+        command_run.start()
+        command_run.join(timeout=30)
+        assert not command_run.is_alive(), "the fall-back blocked on the drained pipe"
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert status == [1]
+        assert capsys.readouterr().err == f"error: {message.format(f=fifo)}\n"
+        assert list(out.iterdir()) == []
+
+
 class TestUnwritableOutputs:
     @pytest.mark.parametrize("command", ["synth", "score", "evaluate", "rsc"])
     def test_a_missing_directory_is_named_by_the_output(
@@ -248,7 +368,9 @@ class TestUnwritableOutputs:
         def spy(*args, **kwargs):
             raise AssertionError("the command began its work before checking its output")
 
-        monkeypatch.setattr(cli.io, "read_predictions", spy)
+        monkeypatch.setattr(cli.io, "read_predictions", spy)  # rsc
+        monkeypatch.setattr(cli.io, "_consume_file", spy)  # score and evaluate
+        monkeypatch.setattr(cli, "_consume", spy)  # synth
         monkeypatch.setattr(synth, "generate", spy)
         out = tmp_path / "missing" / "out"
         argv = {
@@ -351,7 +473,8 @@ class TestEvaluateCommand:
         def reader(*args, **kwargs):
             raise AssertionError("the input was read before the cost file")
 
-        monkeypatch.setattr(cli.io, "read_predictions", reader)
+        monkeypatch.setattr(cli.io, "read_predictions", reader)  # rsc
+        monkeypatch.setattr(cli.io, "_consume_file", reader)  # evaluate
         cost = tmp_path / "cost.csv"
         if text is not None:
             cost.write_text(text)

@@ -283,6 +283,59 @@ class TestValidation:
             make_dataset([[1.0]], [0])
 
 
+class TestStream:
+    # data._consume hands its consumer the rows a staged block at a time, and
+    # turns to the dataset path for any rows _build would reject
+
+    @staticmethod
+    def _rows():
+        probs = np.array([[0.5, 0.5], [0.25, 0.75], [0.5000004, 0.5], [0.0, 1.0], [1.0, 0.0]])
+        return ["a", "b", "c", "d", "e"], np.array([0, 1, 1, 0, 1]), probs
+
+    @staticmethod
+    def _taken(k, bound, blocks):
+        return [(list(ids), labels.tolist(), probs.tobytes()) for ids, labels, probs in blocks]
+
+    @pytest.mark.parametrize(
+        "fault", [None, "declined", "surrogate", "label", "negative", "sum", "duplicate"]
+    )
+    def test_every_fault_takes_the_dataset_path(self, fault):
+        ids, labels, probs = self._rows()
+        if fault == "surrogate":
+            ids[1] = "b\ud800"
+        elif fault == "label":
+            labels[1] = 2
+        elif fault == "negative":
+            probs[1] = [-0.25, 1.25]
+        elif fault == "sum":
+            probs[1] = [0.5, 0.6]
+        elif fault == "duplicate":
+            ids[2] = "a"
+        names, given_labels, given_probs = self._rows()
+        ds = make_dataset(given_probs, given_labels, ids=names)
+        fell_back = []
+
+        def dataset():
+            fell_back.append(fault)
+            return ds
+
+        sources = [None] if fault == "declined" else [(ids, labels, probs)]
+        got = ordeval.data._consume(self._taken, 2, 5, iter(sources), dataset)
+        assert fell_back == ([] if fault is None else [fault])
+        # the row of sum 1.0000004 is renormalized either way
+        assert got == self._taken(2, 5, ordeval.data._dataset_blocks(ds))
+
+    def test_source_blocks_straddle_staged_ones(self, monkeypatch):
+        monkeypatch.setattr(ordeval.data, "_BLOCK_ROWS", 2)  # staged blocks of 2 rows
+        ids, labels, probs = self._rows()
+        cuts = [(0, 3), (3, 4), (4, 5)]
+        sources = [(ids[lo:hi], labels[lo:hi], probs[lo:hi]) for lo, hi in cuts]
+        got = ordeval.data._consume(self._taken, 2, 5, iter(sources), None)
+        assert [len(block[0]) for block in got] == [2, 2, 1]
+        ds = make_dataset(probs, labels, ids=ids)
+        assert got == self._taken(2, 5, ordeval.data._dataset_blocks(ds))
+
+
 class TestCumulative:
     def test_worked_example(self):
         assert np.allclose(cumulative([0.25, 0.75, 0.0]), [0.25, 1.0], atol=1e-15)

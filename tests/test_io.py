@@ -5,7 +5,6 @@ import random
 import re
 import stat
 import threading
-import tracemalloc
 import warnings
 from io import StringIO
 
@@ -582,43 +581,43 @@ class TestMemory:
         assert traced_peak(score)[0] <= self.ALLOWANCE
 
     @staticmethod
-    def _past_its_read(tmp_path, monkeypatch, command, *flags):
-        """The tracemalloc peak of ``cli.main`` running ``command`` on a
-        100k x 5 file, from the end of its read on, less the read's own
-        peak, in bytes a row."""
+    def _command_peak(tmp_path, *argv):
+        """The tracemalloc peak of ``cli.main(argv)``, in bytes a row of the
+        100k x 5 file ``p.csv`` in ``tmp_path``, written before it starts."""
         n = 100_000
-        path = str(tmp_path / "p.csv")
-        write_predictions(generate(SynthConfig(n=n, k=5, noise=1.2, miscal=1.5, seed=1)), path)
-        read_peaks = []
-
-        def read(*args, **kwargs):
-            ds = read_predictions(*args, **kwargs)
-            read_peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.reset_peak()
-            return ds
-
-        monkeypatch.setattr(ordeval.io, "read_predictions", read)
-        peak, _, status = traced_peak(ordeval.cli.main, [command, "--input", path, *flags])
+        write_predictions(generate(SynthConfig(n=n, k=5, noise=1.2, miscal=1.5, seed=1)),
+                          str(tmp_path / "p.csv"))
+        peak, _, status = traced_peak(ordeval.cli.main, [str(a) for a in argv])
         assert status == 0
-        return (peak - read_peaks[0]) / n
+        return peak / n
 
-    def test_score_command_peaks_within_its_read(self, tmp_path, monkeypatch):
-        # the command scores the rows, then drops the probabilities (8 bytes
-        # a row) before it sorts the scores, so the sort's order and the
-        # writer's chunks take their place: ~2.7 bytes a row below the
-        # read's own peak. Sorting beside the probabilities took it 5.1 above
-        out = str(tmp_path / "s.csv")
-        flags = ["--rule", "sa_rps", "--output", out]
-        assert self._past_its_read(tmp_path, monkeypatch, "score", *flags) <= 1
+    # A command that takes validated blocks of rows holds no dataset (72
+    # bytes a row at 5 classes, with its id hashes); one that built the
+    # dataset peaked at 79-81 bytes a row. Beyond what each keeps a row,
+    # the stream's 16,384-row staging buffers, one block's temporaries and
+    # a writer's chunk add ~1.4-2 MB, 14-20 bytes a row here.
 
-    def test_evaluate_command_peaks_below_its_read(self, tmp_path, monkeypatch):
-        # the command drops the ids (16 bytes a row) before the report, whose
-        # cells and sorted vectors take their place: ~14.5 bytes a row below
-        # the read's own peak. A report beside the whole dataset stayed only
-        # 2.6 below
-        out = str(tmp_path / "r.json")
-        flags = ["--cost", "quadratic", "--output", out]
-        assert self._past_its_read(tmp_path, monkeypatch, "evaluate", *flags) <= -10
+    def test_score_command_keeps_ids_cells_scores_and_hashes(self, tmp_path):
+        # the ids (16 bytes a row), cells (1), scores (8) and, until the
+        # stream ends, the id hashes (8), which the sort's order then
+        # replaces: ~51.8 bytes a row
+        argv = ["score", "--input", tmp_path / "p.csv", "--rule", "sa_rps",
+                "--output", tmp_path / "s.csv"]
+        assert self._command_peak(tmp_path, *argv) <= 54
+
+    def test_evaluate_command_keeps_five_vectors_and_hashes(self, tmp_path):
+        # each sample's confidence and four rule scores (40 bytes a row)
+        # and its id hash (8): ~62.4 bytes a row
+        argv = ["evaluate", "--input", tmp_path / "p.csv", "--cost", "quadratic",
+                "--output", tmp_path / "r.json"]
+        assert self._command_peak(tmp_path, *argv) <= 65
+
+    def test_synth_command_keeps_only_the_id_hashes(self, tmp_path):
+        # each block is written as it is made; only the id hashes (8 bytes
+        # a row) are kept: ~27.5 bytes a row
+        argv = ["synth", "--n", 100_000, "--k", 5, "--noise", 1.2, "--miscal", 1.5,
+                "--seed", 1, "--output", tmp_path / "q.csv"]
+        assert self._command_peak(tmp_path, *argv) <= 30
 
 
 class TestWholeDatasetTemporaries:
